@@ -2,13 +2,16 @@
 // writes the results as machine-readable JSON, so hot-path regressions
 // can be tracked across commits.
 //
-//	benchjson                        # writes BENCH_8.json
-//	benchjson -o out.json            # custom path
-//	benchjson -benchtime 3s          # longer sampling
-//	benchjson -quick                 # engine/channel micro-benches only
-//	benchjson -compare BENCH_8.json  # print % deltas vs a saved run,
-//	                                 # exit nonzero past -threshold
-//	benchjson -alloc-threshold 10    # also gate allocs/op regressions
+//	benchjson -o out.json                          # -o is required
+//	benchjson -o out.json -benchtime 3s            # longer sampling
+//	benchjson -o out.json -quick                   # engine/channel micro-benches only
+//	benchjson -o out.json -compare BENCH_12.json   # print % deltas vs a saved run,
+//	                                               # exit nonzero past -threshold
+//	benchjson -o out.json -compare BENCH_12.json -alloc-threshold 10
+//	                                               # also gate allocs/op regressions
+//
+// There is no default output path, so a bare run cannot overwrite a
+// committed baseline; it prints usage and exits 2.
 //
 // The full suite runs the engine schedule/run micro-benchmark, the
 // channel broadcast micro-benchmark at two densities (40 and 200
@@ -59,13 +62,17 @@ func run() int {
 	// Register the testing package's flags (test.benchtime below) so
 	// testing.Benchmark works outside "go test".
 	testing.Init()
-	out := flag.String("o", "BENCH_8.json", "output file")
+	out := flag.String("o", "", "output file (required)")
 	benchtime := flag.Duration("benchtime", time.Second, "target sampling time per benchmark")
 	quick := flag.Bool("quick", false, "run only the engine/channel micro-benchmarks")
 	compare := flag.String("compare", "", "baseline JSON to diff against (per-benchmark % deltas)")
-	threshold := flag.Float64("threshold", 5, "ns/op regression %% beyond which -compare exits nonzero")
-	allocThreshold := flag.Float64("alloc-threshold", 0, "allocs/op regression %% beyond which -compare exits nonzero (0 disables)")
+	threshold := flag.Float64("threshold", 5, "ns/op regression % beyond which -compare exits nonzero")
+	allocThreshold := flag.Float64("alloc-threshold", 0, "allocs/op regression % beyond which -compare exits nonzero (0 disables); any allocation on a zero-alloc baseline row fails")
 	flag.Parse()
+	if *out == "" {
+		fmt.Fprintln(os.Stderr, "benchjson: -o is required (usage: benchjson -o out.json [-benchtime D] [-quick] [-compare base.json])")
+		return 2
+	}
 
 	// testing.Benchmark honours this global; there is no public field
 	// for it on testing.B.
@@ -134,7 +141,9 @@ func writeResults(path string, results []result) error {
 // compareResults prints per-benchmark deltas of the current run against
 // the baseline file and reports whether any benchmark's ns/op regressed
 // beyond threshold percent, or (when allocThreshold > 0) its allocs/op
-// regressed beyond allocThreshold percent.
+// regressed beyond allocThreshold percent. A baseline row at zero
+// allocs/op has no percentage to regress by, so under the allocation
+// gate any allocation on it counts as a regression.
 func compareResults(path string, cur []result, threshold, allocThreshold float64) (regressed bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -176,8 +185,7 @@ func compareResults(path string, cur []result, threshold, allocThreshold float64
 			regressed = true
 			fmt.Printf("  REGRESSED")
 		}
-		if allocThreshold > 0 && o.AllocsPerOp > 0 &&
-			float64(r.AllocsPerOp-o.AllocsPerOp)/float64(o.AllocsPerOp)*100 > allocThreshold {
+		if allocThreshold > 0 && allocsRegressed(o.AllocsPerOp, r.AllocsPerOp, allocThreshold) {
 			regressed = true
 			fmt.Printf("  ALLOCS-REGRESSED")
 		}
@@ -196,6 +204,16 @@ func compareResults(path string, cur []result, threshold, allocThreshold float64
 		}
 	}
 	return regressed, nil
+}
+
+// allocsRegressed reports whether allocs/op rose from oldV to newV by
+// more than threshold percent; from a zero-alloc baseline, any
+// allocation does.
+func allocsRegressed(oldV, newV int64, threshold float64) bool {
+	if oldV == 0 {
+		return newV > 0
+	}
+	return float64(newV-oldV)/float64(oldV)*100 > threshold
 }
 
 // benchEngine mirrors internal/sim's BenchmarkEngineScheduleRun: one op

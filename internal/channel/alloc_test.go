@@ -1,0 +1,89 @@
+package channel
+
+import (
+	"testing"
+
+	"ewmac/internal/acoustic"
+	"ewmac/internal/energy"
+	"ewmac/internal/packet"
+	"ewmac/internal/phy"
+	"ewmac/internal/sim"
+	"ewmac/internal/topology"
+	"ewmac/internal/vec"
+)
+
+// TestBroadcastAllocsPerBroadcast pins the fan-out to one allocation
+// per broadcast — the shared copy-on-write frame view — with every
+// scheduled arrival drained: per-receiver deliveries and PHY arrivals
+// are recycled records with pre-bound handlers. It covers direct rays
+// and surface echoes, with the geometry cache on and on the uncached
+// reference path.
+func TestBroadcastAllocsPerBroadcast(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		surface bool
+		cache   bool
+	}{
+		{"direct", false, true},
+		{"surface", true, true},
+		{"direct/cache-off", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			model := acoustic.DefaultModel()
+			model.SurfaceReflection = tc.surface
+			net, err := topology.Deploy(topology.DeployConfig{
+				Nodes: 196, Sinks: 4, Region: vec.Cube(3000),
+			}, model, eng.RNG("deploy"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := New(eng, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch.SetCacheEnabled(tc.cache)
+			for _, n := range net.Nodes() {
+				m, err := phy.NewModem(phy.Config{
+					ID: n.ID, Engine: eng, Model: model, Medium: ch, Energy: energy.DefaultProfile(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ch.Register(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			nodes := net.Nodes()
+			frames := make([]*packet.Frame, len(nodes))
+			for i, n := range nodes {
+				frames[i] = &packet.Frame{Kind: packet.KindRTS, Src: n.ID, Dst: nodes[(i+1)%len(nodes)].ID}
+			}
+			dur := packet.Duration(packet.ControlBits, model.BitRate())
+			// One round broadcasts once from every node, so every modem's
+			// arrival pool and every source's geometry entry is exercised.
+			round := func() {
+				for _, f := range frames {
+					if err := ch.Broadcast(f.Src, f, dur); err != nil {
+						t.Fatal(err)
+					}
+					eng.Run()
+				}
+			}
+			round()
+			before := ch.Deliveries()
+			const runs = 5
+			avg := testing.AllocsPerRun(runs, round)
+			// AllocsPerRun calls round once more to warm up.
+			fanout := float64(ch.Deliveries()-before) / float64((runs+1)*len(frames))
+			if fanout < 10 {
+				t.Fatalf("fan-out %.1f receivers per broadcast: too sparse to pin", fanout)
+			}
+			per := avg / float64(len(frames))
+			t.Logf("%.2f allocs per broadcast at fan-out %.1f", per, fanout)
+			if per > 1 {
+				t.Errorf("%.2f allocs per broadcast, want <= 1", per)
+			}
+		})
+	}
+}

@@ -8,6 +8,12 @@
 // layer works from its learned delay tables — so staleness in the
 // protocol's knowledge (a failure mode the paper discusses in §5) is
 // faithfully represented rather than assumed away.
+//
+// Each per-receiver delivery (direct ray or surface echo) is a pooled
+// record with a pre-bound handler, so a broadcast allocates only the
+// shared frame view. Ownership rule, as for obs's pooled records: a
+// delivery is recycled when its handler runs, before the modem sees
+// the arrival; nothing may retain one past that point.
 package channel
 
 import (
@@ -56,6 +62,21 @@ type srcGeoms struct {
 	list  []rxGeom
 }
 
+// delivery is one scheduled per-receiver arrival (direct or surface
+// ray). Deliveries are recycled through the channel's free list: a
+// record returns to the pool as its handler runs, before it calls
+// BeginArrival, so nothing may retain a *delivery past that point.
+type delivery struct {
+	rx       *phy.Modem
+	frame    *packet.Frame
+	levelDB  float64
+	dur      time.Duration
+	syncable bool
+	// fire runs the delivery. It is bound once when the record is first
+	// allocated and survives recycling, so scheduling allocates nothing.
+	fire func()
+}
+
 // Channel is the shared acoustic medium.
 type Channel struct {
 	eng    *sim.Engine
@@ -72,6 +93,7 @@ type Channel struct {
 	regGen   uint64 // bumped by Register; invalidates every cache entry
 	cacheOff bool
 	scratch  []rxGeom // reused build target when the cache is disabled
+	free     []*delivery
 
 	cacheHits   uint64
 	cacheMisses uint64
@@ -250,20 +272,33 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 			}.Emit(c.rec, now)
 		}
 		c.deliveries++
-		// Copy out of the cache entry before capturing: the cache slice
-		// may be rebuilt in place before the scheduled closures run.
-		rxm, level, syncable := g.rx, g.levelDB, g.syncable
-		c.eng.ScheduleIn(g.delay, sim.PriorityPHY, func() {
-			rxm.BeginArrival(fc, level, dur, syncable)
-		})
+		// The delivery copies out of the cache entry: the cache slice
+		// may be rebuilt in place before the scheduled arrivals run.
+		c.deliver(g.delay, g.rx, fc, g.levelDB, dur, g.syncable)
 		if g.surf {
-			sLevel := g.surfLevel
-			c.eng.ScheduleIn(g.surfDelay, sim.PriorityPHY, func() {
-				rxm.BeginArrival(fc, sLevel, dur, false)
-			})
+			c.deliver(g.surfDelay, g.rx, fc, g.surfLevel, dur, false)
 		}
 	}
 	return nil
+}
+
+// deliver schedules f's arrival at rx after delay, on a pooled record.
+func (c *Channel) deliver(delay time.Duration, rx *phy.Modem, f *packet.Frame, levelDB float64, dur time.Duration, syncable bool) {
+	var d *delivery
+	if n := len(c.free); n > 0 {
+		d = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		d = &delivery{}
+		d.fire = func() {
+			rx, f, levelDB, dur, syncable := d.rx, d.frame, d.levelDB, d.dur, d.syncable
+			*d = delivery{fire: d.fire}
+			c.free = append(c.free, d)
+			rx.BeginArrival(f, levelDB, dur, syncable)
+		}
+	}
+	d.rx, d.frame, d.levelDB, d.dur, d.syncable = rx, f, levelDB, dur, syncable
+	c.eng.ScheduleIn(delay, sim.PriorityPHY, d.fire)
 }
 
 // Modem returns the registered modem for id, or nil.

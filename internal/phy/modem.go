@@ -4,6 +4,13 @@
 // MAC layer sees successfully decoded frames (including everything it
 // overhears) plus a transmit-complete callback, which is exactly the
 // interface NS-3's UAN PHY presents to its MAC models.
+//
+// The per-arrival path is allocation-free in steady state and reads
+// the ambient noise from a per-modem cache (see Config.Model). Arrival
+// records come from a per-modem free list; ownership rule, as for
+// obs's pooled records: an arrival is recycled as its end-of-arrival
+// handler runs, before any listener, tap or recorder is called, and
+// those see only the frame, never the record.
 package phy
 
 import (
@@ -99,16 +106,26 @@ type Stats struct {
 	ExtraFramesTx uint64
 }
 
+// arrival is one signal currently in the air at a modem. Arrivals are
+// recycled through the modem's free list: endArrival returns the
+// record to the pool before it calls out, so nothing may retain an
+// *arrival past that point.
 type arrival struct {
-	frame     *packet.Frame
-	levelDB   float64
+	frame   *packet.Frame
+	levelDB float64
+	// levelLin is DBToLin(levelDB), computed only once the arrival
+	// overlaps another (0 until then): a lone arrival needs no
+	// interference sum.
 	levelLin  float64
-	end       sim.Time
 	corruptTx bool
 	decodable bool
 	// maxOtherLin is the worst concurrent interference power observed
 	// while this arrival was in the air.
 	maxOtherLin float64
+	// fire runs endArrival for this record. It is bound once when the
+	// record is first allocated and survives recycling, so scheduling
+	// the end of an arrival allocates nothing.
+	fire func()
 }
 
 // Modem is one node's acoustic transducer.
@@ -122,9 +139,17 @@ type Modem struct {
 	meter    *energy.Meter
 	rng      *sim.RNG
 
+	// noiseLin / noiseDB cache the model's ambient noise, which is
+	// constant for the run: noiseDB is LinToDB(noiseLin), exactly the
+	// denominator SINRDBFromLin computes for zero interference.
+	noiseLin float64
+	noiseDB  float64
+
 	transmitting bool
 	txFrame      *packet.Frame
+	finishTxFn   func()
 	arrivals     []*arrival
+	free         []*arrival
 	stats        Stats
 	down         bool
 
@@ -139,8 +164,11 @@ type Modem struct {
 
 // Config assembles a modem.
 type Config struct {
-	ID       packet.NodeID
-	Engine   *sim.Engine
+	ID     packet.NodeID
+	Engine *sim.Engine
+	// Model is read-only once modems are built: NewModem caches the
+	// ambient noise level it implies, so later edits to the model's
+	// noise parameters would not reach the SINR computation.
 	Model    *acoustic.Model
 	PER      acoustic.PERModel
 	Medium   Medium
@@ -168,7 +196,8 @@ func NewModem(cfg Config) (*Modem, error) {
 	if per == nil {
 		per = acoustic.ThresholdPER{ThresholdDB: cfg.Model.SINRThresholdDB}
 	}
-	return &Modem{
+	noiseLin := acoustic.DBToLin(cfg.Model.NoiseLevelDB())
+	m := &Modem{
 		id:       cfg.ID,
 		eng:      cfg.Engine,
 		model:    cfg.Model,
@@ -177,7 +206,11 @@ func NewModem(cfg Config) (*Modem, error) {
 		listener: cfg.Listener,
 		meter:    energy.NewMeter(cfg.Energy, cfg.Engine.Now()),
 		rng:      cfg.Engine.RNG(fmt.Sprintf("phy/%d", cfg.ID)),
-	}, nil
+		noiseLin: noiseLin,
+		noiseDB:  acoustic.LinToDB(noiseLin),
+	}
+	m.finishTxFn = m.finishTx
+	return m, nil
 }
 
 // ID reports the modem's node ID.
@@ -279,14 +312,17 @@ func (m *Modem) Transmit(f *packet.Frame) error {
 	// transmitter already committed its on-air time and energy, and the
 	// modem must return to idle rather than stay wedged in tx state.
 	err := m.medium.Broadcast(m.id, f, dur)
-	m.eng.ScheduleIn(dur, sim.PriorityPHY, func() { m.finishTx(f) })
+	m.eng.ScheduleIn(dur, sim.PriorityPHY, m.finishTxFn)
 	if err != nil {
 		return fmt.Errorf("phy: transmit: %w", err)
 	}
 	return nil
 }
 
-func (m *Modem) finishTx(f *packet.Frame) {
+// finishTx ends the transmission of m.txFrame; the modem is
+// half-duplex, so at most one is ever pending.
+func (m *Modem) finishTx() {
+	f := m.txFrame
 	m.transmitting = false
 	m.txFrame = nil
 	m.updateEnergyState()
@@ -318,19 +354,11 @@ func (m *Modem) accountTx(f *packet.Frame) {
 // interference but are never decoded). The modem schedules its own
 // end-of-arrival processing.
 func (m *Modem) BeginArrival(f *packet.Frame, levelDB float64, dur time.Duration, syncable bool) {
-	now := m.eng.Now()
-	a := &arrival{
-		frame:     f,
-		levelDB:   levelDB,
-		levelLin:  acoustic.DBToLin(levelDB),
-		end:       now.Add(dur),
-		corruptTx: m.transmitting,
-		decodable: syncable && !m.down && m.model.Decodable(m.model.SINRDBFromLin(levelDB, 0)),
-	}
-	m.arrivals = append(m.arrivals, a)
-	m.refreshInterference()
-	m.updateEnergyState()
-	m.eng.ScheduleIn(dur, sim.PriorityPHY, func() { m.endArrival(a) })
+	a := m.newArrival(levelDB)
+	a.frame = f
+	a.corruptTx = m.transmitting
+	a.decodable = syncable && !m.down && m.model.Decodable(m.sinrDB(levelDB, 0))
+	m.startArrival(a, dur)
 }
 
 // InjectInterference adds raw noise energy at this modem for dur: an
@@ -340,24 +368,47 @@ func (m *Modem) BeginArrival(f *packet.Frame, levelDB float64, dur time.Duration
 // up on carrier sense, so backoff logic reacts to it like any other
 // busy-channel episode.
 func (m *Modem) InjectInterference(levelDB float64, dur time.Duration) {
-	a := &arrival{
-		levelDB:  levelDB,
-		levelLin: acoustic.DBToLin(levelDB),
-		end:      m.eng.Now().Add(dur),
+	m.startArrival(m.newArrival(levelDB), dur)
+}
+
+// newArrival takes a zeroed record from the free list (allocating one,
+// with its bound fire func, only when the list is empty) and stamps
+// the received level every arrival has.
+func (m *Modem) newArrival(levelDB float64) *arrival {
+	var a *arrival
+	if n := len(m.free); n > 0 {
+		a = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		a = &arrival{}
+		a.fire = func() { m.endArrival(a) }
 	}
+	a.levelDB = levelDB
+	return a
+}
+
+func (m *Modem) startArrival(a *arrival, dur time.Duration) {
 	m.arrivals = append(m.arrivals, a)
 	m.refreshInterference()
 	m.updateEnergyState()
-	m.eng.ScheduleIn(dur, sim.PriorityPHY, func() { m.endArrival(a) })
+	m.eng.ScheduleIn(dur, sim.PriorityPHY, a.fire)
 }
 
 // refreshInterference recomputes, for every active arrival, the total
 // power of the other active arrivals, and folds it into each arrival's
 // running maximum. Interference peaks only when an arrival starts, so
 // calling this from BeginArrival captures every arrival's worst case.
+// A lone arrival's interference is its own power minus itself, zero,
+// so nothing changes until a second arrival overlaps it.
 func (m *Modem) refreshInterference() {
+	if len(m.arrivals) < 2 {
+		return
+	}
 	var total float64
 	for _, a := range m.arrivals {
+		if a.levelLin == 0 {
+			a.levelLin = acoustic.DBToLin(a.levelDB)
+		}
 		total += a.levelLin
 	}
 	for _, a := range m.arrivals {
@@ -375,39 +426,53 @@ func (m *Modem) endArrival(a *arrival) {
 			break
 		}
 	}
+	// Copy out and recycle before any callback: a listener may start a
+	// new arrival or transmission that reuses the record.
+	f, levelDB, maxOtherLin, corruptTx, decodable := a.frame, a.levelDB, a.maxOtherLin, a.corruptTx, a.decodable
+	*a = arrival{fire: a.fire}
+	m.free = append(m.free, a)
 	m.updateEnergyState()
 
-	if !a.decodable {
+	if !decodable {
 		// Pure interference energy: a real modem never synchronizes to
 		// it, so nothing is reported.
 		return
 	}
-	if a.corruptTx {
+	if corruptTx {
 		m.stats.TxSelfLoss++
-		m.notifyLost(a.frame, LossTxDuringRx)
+		m.notifyLost(f, LossTxDuringRx)
 		return
 	}
-	sinr := m.model.SINRDBFromLin(a.levelDB, a.maxOtherLin)
-	perr := m.per.PER(sinr, a.frame.Bits())
+	perr := m.per.PER(m.sinrDB(levelDB, maxOtherLin), f.Bits())
 	if perr > 0 && (perr >= 1 || m.rng.Float64() < perr) {
-		if a.maxOtherLin > 0 {
+		if maxOtherLin > 0 {
 			m.stats.Collisions++
-			m.notifyLost(a.frame, LossCollision)
+			m.notifyLost(f, LossCollision)
 		} else {
 			m.stats.PERLosses++
-			m.notifyLost(a.frame, LossChannel)
+			m.notifyLost(f, LossChannel)
 		}
 		return
 	}
 	m.stats.FramesRx++
-	m.stats.BitsRx += uint64(a.frame.Bits())
-	obs.FrameRx{Node: m.id, Frame: a.frame}.Emit(m.rec, m.eng.Now())
+	m.stats.BitsRx += uint64(f.Bits())
+	obs.FrameRx{Node: m.id, Frame: f}.Emit(m.rec, m.eng.Now())
 	if m.rxTap != nil {
-		m.rxTap(a.frame)
+		m.rxTap(f)
 	}
 	if m.listener != nil {
-		m.listener.OnFrameReceived(a.frame)
+		m.listener.OnFrameReceived(f)
 	}
+}
+
+// sinrDB is m.model.SINRDBFromLin(levelDB, interferenceLin), bit for
+// bit, against the cached noise: interference-free arrivals cost no
+// transcendental call, the rest one log.
+func (m *Modem) sinrDB(levelDB, interferenceLin float64) float64 {
+	if interferenceLin == 0 {
+		return levelDB - m.noiseDB
+	}
+	return levelDB - acoustic.LinToDB(m.noiseLin+interferenceLin)
 }
 
 func (m *Modem) notifyLost(f *packet.Frame, r LossReason) {
