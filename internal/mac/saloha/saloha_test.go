@@ -4,7 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"ewmac/internal/acoustic"
 	"ewmac/internal/experiment"
+	"ewmac/internal/obs"
+	"ewmac/internal/packet"
+	"ewmac/internal/sim"
 )
 
 func TestALOHADeliversAtLightLoad(t *testing.T) {
@@ -62,5 +66,49 @@ func TestALOHARetransmitsOnSilence(t *testing.T) {
 	}
 	if res.Summary.MAC.Retransmissions == 0 {
 		t.Error("saturated ALOHA never retransmitted")
+	}
+}
+
+// TestRetryExhaustionCountsOwnAttempts: a packet is dropped as
+// retry-exhausted only after exactly MaxRetries data transmissions of
+// its own. The retry count must reset when the previous head is
+// acknowledged, or a fresh packet inherits the failures of the one
+// before it and is abandoned early.
+func TestRetryExhaustionCountsOwnAttempts(t *testing.T) {
+	const maxRetries = 3
+	cfg := experiment.Default(experiment.ProtocolSALOHA)
+	cfg.SimTime = 200 * time.Second
+	cfg.OfferedLoadKbps = 0.3
+	cfg.Seed = 1
+	cfg.MaxRetries = maxRetries
+	cfg.PER = acoustic.UniformLossPER{LossProb: 0.5}
+	type key struct {
+		node, origin packet.NodeID
+		seq          uint32
+	}
+	sent := map[key]int{}
+	drops := 0
+	cfg.Observe = &experiment.Observe{Recorder: obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		switch ev := e.(type) {
+		case *obs.TxBegin:
+			if f := ev.Frame; f.Kind == packet.KindData {
+				sent[key{ev.Node, f.Origin, f.Seq}]++
+			}
+		case *obs.PacketDrop:
+			if ev.Reason != obs.DropRetryExhausted {
+				return
+			}
+			drops++
+			if n := sent[key{ev.Node, ev.Origin, ev.Seq}]; n != maxRetries {
+				t.Errorf("node %v dropped %v/%d as retry-exhausted after %d data transmissions, want %d",
+					ev.Node, ev.Origin, ev.Seq, n, maxRetries)
+			}
+		}
+	})}
+	if _, err := experiment.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if drops == 0 {
+		t.Fatal("no retry-exhausted drops: the scenario no longer exercises the retry limit")
 	}
 }
