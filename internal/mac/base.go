@@ -178,30 +178,23 @@ func (c Config) Validate() error {
 	return c.Slots.Validate()
 }
 
-// Base is the shared slotted four-way-handshake engine. Protocol
-// implementations embed *Base and provide Hooks.
+// Base is the shared slotted four-way-handshake engine, built on the
+// Node core. Protocol implementations embed *Base and provide Hooks.
 type Base struct {
-	cfg   Config
+	Node
 	hooks Hooks
-	rng   *sim.RNG
 
 	table  *NeighborTable
 	ledger *Ledger
-	queue  Queue
 
 	role Role
-	// Sender-side state.
-	cur         AppPacket
+	// Sender-side state (the round's packet is Node.cur).
 	hasCur      bool
-	curAttempts int
 	rtsSlot     int64
 	dataSlot    int64
 	ackDeadline int64
 	curTau      time.Duration
-	backoffLeft int
-	cw          int
 	headSince   int64
-	seq         uint32
 	// Receiver-side state.
 	rtsCands    map[int64][]*packet.Frame
 	rxDataSlot  int64
@@ -214,78 +207,36 @@ type Base struct {
 	// holdUntil suspends contention and CTS granting while an
 	// extra-communication exchange owns the transducer's near future.
 	holdUntil sim.Time
-	// xidSeq allocates exchange-lineage IDs; curXID/rxXID are the
-	// lineage of the in-flight sender/receiver handshake.
-	xidSeq uint64
+	// curXID/rxXID are the lineage of the in-flight sender/receiver
+	// handshake.
 	curXID uint64
 	rxXID  uint64
-	// seen dedupes retransmitted payloads: origin<<32|seq.
-	seen map[uint64]struct{}
 	// lastProbe rate-limits unicast delay probes per peer.
 	lastProbe map[packet.NodeID]sim.Time
-	// Liveness state (see liveness.go): consecutive failed handshakes
-	// per peer, the resulting verdicts, and the slot the current role
-	// was entered at (watchdog input).
-	peerFails map[packet.NodeID]int
-	peerState map[packet.NodeID]PeerState
-	roleSlot  int64
-	// Overload-protection state (see overload.go): the hysteresis
-	// admission gate and the per-node retry token bucket.
-	gate   AdmissionGate
-	bucket RetryBucket
-
-	counters Counters
-	started  bool
-	nextSlot int64
+	// roleSlot is the slot the current role was entered at (watchdog
+	// input).
+	roleSlot int64
 }
 
 // NewBase validates cfg and returns an engine (hooks must be set with
 // SetHooks before Start).
 func NewBase(cfg Config) (*Base, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg.applyDefaults()
 	b := &Base{
-		cfg:       cfg,
-		rng:       cfg.Engine.RNG(fmt.Sprintf("mac/%d", cfg.ID)),
 		table:     NewNeighborTable(cfg.TableTTL),
 		ledger:    NewLedger(cfg.Slots),
 		role:      RoleIdle,
 		rtsCands:  make(map[int64][]*packet.Frame),
-		seen:      make(map[uint64]struct{}),
 		lastProbe: make(map[packet.NodeID]sim.Time),
-		peerFails: make(map[packet.NodeID]int),
-		peerState: make(map[packet.NodeID]PeerState),
-		gate:      NewAdmissionGate(cfg),
-		bucket:    NewRetryBucket(cfg),
-		cw:        cfg.CWMin,
 	}
-	b.queue = NewQueue(cfg,
-		func() time.Duration { return cfg.Engine.Now().Duration() },
-		b.dropPacket, b.queueEvent)
+	if err := b.Init(cfg, "mac", "handshake failures", b.onSlotStart); err != nil {
+		return nil, err
+	}
+	b.onVerdict = b.peerVerdict
 	return b, nil
 }
 
 // SetHooks installs the protocol behaviour. Must precede Start.
 func (b *Base) SetHooks(h Hooks) { b.hooks = h }
-
-// Accessors used by protocol implementations and tests.
-
-// ID returns the node ID.
-func (b *Base) ID() packet.NodeID { return b.cfg.ID }
-
-// Engine returns the simulation engine.
-func (b *Base) Engine() *sim.Engine { return b.cfg.Engine }
-
-// Modem returns the PHY.
-func (b *Base) Modem() *phy.Modem { return b.cfg.Modem }
-
-// Slots returns the slot geometry.
-func (b *Base) Slots() SlotConfig { return b.cfg.Slots }
-
-// BitRate returns the modem bit rate.
-func (b *Base) BitRate() float64 { return b.cfg.BitRate }
 
 // Table returns the one-hop delay table.
 func (b *Base) Table() *NeighborTable { return b.table }
@@ -293,32 +244,13 @@ func (b *Base) Table() *NeighborTable { return b.table }
 // Ledger returns the overheard-negotiation ledger.
 func (b *Base) Ledger() *Ledger { return b.ledger }
 
-// Queue returns the transmit queue.
-func (b *Base) Queue() *Queue { return &b.queue }
-
-// RNG returns this node's deterministic random stream.
-func (b *Base) RNG() *sim.RNG { return b.rng }
-
 // Role returns the current primary-handshake role.
 func (b *Base) Role() Role { return b.role }
-
-// Observing reports whether an observability recorder is attached.
-// Emission sites use it to skip event construction entirely when
-// observability is off.
-func (b *Base) Observing() bool { return b.cfg.Recorder != nil }
-
-// recNow returns the recorder and current instant, shaped so emission
-// sites read obs.X{...}.Emit(b.recNow()) and go through the pooled,
-// non-boxing record path. The recorder may be nil; Emit drops the
-// event without constructing a record.
-func (b *Base) recNow() (obs.Recorder, sim.Time) {
-	return b.cfg.Recorder, b.cfg.Engine.Now()
-}
 
 // EmitExtra records one extra-communication lifecycle event at the
 // current instant. Protocol implementations use it for their own
 // extra-phase events.
-func (b *Base) EmitExtra(v obs.Extra) { v.Emit(b.recNow()) }
+func (b *Base) EmitExtra(v obs.Extra) { v.Emit(b.RecNow()) }
 
 // setRole switches the primary-handshake role, recording the
 // transition when observability is on.
@@ -338,24 +270,6 @@ func (b *Base) setRole(to Role) {
 	b.role = to
 }
 
-// Counters implements Protocol.
-func (b *Base) Counters() Counters { return b.counters }
-
-// CountersRef gives protocol hooks mutable access to the counters.
-func (b *Base) CountersRef() *Counters { return &b.counters }
-
-// QueueLen implements Protocol.
-func (b *Base) QueueLen() int { return b.queue.Len() }
-
-// NewXID allocates a fresh exchange-lineage ID, unique across the run:
-// the high half is the node, the low half a per-node counter. It draws
-// no randomness, so allocating (or not) never shifts the RNG streams
-// behind the determinism guarantees.
-func (b *Base) NewXID() uint64 {
-	b.xidSeq++
-	return uint64(b.cfg.ID)<<32 | b.xidSeq
-}
-
 // SetHold suspends base contention and CTS granting until t; protocols
 // use it while an extra exchange owns the near future. Zero clears.
 func (b *Base) SetHold(t sim.Time) { b.holdUntil = t }
@@ -372,11 +286,6 @@ func (b *Base) FrameTx(f *packet.Frame) time.Duration {
 	return f.TxDuration(b.cfg.BitRate)
 }
 
-// DataTx returns the on-air time of a data frame carrying bits payload.
-func (b *Base) DataTx(bits int) time.Duration {
-	return packet.Duration(packet.DataHeaderBits+bits, b.cfg.BitRate)
-}
-
 // Start implements Protocol: arms the slot loop and the Hello phase.
 func (b *Base) Start() {
 	if b.started {
@@ -385,37 +294,11 @@ func (b *Base) Start() {
 	if b.hooks == nil {
 		panic("mac: Start before SetHooks")
 	}
-	b.started = true
 	if b.cfg.EnableHello {
 		off := time.Duration(b.rng.Int63n(int64(b.cfg.HelloWindow)))
 		b.cfg.Engine.ScheduleIn(off, sim.PriorityMAC, b.sendHello)
 	}
-	now := b.cfg.Engine.Now()
-	b.nextSlot = b.cfg.Slots.SlotAt(now)
-	if b.cfg.Slots.StartOf(b.nextSlot) != now {
-		b.nextSlot++
-	}
-	b.scheduleNextSlot()
-}
-
-func (b *Base) scheduleNextSlot() {
-	slot := b.nextSlot
-	b.nextSlot++
-	at := b.cfg.Slots.StartOf(slot)
-	if b.cfg.Clock != nil {
-		// The node fires the boundary where its *local* clock claims
-		// slot start is; drift shifts it relative to the true grid. A
-		// clock corrected backwards can map the boundary into the past —
-		// the node is simply late, not entitled to time travel.
-		at = b.cfg.Clock.TrueTime(at.Duration())
-		if now := b.cfg.Engine.Now(); at.Before(now) {
-			at = now
-		}
-	}
-	b.cfg.Engine.MustScheduleAt(at, sim.PriorityMAC, func() {
-		b.onSlotStart(slot)
-		b.scheduleNextSlot()
-	})
+	b.Node.Start()
 }
 
 func (b *Base) sendHello() {
@@ -462,20 +345,15 @@ func (b *Base) replyProbe(peer packet.NodeID) {
 	}
 }
 
-// Restart cold-starts the node after a crash/recovery cycle: every
-// piece of soft state a real node keeps in RAM — handshake role,
-// backoff, learned delay table, overheard-negotiation ledger, pending
-// RTS candidates, holds — is dropped, and the protocol hook clears its
-// own exchange state. The transmit queue, delivered-payload dedupe set,
-// and counters survive: they model the application buffer and the
-// metrics plane, not the MAC's volatile state.
+// Restart cold-starts the node after a crash/recovery cycle: on top of
+// Node.Restart, every piece of handshake soft state — role, learned
+// delay table, overheard-negotiation ledger, pending RTS candidates,
+// holds — is dropped, and the protocol hook clears its own exchange
+// state.
 func (b *Base) Restart() {
 	b.setRole(RoleIdle)
-	b.queue.UnlockHead()
+	b.Node.Restart()
 	b.hasCur = false
-	b.curAttempts = 0
-	b.backoffLeft = 0
-	b.cw = b.cfg.CWMin
 	b.rtsCands = make(map[int64][]*packet.Frame)
 	b.rxSender = packet.Nobody
 	b.rxDataFrame = nil
@@ -486,10 +364,6 @@ func (b *Base) Restart() {
 	b.table.Clear()
 	b.ledger.Clear()
 	b.lastProbe = make(map[packet.NodeID]sim.Time)
-	// A cold-started node has forgotten its liveness history too: every
-	// peer is presumed alive until it fails again.
-	b.peerFails = make(map[packet.NodeID]int)
-	b.peerState = make(map[packet.NodeID]PeerState)
 	b.headSince = b.cfg.Slots.SlotAt(b.cfg.Engine.Now())
 	if b.hooks != nil {
 		b.hooks.OnRestart()
@@ -523,101 +397,6 @@ func (b *Base) SendAt(t sim.Time, f *packet.Frame, onErr func(error)) {
 	})
 }
 
-// ScheduleClamped schedules fn at t, clamped to now if t is already
-// past. Protocol timers computed from received frame timestamps must
-// use this instead of Engine.MustScheduleAt: under injected clock
-// drift a peer's stamp can place a deadline behind the present, and
-// the graceful degradation is a timer that fires at once, not a
-// panicking engine.
-func (b *Base) ScheduleClamped(t sim.Time, prio sim.Priority, fn func()) sim.Handle {
-	if now := b.cfg.Engine.Now(); t.Before(now) {
-		t = now
-	}
-	return b.cfg.Engine.MustScheduleAt(t, prio, fn)
-}
-
-// Enqueue implements Protocol.
-func (b *Base) Enqueue(p AppPacket) {
-	if p.Origin == packet.Nobody {
-		p.Origin = b.cfg.ID
-	}
-	if p.Seq == 0 {
-		b.seq++
-		p.Seq = b.seq
-	}
-	// Every offered packet counts as generated — it is real demand —
-	// whether it queues or is refused with a typed drop below.
-	b.counters.Generated++
-	if b.cfg.Recovery.Enabled && b.peerState[p.Dst] == PeerDead {
-		// Never queue up behind a corpse.
-		b.dropPacket(p, obs.DropDeadPeer)
-		return
-	}
-	if ttl := b.cfg.Overload.PacketTTL; ttl > 0 && p.Deadline == 0 {
-		p.Deadline = p.GeneratedAt + ttl
-	}
-	if b.gate.Enabled() && !(b.cfg.Overload.Priority && p.High) {
-		closed, changed := b.gate.Update(b.queue.Len())
-		if changed {
-			if closed {
-				b.emitOverload(obs.OverloadShedBegin)
-			} else {
-				b.emitOverload(obs.OverloadShedEnd)
-			}
-		}
-		if closed {
-			b.dropPacket(p, obs.DropShed)
-			return
-		}
-	}
-	if !b.queue.Push(p) {
-		b.dropPacket(p, obs.DropQueueFull)
-	}
-}
-
-// Backpressure reports whether the admission gate is currently closed,
-// re-evaluated against live occupancy. Closed-loop traffic generators
-// consult it to throttle offered load at the source; always false when
-// admission control is not configured.
-func (b *Base) Backpressure() bool {
-	if !b.gate.Enabled() {
-		return false
-	}
-	closed, changed := b.gate.Update(b.queue.Len())
-	if changed {
-		if closed {
-			b.emitOverload(obs.OverloadShedBegin)
-		} else {
-			b.emitOverload(obs.OverloadShedEnd)
-		}
-	}
-	return closed
-}
-
-// emitOverload records one overload-protection lifecycle step.
-func (b *Base) emitOverload(action string) {
-	if r := b.cfg.Recorder; r != nil {
-		obs.Overload{Node: b.cfg.ID, Action: action, Len: b.queue.Len()}.Emit(r, b.cfg.Engine.Now())
-	}
-}
-
-// queueEvent observes transmit-queue occupancy changes (the Queue's
-// OnEvent hook): depth after each push/pop, plus the serviced packet's
-// generation→dequeue sojourn on pop.
-func (b *Base) queueEvent(pushed bool, p AppPacket) {
-	r := b.cfg.Recorder
-	if r == nil {
-		return
-	}
-	now := b.cfg.Engine.Now()
-	ev := obs.QueueDepth{Node: b.cfg.ID, Len: b.queue.Len(), Op: obs.QueuePush}
-	if !pushed {
-		ev.Op = obs.QueuePop
-		ev.Sojourn = now.Duration() - p.GeneratedAt
-	}
-	ev.Emit(r, now)
-}
-
 // ---- Slot engine ----
 
 func (b *Base) onSlotStart(s int64) {
@@ -636,7 +415,7 @@ func (b *Base) onSlotStart(s int64) {
 			// No CTS arrived: contention failed.
 			b.counters.ContentionFailures++
 			if b.Observing() {
-				obs.Contention{Node: b.cfg.ID, Peer: b.cur.Dst, Outcome: obs.ContentionTimeout, Slot: s, XID: b.curXID}.Emit(b.recNow())
+				obs.Contention{Node: b.cfg.ID, Peer: b.cur.Dst, Outcome: obs.ContentionTimeout, Slot: s, XID: b.curXID}.Emit(b.RecNow())
 			}
 			b.failRound(s)
 		}
@@ -707,8 +486,8 @@ func (b *Base) receiverGrant(s int64) {
 	b.rxXID = winner.XID
 	b.counters.CTSSent++
 	if b.Observing() {
-		obs.Contention{Node: b.cfg.ID, Peer: winner.Src, Outcome: obs.ContentionGrant, Slot: s, XID: winner.XID}.Emit(b.recNow())
-		obs.SlotPeriod{Node: b.cfg.ID, Peer: winner.Src, Period: "II", Slot: s}.Emit(b.recNow())
+		obs.Contention{Node: b.cfg.ID, Peer: winner.Src, Outcome: obs.ContentionGrant, Slot: s, XID: winner.XID}.Emit(b.RecNow())
+		obs.SlotPeriod{Node: b.cfg.ID, Peer: winner.Src, Period: "II", Slot: s}.Emit(b.RecNow())
 	}
 	b.setRole(RoleWaitData)
 	b.rxDataSlot = s + 1
@@ -724,27 +503,12 @@ func (b *Base) maybeContend(s int64) {
 	if b.role != RoleIdle || b.cfg.IsSink || b.Held() {
 		return
 	}
-	head, ok := b.queue.Peek()
+	head, ok, fresh := b.NextHead()
+	if fresh {
+		b.headSince = s
+	}
 	if !ok {
-		b.headSince = s
 		return
-	}
-	if b.cfg.Recovery.Enabled && b.peerState[head.Dst] == PeerDead {
-		// Never contend toward a corpse: the head is abandoned with a
-		// typed reason rather than burning rounds into a void.
-		b.queue.Pop()
-		b.dropPacket(head, obs.DropDeadPeer)
-		b.headSince = s
-		return
-	}
-	if b.curAttempts > 0 &&
-		(b.cfg.Overload.Priority || b.cfg.Overload.Policy == DropDeadline) &&
-		(head.Origin != b.cur.Origin || head.Seq != b.cur.Seq) {
-		// The backlog was reshuffled between failed rounds (a priority
-		// insert or a deadline eviction changed the head): the failure
-		// history belongs to the old head, not this packet.
-		b.curAttempts = 0
-		b.headSince = s
 	}
 	if b.ledger.QuietUntilSlot() > s {
 		// The channel is reserved: freeze the backoff counter (802.11
@@ -757,17 +521,7 @@ func (b *Base) maybeContend(s int64) {
 	if b.cfg.Modem.Transmitting() || b.cfg.Modem.Receiving() {
 		return
 	}
-	if b.backoffLeft > 0 {
-		b.backoffLeft--
-		return
-	}
-	if b.curAttempts > 0 && !b.bucket.Allow(s) {
-		// A retry with an empty retry budget: defer to a later slot
-		// (the lazy refill will eventually allow it) instead of adding
-		// this node to a fleet-wide retry storm. First attempts are
-		// never gated.
-		b.counters.RetryDeferrals++
-		b.emitOverload(obs.OverloadRetryDefer)
+	if b.HoldOff(s) {
 		return
 	}
 	now := b.cfg.Engine.Now()
@@ -786,14 +540,11 @@ func (b *Base) maybeContend(s int64) {
 	b.curXID = rts.XID
 	b.counters.RTSSent++
 	if b.Observing() {
-		obs.Contention{Node: b.cfg.ID, Peer: head.Dst, Outcome: obs.ContentionRTS, Slot: s, XID: rts.XID}.Emit(b.recNow())
-		obs.SlotPeriod{Node: b.cfg.ID, Peer: head.Dst, Period: "I", Slot: s}.Emit(b.recNow())
+		obs.Contention{Node: b.cfg.ID, Peer: head.Dst, Outcome: obs.ContentionRTS, Slot: s, XID: rts.XID}.Emit(b.RecNow())
+		obs.SlotPeriod{Node: b.cfg.ID, Peer: head.Dst, Period: "I", Slot: s}.Emit(b.RecNow())
 	}
 	b.setRole(RoleWaitCTS)
-	// The head is now in flight: pin it against every shedding scan
-	// until the round resolves.
-	b.queue.LockHead()
-	b.cur = head
+	b.BeginRound(head)
 	b.hasCur = true
 	b.rtsSlot = s
 	b.curTau = tau
@@ -830,7 +581,7 @@ func (b *Base) transmitData(s int64) {
 		return
 	}
 	if b.Observing() {
-		obs.SlotPeriod{Node: b.cfg.ID, Peer: b.cur.Dst, Period: "IV", Slot: s}.Emit(b.recNow())
+		obs.SlotPeriod{Node: b.cfg.ID, Peer: b.cur.Dst, Period: "IV", Slot: s}.Emit(b.RecNow())
 	}
 	b.setRole(RoleWaitAck)
 	b.ackDeadline = b.cfg.Slots.AckSlot(s, b.DataTx(b.cur.Bits), b.curTau) + 1
@@ -844,9 +595,9 @@ func (b *Base) finishReceive(s int64) {
 		ack.XID = b.rxXID
 		if err := b.SendNow(ack); err == nil {
 			if b.Observing() {
-				obs.SlotPeriod{Node: b.cfg.ID, Peer: b.rxSender, Period: "VI", Slot: s}.Emit(b.recNow())
+				obs.SlotPeriod{Node: b.cfg.ID, Peer: b.rxSender, Period: "VI", Slot: s}.Emit(b.RecNow())
 			}
-			b.deliverData(b.rxDataFrame, false)
+			b.DeliverData(b.rxDataFrame, false)
 		}
 	}
 	b.setRole(RoleIdle)
@@ -855,61 +606,14 @@ func (b *Base) finishReceive(s int64) {
 	b.rxGotData = false
 }
 
-// deliverData counts a received payload exactly once per (origin, seq).
-func (b *Base) deliverData(f *packet.Frame, extra bool) {
-	key := uint64(f.Origin)<<32 | uint64(f.Seq)
-	if _, dup := b.seen[key]; dup {
-		b.counters.DuplicatesRx++
-		return
-	}
-	b.seen[key] = struct{}{}
-	b.counters.DeliveredPackets++
-	b.counters.DeliveredBits += uint64(f.DataBits)
-	if extra {
-		b.counters.ExtraDeliveredPackets++
-	}
-	latency := b.cfg.Engine.Now().Duration() - f.GeneratedAt
-	b.counters.LatencySum += latency
-	if b.Observing() {
-		obs.Delivery{
-			Node: b.cfg.ID, Origin: f.Origin, Seq: f.Seq,
-			Bits: f.DataBits, Latency: latency, Extra: extra, XID: f.XID,
-		}.Emit(b.recNow())
-	}
-}
-
-// DeliverData exposes delivery accounting to protocol hooks handling
-// extra data frames (EXData, StolenData).
-func (b *Base) DeliverData(f *packet.Frame, extra bool) { b.deliverData(f, extra) }
-
 // failRound aborts the current sender round, leaving the packet at the
 // queue head and backing off.
 func (b *Base) failRound(s int64) {
 	b.setRole(RoleIdle)
-	// The round is over: the head is no longer in flight and shedding
-	// policies may touch it again.
-	b.queue.UnlockHead()
-	b.curAttempts++
-	if b.hasCur && b.noteHandshakeFailure(b.cur.Dst) {
-		// This failure just killed the peer; the head (and everything
-		// else queued to it) was purged with a typed dead-peer drop.
-		b.curAttempts = 0
-		b.headSince = s
-	} else if b.cfg.MaxRetries > 0 && b.curAttempts >= b.cfg.MaxRetries {
-		if p, ok := b.queue.Pop(); ok {
-			b.dropPacket(p, obs.DropRetryExhausted)
-		}
-		b.curAttempts = 0
+	if b.FailRound(b.cur, b.hasCur) {
 		b.headSince = s
 	}
 	b.hasCur = false
-	b.backoffLeft = 1 + b.rng.Intn(b.cw)
-	if b.cw < b.cfg.CWMax {
-		b.cw *= 2
-		if b.cw > b.cfg.CWMax {
-			b.cw = b.cfg.CWMax
-		}
-	}
 }
 
 // CompleteHead removes the queue head if it matches (origin, seq) —
@@ -920,12 +624,9 @@ func (b *Base) CompleteHead(origin packet.NodeID, seq uint32) bool {
 	if !ok || head.Origin != origin || head.Seq != seq {
 		return false
 	}
-	b.queue.Pop()
-	b.curAttempts = 0
-	b.cw = b.cfg.CWMin
+	b.CompleteRound()
 	b.hasCur = false
 	b.headSince = b.cfg.Slots.SlotAt(b.cfg.Engine.Now())
-	b.counters.AckedPackets++
 	return true
 }
 
@@ -1039,7 +740,7 @@ func (b *Base) OnFrameReceived(f *packet.Frame) {
 				Node: b.cfg.ID, Check: "impossible-rx",
 				Detail: fmt.Sprintf("frame %v->%v %v: measured delay %v outside [0, %v]",
 					f.Src, f.Dst, f.Kind, d, maxPlausible),
-			}.Emit(b.recNow())
+			}.Emit(b.RecNow())
 		}
 	} else {
 		b.table.Observe(f, localEnd, b.FrameTx(f))
@@ -1053,7 +754,7 @@ func (b *Base) OnFrameReceived(f *packet.Frame) {
 	// liveness layer had written it off. (Delay-table trust is tracked
 	// separately — an implausible timestamp above keeps the entry
 	// suspect even though the peer is demonstrably alive.)
-	b.notePeerAlive(f.Src)
+	b.NoteAlive(f.Src)
 
 	switch f.Kind {
 	case packet.KindHello, packet.KindNbrUpdate:
@@ -1088,7 +789,7 @@ func (b *Base) onRTS(f *packet.Frame) {
 	if b.role == RoleWaitCTS && f.Src == b.cur.Dst {
 		// My target is itself contending for someone else.
 		if b.Observing() {
-			obs.Contention{Node: b.cfg.ID, Peer: f.Src, Outcome: obs.ContentionLost, Slot: sendSlot, XID: b.curXID}.Emit(b.recNow())
+			obs.Contention{Node: b.cfg.ID, Peer: f.Src, Outcome: obs.ContentionLost, Slot: sendSlot, XID: b.curXID}.Emit(b.RecNow())
 		}
 		b.hooks.OnContentionLost(f)
 	}
@@ -1104,8 +805,8 @@ func (b *Base) onCTS(f *packet.Frame, now sim.Time) {
 				b.curTau = tau
 			}
 			if b.Observing() {
-				obs.Contention{Node: b.cfg.ID, Peer: f.Src, Outcome: obs.ContentionWon, Slot: ctsSlot, XID: b.curXID}.Emit(b.recNow())
-				obs.SlotPeriod{Node: b.cfg.ID, Peer: f.Src, Period: "III", Slot: ctsSlot}.Emit(b.recNow())
+				obs.Contention{Node: b.cfg.ID, Peer: f.Src, Outcome: obs.ContentionWon, Slot: ctsSlot, XID: b.curXID}.Emit(b.RecNow())
+				obs.SlotPeriod{Node: b.cfg.ID, Peer: f.Src, Period: "III", Slot: ctsSlot}.Emit(b.RecNow())
 			}
 			b.setRole(RoleSendData)
 			b.dataSlot = ctsSlot + 1
@@ -1117,7 +818,7 @@ func (b *Base) onCTS(f *packet.Frame, now sim.Time) {
 	if b.role == RoleWaitCTS && f.Src == b.cur.Dst {
 		// My target granted someone else.
 		if b.Observing() {
-			obs.Contention{Node: b.cfg.ID, Peer: f.Src, Outcome: obs.ContentionLost, Slot: ctsSlot, XID: b.curXID}.Emit(b.recNow())
+			obs.Contention{Node: b.cfg.ID, Peer: f.Src, Outcome: obs.ContentionLost, Slot: ctsSlot, XID: b.curXID}.Emit(b.RecNow())
 		}
 		b.hooks.OnContentionLost(f)
 	}
@@ -1155,16 +856,13 @@ func (b *Base) onData(f *packet.Frame) {
 func (b *Base) onAck(f *packet.Frame) {
 	if f.Dst == b.cfg.ID {
 		if b.role == RoleWaitAck && f.Src == b.cur.Dst && f.Seq == b.cur.Seq {
-			b.queue.Pop()
-			b.counters.AckedPackets++
-			b.curAttempts = 0
-			b.cw = b.cfg.CWMin
+			b.CompleteRound()
 			b.hasCur = false
 			if b.Observing() {
 				obs.SlotPeriod{
 					Node: b.cfg.ID, Peer: f.Src, Period: "VII",
 					Slot: b.cfg.Slots.SlotAt(b.cfg.Engine.Now()),
-				}.Emit(b.recNow())
+				}.Emit(b.RecNow())
 			}
 			b.setRole(RoleIdle)
 			b.headSince = b.cfg.Slots.SlotAt(b.cfg.Engine.Now())
@@ -1188,6 +886,6 @@ func (b *Base) OnTxDone(f *packet.Frame) {
 		obs.SlotPeriod{
 			Node: b.cfg.ID, Peer: f.Dst, Period: "V",
 			Slot: b.cfg.Slots.SlotAt(now),
-		}.Emit(b.recNow())
+		}.Emit(b.RecNow())
 	}
 }

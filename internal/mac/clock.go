@@ -23,13 +23,3 @@ type Clock interface {
 	// instant at which the local clock shows it.
 	TrueTime(local time.Duration) sim.Time
 }
-
-// LocalNow returns the node's current local clock reading as a
-// sim.Time (identical to engine time under a nil Clock).
-func (b *Base) LocalNow() sim.Time {
-	now := b.cfg.Engine.Now()
-	if b.cfg.Clock == nil {
-		return now
-	}
-	return sim.At(b.cfg.Clock.Local(now))
-}

@@ -3,7 +3,6 @@ package mac
 import (
 	"fmt"
 
-	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 )
 
@@ -32,13 +31,6 @@ type RecoveryConfig struct {
 	// exchanges is force-reset through the cold-restart path
 	// (default 4).
 	WatchdogFactor int64
-}
-
-// WithDefaults returns r with unset thresholds filled in. Exported for
-// MACs not built on Base (S-Aloha runs its own liveness bookkeeping).
-func (r RecoveryConfig) WithDefaults() RecoveryConfig {
-	r.applyDefaults()
-	return r
 }
 
 func (r *RecoveryConfig) applyDefaults() {
@@ -90,134 +82,32 @@ type PeerWatcher interface {
 	OnPeerAlive(peer packet.NodeID)
 }
 
-// PeerState returns the liveness verdict for peer.
-func (b *Base) PeerState(peer packet.NodeID) PeerState {
-	return b.peerState[peer]
-}
-
-// Stranded counts queued packets whose next hop is currently dead —
-// traffic the recovery layer has neither delivered nor dropped with a
-// typed reason. A correctly closing recovery loop keeps this at zero.
-func (b *Base) Stranded() int {
-	if !b.cfg.Recovery.Enabled {
-		return 0
-	}
-	n := 0
-	for _, p := range b.queue.Items() {
-		if b.peerState[p.Dst] == PeerDead {
-			n++
-		}
-	}
-	return n
-}
-
-// noteHandshakeFailure records one failed handshake round toward peer,
-// walking it through suspect and dead. It returns true when this
-// failure just killed the peer — the caller's head packet was purged
-// along with everything else queued to it.
-func (b *Base) noteHandshakeFailure(peer packet.NodeID) bool {
-	rc := &b.cfg.Recovery
-	if !rc.Enabled || peer == packet.Nobody || peer == packet.Broadcast {
-		return false
-	}
-	n := b.peerFails[peer] + 1
-	b.peerFails[peer] = n
-	st := b.peerState[peer]
-	if st == PeerAlive && n >= rc.SuspectAfter {
-		st = PeerSuspect
-		b.peerState[peer] = st
-		b.counters.SuspectMarks++
+// peerVerdict is Base's liveness hook: a failing peer's delay-table
+// entry is flagged suspect, and death and resurrection are forwarded
+// to a PeerWatcher protocol hook.
+func (b *Base) peerVerdict(peer packet.NodeID, st PeerState) {
+	if st != PeerAlive {
 		b.table.MarkSuspect(peer)
-		if b.Observing() {
-			obs.Recovery{
-				Node: b.cfg.ID, Peer: peer, Action: obs.RecoverySuspect,
-				Detail: fmt.Sprintf("%d consecutive handshake failures", n),
-			}.Emit(b.recNow())
-		}
 	}
-	if st != PeerDead && n >= rc.DeadAfter {
-		b.peerState[peer] = PeerDead
-		b.counters.DeadMarks++
-		b.table.MarkSuspect(peer)
-		if b.Observing() {
-			obs.Recovery{
-				Node: b.cfg.ID, Peer: peer, Action: obs.RecoveryDead,
-				Detail: fmt.Sprintf("%d consecutive handshake failures", n),
-			}.Emit(b.recNow())
-		}
-		b.purgeDeadTraffic(peer)
-		if w, ok := b.hooks.(PeerWatcher); ok {
+	if w, ok := b.hooks.(PeerWatcher); ok {
+		switch st {
+		case PeerDead:
 			w.OnPeerDead(peer)
-		}
-		return true
-	}
-	return false
-}
-
-// purgeDeadTraffic drops every queued packet destined to peer with a
-// typed dead-peer reason, so the queue never retries into a void.
-func (b *Base) purgeDeadTraffic(peer packet.NodeID) int {
-	n := 0
-	for i := 0; i < b.queue.Len(); {
-		p := b.queue.Items()[i]
-		if p.Dst != peer {
-			i++
-			continue
-		}
-		b.queue.RemoveAt(i)
-		b.dropPacket(p, obs.DropDeadPeer)
-		n++
-	}
-	return n
-}
-
-// dropPacket accounts one abandoned packet under the given typed
-// reason. It doubles as the Queue's OnDrop hook, so policy evictions
-// (expiry, drop-oldest, priority displacement) land here too.
-func (b *Base) dropPacket(p AppPacket, reason string) {
-	b.counters.CountDrop(reason)
-	if b.Observing() {
-		obs.PacketDrop{
-			Node: b.cfg.ID, Peer: p.Dst, Reason: reason,
-			Origin: p.Origin, Seq: p.Seq,
-		}.Emit(b.recNow())
-	}
-}
-
-// notePeerAlive clears the failure history for peer on any decoded
-// frame from it, resurrecting a suspect/dead peer.
-func (b *Base) notePeerAlive(peer packet.NodeID) {
-	if !b.cfg.Recovery.Enabled {
-		return
-	}
-	st := b.peerState[peer]
-	if st == PeerAlive {
-		if b.peerFails[peer] != 0 {
-			delete(b.peerFails, peer)
-		}
-		return
-	}
-	delete(b.peerFails, peer)
-	delete(b.peerState, peer)
-	if st == PeerDead {
-		b.counters.Resurrections++
-		if b.Observing() {
-			obs.Recovery{
-				Node: b.cfg.ID, Peer: peer, Action: obs.RecoveryResurrect,
-				Detail: "frame overheard from dead peer",
-			}.Emit(b.recNow())
-		}
-		if w, ok := b.hooks.(PeerWatcher); ok {
+		case PeerAlive:
 			w.OnPeerAlive(peer)
 		}
 	}
 }
 
-// watchdogBound returns the stuck-state limit in slots for the current
-// role: WatchdogFactor worst-case four-way exchanges (RTS, CTS, the
-// data occupancy of Equation (5), and the Ack slot), derived from the
-// delay budget of the exchange actually in flight.
-func (b *Base) watchdogBound() int64 {
+// watchdogCheck force-resets a MAC stuck in a non-idle role for
+// WatchdogFactor worst-case four-way exchanges (RTS, CTS, the data
+// occupancy of Equation (5), and the Ack slot), derived from the delay
+// budget of the exchange actually in flight. Runs at every slot
+// boundary; a no-op unless recovery is enabled.
+func (b *Base) watchdogCheck(s int64) {
+	if !b.cfg.Recovery.Enabled || b.role == RoleIdle {
+		return
+	}
 	dataTx := b.cfg.Slots.Len()
 	switch {
 	case b.role == RoleWaitData:
@@ -226,26 +116,7 @@ func (b *Base) watchdogBound() int64 {
 		dataTx = b.DataTx(b.cur.Bits)
 	}
 	exchange := 4 + b.cfg.Slots.DataSlots(dataTx, b.cfg.Slots.TauMax)
-	return b.cfg.Recovery.WatchdogFactor * exchange
-}
-
-// watchdogCheck force-resets a MAC stuck in a non-idle role past the
-// delay-budget bound, through the existing cold-restart path. Runs at
-// every slot boundary; a no-op unless recovery is enabled.
-func (b *Base) watchdogCheck(s int64) {
-	if !b.cfg.Recovery.Enabled || b.role == RoleIdle {
-		return
+	if b.WatchdogTripped(b.role.String(), s-b.roleSlot, exchange) {
+		b.Restart()
 	}
-	stuck := s - b.roleSlot
-	if stuck <= b.watchdogBound() {
-		return
-	}
-	b.counters.WatchdogResets++
-	if b.Observing() {
-		obs.Recovery{
-			Node: b.cfg.ID, Action: obs.RecoveryWatchdog,
-			Detail: fmt.Sprintf("stuck in %v for %d slots (bound %d)", b.role, stuck, b.watchdogBound()),
-		}.Emit(b.recNow())
-	}
-	b.Restart()
 }

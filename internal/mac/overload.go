@@ -12,8 +12,7 @@ import (
 // budget that keeps a backlogged fleet from synchronizing into a retry
 // storm. Everything here is inert by default — the zero OverloadConfig
 // reproduces the pre-overload tail-drop behaviour bit-identically —
-// and is shared verbatim between Base and MACs not built on it
-// (S-ALOHA), so policy wiring cannot drift between the two.
+// and Node wires it once for every MAC.
 
 // DropPolicy selects what a bounded queue sheds when it is full.
 type DropPolicy uint8
@@ -112,13 +111,6 @@ type OverloadConfig struct {
 func (o OverloadConfig) Armed() bool {
 	return o.Policy != DropTail || o.PacketTTL > 0 || o.Priority ||
 		o.HighWater > 0 || o.RetryBudget.Enabled()
-}
-
-// WithDefaults returns o with unset derived fields filled in. Exported
-// for MACs not built on Base (S-ALOHA wires its own copy).
-func (o OverloadConfig) WithDefaults() OverloadConfig {
-	o.applyDefaults()
-	return o
 }
 
 func (o *OverloadConfig) applyDefaults() {

@@ -88,7 +88,8 @@ func TestOverloadConfigArmedAndDefaults(t *testing.T) {
 			t.Errorf("armed[%d] not armed", i)
 		}
 	}
-	d := OverloadConfig{HighWater: 0.8, RetryBudget: RetryBudgetConfig{Burst: 4}}.WithDefaults()
+	d := OverloadConfig{HighWater: 0.8, RetryBudget: RetryBudgetConfig{Burst: 4}}
+	d.applyDefaults()
 	if d.LowWater != 0.4 {
 		t.Errorf("default low water = %v", d.LowWater)
 	}
@@ -100,7 +101,7 @@ func TestOverloadConfigArmedAndDefaults(t *testing.T) {
 func TestAdmissionGateHysteresis(t *testing.T) {
 	g := NewAdmissionGate(Config{
 		QueueMax: 10,
-		Overload: OverloadConfig{HighWater: 0.8, LowWater: 0.4}.WithDefaults(),
+		Overload: OverloadConfig{HighWater: 0.8, LowWater: 0.4},
 	})
 	if !g.Enabled() {
 		t.Fatal("gate not enabled")

@@ -49,10 +49,8 @@ type Queue struct {
 }
 
 // NewQueue builds the transmit queue for cfg with the drop policy,
-// bound, and observation hooks wired consistently — the one
-// construction path shared by Base and MACs with private queues
-// (S-ALOHA), so policy wiring cannot drift between them. Any of the
-// hooks may be nil.
+// bound, and observation hooks wired consistently. Any of the hooks may
+// be nil.
 func NewQueue(cfg Config, now func() time.Duration, onDrop func(AppPacket, string), onEvent func(bool, AppPacket)) Queue {
 	return Queue{
 		MaxLen:   cfg.QueueMax,

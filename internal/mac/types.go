@@ -2,9 +2,10 @@
 // built on: slot arithmetic for the τmax+ω slotted channel, the one-hop
 // propagation-delay table maintained from received timestamps (paper
 // §4.3), a ledger of overheard negotiations used to predict neighbors'
-// busy windows (paper §4.2/Figure 2), transmit queues, and a Base
-// engine implementing the shared four-way RTS/CTS/Data/Ack handshake
-// with protocol-specific hooks.
+// busy windows (paper §4.2/Figure 2), transmit queues, the Node core
+// every MAC embeds (queue, overload gates, liveness, slot loop, retry
+// round), and a Base engine on Node implementing the shared four-way
+// RTS/CTS/Data/Ack handshake with protocol-specific hooks.
 //
 // All four protocols of the paper's evaluation — EW-MAC, S-FAMA, ROPA,
 // and CS-MAC — are implemented on this common base, mirroring the
@@ -61,6 +62,11 @@ type Protocol interface {
 	QueueLen() int
 	// Counters exposes protocol-level statistics.
 	Counters() Counters
+	// Backpressure reports whether the admission gate is closed, for
+	// closed-loop traffic sources.
+	Backpressure() bool
+	// Stranded counts queued packets whose next hop is dead.
+	Stranded() int
 }
 
 // Counters aggregates protocol-level statistics for the metrics layer.
@@ -171,8 +177,7 @@ func (c Counters) Add(o Counters) Counters {
 
 // CountDrop accounts one abandoned packet under the given typed reason
 // (the obs.Drop* strings), keeping the per-cause breakdown in lockstep
-// with the Dropped total. Shared by Base and MACs with private drop
-// paths (S-ALOHA).
+// with the Dropped total.
 func (c *Counters) CountDrop(reason string) {
 	c.Dropped++
 	switch reason {
