@@ -14,10 +14,9 @@ import (
 
 	"ewmac"
 	"ewmac/internal/acoustic"
-	"ewmac/internal/experiment"
 	ewmacproto "ewmac/internal/mac/ewmac"
+	"ewmac/internal/obs"
 	"ewmac/internal/oracle"
-	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
 )
@@ -147,14 +146,14 @@ func BenchmarkAblationNoGuard(b *testing.B) {
 		cfg.EW = ewmacproto.Options{DisableNeighborGuard: disable}
 		model := acoustic.DefaultModel()
 		o := oracle.New(model.BitRate(), model.SINRThresholdDB)
-		cfg.Instrument = &experiment.Instrumentation{
-			Trace: func(src, dst packet.NodeID, f *packet.Frame, delay time.Duration, level float64) {
-				o.RecordEmission(sim.At(f.Timestamp), src, dst, f, delay, level)
-			},
-			LossTap: func(now sim.Time, node packet.NodeID, f *packet.Frame, r phy.LossReason) {
-				o.RecordLoss(now, node, f, r)
-			},
-		}
+		cfg.Observe = &ewmac.Observe{Recorder: obs.RecorderFunc(func(now sim.Time, e obs.Event) {
+			switch ev := e.(type) {
+			case *obs.FrameEmit:
+				o.RecordEmission(sim.At(ev.Frame.Timestamp), ev.Src, ev.Dst, ev.Frame, ev.Delay, ev.LevelDB)
+			case *obs.FrameLoss:
+				o.RecordLoss(now, ev.Node, ev.Frame, phy.LossReason(ev.ReasonCode))
+			}
+		})}
 		res, err := ewmac.Run(cfg)
 		if err != nil {
 			b.Fatal(err)

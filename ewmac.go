@@ -75,12 +75,6 @@ type Result = experiment.Result
 // sampling (CSV), and per-run report collection. Set Config.Observe.
 type Observe = experiment.Observe
 
-// Instrumentation taps channel- and PHY-level events.
-//
-// Deprecated: Instrumentation is a compatibility shim fed from the
-// observability event bus; new code should use Observe.Recorder.
-type Instrumentation = experiment.Instrumentation
-
 // RunReport is the per-run observability summary attached to
 // Result.Report when Observe.Report is enabled.
 type RunReport = obs.RunReport

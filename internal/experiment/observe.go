@@ -60,31 +60,6 @@ type Observe struct {
 	Verify bool
 }
 
-// recorder adapts the legacy Instrumentation taps to the event bus, so
-// pre-obs consumers (the verification oracle, debug tracers) keep
-// working unchanged while riding the same stream as everything else.
-func (ins *Instrumentation) recorder() obs.Recorder {
-	if ins == nil || (ins.Trace == nil && ins.RxTap == nil && ins.LossTap == nil) {
-		return nil
-	}
-	return obs.RecorderFunc(func(at sim.Time, e obs.Event) {
-		switch ev := e.(type) {
-		case *obs.FrameEmit:
-			if ins.Trace != nil {
-				ins.Trace(ev.Src, ev.Dst, ev.Frame, ev.Delay, ev.LevelDB)
-			}
-		case *obs.FrameRx:
-			if ins.RxTap != nil {
-				ins.RxTap(at, ev.Node, ev.Frame)
-			}
-		case *obs.FrameLoss:
-			if ins.LossTap != nil {
-				ins.LossTap(at, ev.Node, ev.Frame, phy.LossReason(ev.ReasonCode))
-			}
-		}
-	})
-}
-
 // runObs bundles the per-run observability consumers.
 type runObs struct {
 	rec       obs.Recorder
@@ -140,7 +115,6 @@ func newRunObs(cfg Config, slots mac.SlotConfig, model *acoustic.Model, extra ..
 			ro.verifier = oracle.NewStreaming(model.BitRate(), model.SINRThresholdDB, horizon)
 		}
 	}
-	recs = append(recs, cfg.Instrument.recorder())
 	if ro.verifier != nil {
 		// The verifier must sit LAST: it re-emits violations into the
 		// same fan-out, and the JSONL exporter (among others) is not

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"ewmac/internal/obs"
-	"ewmac/internal/packet"
-	"ewmac/internal/phy"
 	"ewmac/internal/sim"
 )
 
@@ -117,24 +115,5 @@ func TestObserveDisabledNoReport(t *testing.T) {
 	}
 	if res.Report != nil {
 		t.Fatal("Report should be nil with observability disabled")
-	}
-}
-
-// TestInstrumentationShim checks the legacy taps still fire, now fed
-// from the event bus.
-func TestInstrumentationShim(t *testing.T) {
-	cfg := Default(ProtocolEWMAC)
-	cfg.SimTime = 30 * time.Second
-	var traces, rx, losses int
-	cfg.Instrument = &Instrumentation{
-		Trace:   func(_, _ packet.NodeID, _ *packet.Frame, _ time.Duration, _ float64) { traces++ },
-		RxTap:   func(_ sim.Time, _ packet.NodeID, _ *packet.Frame) { rx++ },
-		LossTap: func(_ sim.Time, _ packet.NodeID, _ *packet.Frame, _ phy.LossReason) { losses++ },
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if traces == 0 || rx == 0 {
-		t.Fatalf("legacy taps silent: traces=%d rx=%d losses=%d", traces, rx, losses)
 	}
 }

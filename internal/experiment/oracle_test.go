@@ -5,30 +5,40 @@ import (
 	"time"
 
 	"ewmac/internal/acoustic"
+	"ewmac/internal/obs"
 	"ewmac/internal/oracle"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
 )
 
-// attachOracle wires an Equation (1) oracle into a scenario.
+// attachOracle wires an Equation (1) oracle into a scenario through
+// Observe.Recorder (keeping any other Observe settings).
 func attachOracle(cfg *Config) *oracle.Oracle {
 	model := acoustic.DefaultModel()
 	o := oracle.New(model.BitRate(), model.SINRThresholdDB)
-	cfg.Instrument = &Instrumentation{
-		Trace: func(src, dst packet.NodeID, f *packet.Frame, delay time.Duration, level float64) {
-			// The trace runs at emission time inside the engine; Now is
-			// the emission instant.
-			o.RecordEmission(sim.At(f.Timestamp), src, dst, f, delay, level)
-		},
-		RxTap: func(now sim.Time, node packet.NodeID, f *packet.Frame) {
-			o.RecordReception(now, node, f)
-		},
-		LossTap: func(now sim.Time, node packet.NodeID, f *packet.Frame, r phy.LossReason) {
-			o.RecordLoss(now, node, f, r)
-		},
+	if cfg.Observe == nil {
+		cfg.Observe = &Observe{}
 	}
+	cfg.Observe.Recorder = oracleRecorder(o)
 	return o
+}
+
+// oracleRecorder feeds the channel emissions and PHY outcomes of a run
+// to a batch oracle.
+func oracleRecorder(o *oracle.Oracle) obs.Recorder {
+	return obs.RecorderFunc(func(now sim.Time, e obs.Event) {
+		switch ev := e.(type) {
+		case *obs.FrameEmit:
+			// Emission is recorded at the frame's own timestamp: the
+			// instant its sender put it on air.
+			o.RecordEmission(sim.At(ev.Frame.Timestamp), ev.Src, ev.Dst, ev.Frame, ev.Delay, ev.LevelDB)
+		case *obs.FrameRx:
+			o.RecordReception(now, ev.Node, ev.Frame)
+		case *obs.FrameLoss:
+			o.RecordLoss(now, ev.Node, ev.Frame, phy.LossReason(ev.ReasonCode))
+		}
+	})
 }
 
 // TestEquation1Invariant replays every claimed reception of a full run

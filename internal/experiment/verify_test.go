@@ -47,15 +47,15 @@ func TestStreamingVerifyCleanRuns(t *testing.T) {
 }
 
 // TestStreamingMatchesBatchOnRealRun runs one contended EW-MAC
-// scenario with both oracles attached — the batch oracle through the
-// legacy taps, the streaming one through Observe.Verify — and requires
+// scenario with both oracles attached — the batch oracle through
+// Observe.Recorder, the streaming one through Observe.Verify — and requires
 // the same verdict and the same ground-truth coverage from both.
 func TestStreamingMatchesBatchOnRealRun(t *testing.T) {
 	cfg := Default(ProtocolEWMAC)
 	cfg.SimTime = 120 * time.Second
 	cfg.OfferedLoadKbps = 0.8
-	o := attachOracle(&cfg)
 	cfg.Observe = &Observe{Verify: true}
+	o := attachOracle(&cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
