@@ -14,8 +14,8 @@ import (
 
 // Restartable is the protocol-side recovery hook: a crashed node that
 // comes back cold-starts through it, dropping all volatile MAC state.
-// All MACs in this repo implement it (mac.Base provides it to the
-// four handshake protocols; slotted ALOHA has its own).
+// All MACs in this repo implement it: mac.Node resets the shared core,
+// and mac.Base and slotted ALOHA extend it with their own state.
 type Restartable interface{ Restart() }
 
 // downReason tracks why a modem is silenced so overlapping fault
