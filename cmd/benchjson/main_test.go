@@ -3,6 +3,9 @@ package main
 import (
 	"path/filepath"
 	"testing"
+
+	"ewmac"
+	"ewmac/internal/obs"
 )
 
 func TestAllocsRegressed(t *testing.T) {
@@ -56,5 +59,44 @@ func TestCompareGatesZeroAllocBaseline(t *testing.T) {
 				t.Errorf("regressed = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+func TestEventRateIsTotalOverTotal(t *testing.T) {
+	var r eventRate
+	r.add(nil) // observability off: no report, no data
+	if got := r.perSec(); got != 0 {
+		t.Fatalf("empty rate = %v, want 0", got)
+	}
+	// 100 events in 1 s, then 300 events in 1 s: 400 events over 2 s.
+	r.add(&obs.RunReport{EngineEvents: 100, EngineEventsPerS: 100})
+	r.add(&obs.RunReport{EngineEvents: 300, EngineEventsPerS: 300})
+	if got := r.perSec(); got != 200 {
+		t.Fatalf("rate = %v, want 200 (not the last run's 300)", got)
+	}
+}
+
+func TestPerRunDividesOp(t *testing.T) {
+	got := perRun(result{Name: "x", NsPerOp: 400, AllocsPerOp: 4002, BytesPerOp: 801, Iterations: 3}, 4)
+	want := result{Name: "x", NsPerOp: 100, AllocsPerOp: 1001, BytesPerOp: 200, Iterations: 3}
+	if got != want {
+		t.Fatalf("perRun = %+v, want %+v", got, want)
+	}
+}
+
+// TestScenarioOpRepeats pins the b.N independence of scenario rows:
+// every op runs the same seeds, so two ops do identical work. When
+// iteration i ran seed i+1, the second op simulated a different run.
+func TestScenarioOpRepeats(t *testing.T) {
+	observe := &ewmac.Observe{Report: true}
+	var first, second eventRate
+	if err := scenarioOp(observe, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := scenarioOp(observe, &second); err != nil {
+		t.Fatal(err)
+	}
+	if first.events == 0 || first.events != second.events {
+		t.Fatalf("ops ran %d and %d events, want equal and nonzero", first.events, second.events)
 	}
 }

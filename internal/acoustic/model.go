@@ -115,7 +115,15 @@ func (m *Model) InRange(a, b vec.V3) bool {
 // ReceivedLevelDB returns the received signal level in dB re µPa for a
 // transmission from a to b.
 func (m *Model) ReceivedLevelDB(a, b vec.V3) float64 {
-	return SourceLevelDB(m.TxPowerW) - PathLossDB(a.Dist(b), m.FreqKHz, m.Spreading)
+	return m.LevelAtDB(SourceLevelDB(m.TxPowerW), a.Dist(b))
+}
+
+// LevelAtDB returns the level in dB re µPa received distM metres from a
+// source of level sourceDB. With sourceDB = SourceLevelDB(m.TxPowerW)
+// it is ReceivedLevelDB, bit for bit; callers that evaluate many pairs
+// compute the source level once and pass it in.
+func (m *Model) LevelAtDB(sourceDB, distM float64) float64 {
+	return sourceDB - PathLossDB(distM, m.FreqKHz, m.Spreading)
 }
 
 // NoiseLevelDB returns total in-band ambient noise in dB re µPa.

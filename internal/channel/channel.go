@@ -19,8 +19,10 @@ package channel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
+	"ewmac/internal/acoustic"
 	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
@@ -79,9 +81,10 @@ type delivery struct {
 
 // Channel is the shared acoustic medium.
 type Channel struct {
-	eng    *sim.Engine
-	net    *topology.Network
-	modems map[packet.NodeID]*phy.Modem
+	eng *sim.Engine
+	net *topology.Network
+	// modems holds the registered modems, indexed by NodeID-1.
+	modems []*phy.Modem
 	trace  TraceFunc
 	rec    obs.Recorder
 
@@ -94,6 +97,7 @@ type Channel struct {
 	cacheOff bool
 	scratch  []rxGeom // reused build target when the cache is disabled
 	free     []*delivery
+	slab     []delivery // fresh records not yet handed out
 
 	cacheHits   uint64
 	cacheMisses uint64
@@ -124,7 +128,7 @@ func New(eng *sim.Engine, net *topology.Network) (*Channel, error) {
 	return &Channel{
 		eng:    eng,
 		net:    net,
-		modems: make(map[packet.NodeID]*phy.Modem),
+		modems: make([]*phy.Modem, net.Len()),
 		geo:    make([]srcGeoms, net.Len()),
 	}, nil
 }
@@ -138,10 +142,11 @@ func (c *Channel) Register(m *phy.Modem) error {
 	if c.net.Node(m.ID()) == nil {
 		return fmt.Errorf("channel: modem %v has no node in topology", m.ID())
 	}
-	if _, dup := c.modems[m.ID()]; dup {
+	i := int(m.ID()) - 1
+	if c.modems[i] != nil {
 		return fmt.Errorf("channel: duplicate modem for %v", m.ID())
 	}
-	c.modems[m.ID()] = m
+	c.modems[i] = m
 	c.regGen++
 	return nil
 }
@@ -178,13 +183,14 @@ func (c *Channel) DroppedUnknown() uint64 { return c.droppedUnknown }
 func (c *Channel) buildGeoms(srcNode *topology.Node, out []rxGeom) []rxGeom {
 	model := c.net.Model
 	maxDist := model.MaxRangeM * InterferenceRangeFactor
+	sourceDB := acoustic.SourceLevelDB(model.TxPowerW)
 	for _, dstNode := range c.net.Nodes() {
 		id := dstNode.ID
 		if id == srcNode.ID {
 			continue
 		}
-		rx, ok := c.modems[id]
-		if !ok {
+		rx := c.Modem(id)
+		if rx == nil {
 			continue
 		}
 		dist := srcNode.Pos.Dist(dstNode.Pos)
@@ -195,7 +201,7 @@ func (c *Channel) buildGeoms(srcNode *topology.Node, out []rxGeom) []rxGeom {
 			rx:      rx,
 			dst:     id,
 			delay:   model.Delay(srcNode.Pos, dstNode.Pos),
-			levelDB: model.ReceivedLevelDB(srcNode.Pos, dstNode.Pos),
+			levelDB: model.LevelAtDB(sourceDB, dist),
 			// Beyond the nominal communication range (Table 2: 1.5 km)
 			// the modem never synchronizes to the signal, but its energy
 			// still interferes at full physical strength.
@@ -232,7 +238,14 @@ func (c *Channel) geomsFor(src packet.NodeID, srcNode *topology.Node) []rxGeom {
 		return sg.list
 	}
 	c.cacheMisses++
-	sg.list = c.buildGeoms(srcNode, sg.list[:0])
+	if !sg.built {
+		// First build: collect into the shared scratch list and keep an
+		// exact-size copy, one allocation instead of regrowing from empty.
+		c.scratch = c.buildGeoms(srcNode, c.scratch[:0])
+		sg.list = slices.Clone(c.scratch)
+	} else {
+		sg.list = c.buildGeoms(srcNode, sg.list[:0])
+	}
 	sg.epoch = c.net.Epoch()
 	sg.gen = c.regGen
 	sg.built = true
@@ -282,6 +295,10 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 	return nil
 }
 
+// deliverySlab is how many records deliver carves from one allocation
+// when the free list is empty.
+const deliverySlab = 64
+
 // deliver schedules f's arrival at rx after delay, on a pooled record.
 func (c *Channel) deliver(delay time.Duration, rx *phy.Modem, f *packet.Frame, levelDB float64, dur time.Duration, syncable bool) {
 	var d *delivery
@@ -289,7 +306,11 @@ func (c *Channel) deliver(delay time.Duration, rx *phy.Modem, f *packet.Frame, l
 		d = c.free[n-1]
 		c.free = c.free[:n-1]
 	} else {
-		d = &delivery{}
+		if len(c.slab) == 0 {
+			c.slab = make([]delivery, deliverySlab)
+		}
+		d = &c.slab[0]
+		c.slab = c.slab[1:]
 		d.fire = func() {
 			rx, f, levelDB, dur, syncable := d.rx, d.frame, d.levelDB, d.dur, d.syncable
 			*d = delivery{fire: d.fire}
@@ -302,4 +323,9 @@ func (c *Channel) deliver(delay time.Duration, rx *phy.Modem, f *packet.Frame, l
 }
 
 // Modem returns the registered modem for id, or nil.
-func (c *Channel) Modem(id packet.NodeID) *phy.Modem { return c.modems[id] }
+func (c *Channel) Modem(id packet.NodeID) *phy.Modem {
+	if i := int(id) - 1; i >= 0 && i < len(c.modems) {
+		return c.modems[i]
+	}
+	return nil
+}

@@ -195,8 +195,11 @@ type Base struct {
 	ackDeadline int64
 	curTau      time.Duration
 	headSince   int64
-	// Receiver-side state.
+	// Receiver-side state. rtsCands buckets the RTS frames addressed to
+	// this node by the slot they were sent in; emptied buckets go to
+	// candFree, cleared, for the next slot to reuse.
 	rtsCands    map[int64][]*packet.Frame
+	candFree    [][]*packet.Frame
 	rxDataSlot  int64
 	rxSender    packet.NodeID
 	rxDataTx    time.Duration
@@ -354,7 +357,10 @@ func (b *Base) Restart() {
 	b.setRole(RoleIdle)
 	b.Node.Restart()
 	b.hasCur = false
-	b.rtsCands = make(map[int64][]*packet.Frame)
+	for _, c := range b.rtsCands {
+		b.recycleCands(c)
+	}
+	clear(b.rtsCands)
 	b.rxSender = packet.Nobody
 	b.rxDataFrame = nil
 	b.rxGotData = false
@@ -444,11 +450,19 @@ func (b *Base) onSlotStart(s int64) {
 	b.hooks.OnSlotStart(s)
 
 	// Drop stale RTS candidate buckets.
-	for slot := range b.rtsCands {
+	for slot, c := range b.rtsCands {
 		if slot < s-1 {
 			delete(b.rtsCands, slot)
+			b.recycleCands(c)
 		}
 	}
+}
+
+// recycleCands returns an emptied RTS candidate bucket to the free
+// list, cleared so it retains no frame.
+func (b *Base) recycleCands(c []*packet.Frame) {
+	clear(c)
+	b.candFree = append(b.candFree, c[:0])
 }
 
 func (b *Base) receiverGrant(s int64) {
@@ -457,6 +471,7 @@ func (b *Base) receiverGrant(s int64) {
 		return
 	}
 	delete(b.rtsCands, s-1)
+	defer b.recycleCands(cands)
 	if b.role != RoleIdle || b.Held() {
 		return
 	}
@@ -782,7 +797,12 @@ func (b *Base) OnFrameReceived(f *packet.Frame) {
 func (b *Base) onRTS(f *packet.Frame) {
 	sendSlot := b.cfg.Slots.SlotAt(sim.At(f.Timestamp))
 	if f.Dst == b.cfg.ID {
-		b.rtsCands[sendSlot] = append(b.rtsCands[sendSlot], f)
+		c, ok := b.rtsCands[sendSlot]
+		if n := len(b.candFree); !ok && n > 0 {
+			c = b.candFree[n-1]
+			b.candFree = b.candFree[:n-1]
+		}
+		b.rtsCands[sendSlot] = append(c, f)
 		return
 	}
 	b.ledger.ObserveRTS(f, sendSlot, b.DataTx(f.DataBits))
@@ -835,21 +855,11 @@ func (b *Base) onData(f *packet.Frame) {
 	}
 	// Overheard data from an exchange we may have missed: make sure the
 	// ledger covers it so we stay quiet through its Ack.
-	dataSlot := b.cfg.Slots.SlotAt(sim.At(f.Timestamp))
-	if e := b.ledger.Lookup(f.Src, f.Dst); e == nil {
-		tau := f.PairDelay
-		if tau <= 0 {
-			tau = b.cfg.Slots.TauMax
-		}
-		b.ledger.exchanges = append(b.ledger.exchanges, &Exchange{
-			Sender:    f.Src,
-			Receiver:  f.Dst,
-			RTSSlot:   dataSlot - 2,
-			PairDelay: tau,
-			DataTx:    b.FrameTx(f),
-			Confirmed: true,
-		})
+	tau := f.PairDelay
+	if tau <= 0 {
+		tau = b.cfg.Slots.TauMax
 	}
+	b.ledger.ObserveData(f.Src, f.Dst, b.cfg.Slots.SlotAt(sim.At(f.Timestamp)), tau, b.FrameTx(f))
 	b.hooks.OnOverheard(f)
 }
 

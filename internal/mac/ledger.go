@@ -1,7 +1,7 @@
 package mac
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"ewmac/internal/packet"
@@ -55,46 +55,60 @@ func (e *Exchange) EndSlot(s SlotConfig) int64 {
 	return e.AckSlot(s) + 1
 }
 
+// windows holds up to two busy windows of one party in one exchange.
+type windows struct {
+	w [2]Interval
+	n int
+}
+
+func (ws *windows) add(start sim.Time, d time.Duration) {
+	ws.w[ws.n] = Interval{start, start.Add(d)}
+	ws.n++
+}
+
+// overlaps reports whether iv intersects any of the windows.
+func (ws *windows) overlaps(iv Interval) bool {
+	for _, w := range ws.w[:ws.n] {
+		if iv.Overlaps(w) {
+			return true
+		}
+	}
+	return false
+}
+
 // rxWindows returns when node id is receiving within this exchange
-// (empty if id is not a party).
-func (e *Exchange) rxWindows(s SlotConfig, id packet.NodeID) []Interval {
-	var out []Interval
+// (none if id is not a party).
+func (e *Exchange) rxWindows(s SlotConfig, id packet.NodeID) windows {
+	var out windows
 	switch id {
 	case e.Sender:
 		// CTS arrives in slot t+1; Ack arrives in the ack slot.
-		ctsAt := s.StartOf(e.RTSSlot + 1).Add(e.PairDelay)
-		out = append(out, Interval{ctsAt, ctsAt.Add(s.CtrlDur())})
+		out.add(s.StartOf(e.RTSSlot+1).Add(e.PairDelay), s.CtrlDur())
 		if e.Confirmed {
-			ackAt := s.StartOf(e.AckSlot(s)).Add(e.PairDelay)
-			out = append(out, Interval{ackAt, ackAt.Add(s.CtrlDur())})
+			out.add(s.StartOf(e.AckSlot(s)).Add(e.PairDelay), s.CtrlDur())
 		}
 	case e.Receiver:
 		// RTS already arrived (past); data arrives in slot t+2.
 		if e.Confirmed {
-			dataAt := s.StartOf(e.DataSlot()).Add(e.PairDelay)
-			out = append(out, Interval{dataAt, dataAt.Add(e.DataTx)})
+			out.add(s.StartOf(e.DataSlot()).Add(e.PairDelay), e.DataTx)
 		}
 	}
 	return out
 }
 
 // txWindows returns when node id is transmitting within this exchange.
-func (e *Exchange) txWindows(s SlotConfig, id packet.NodeID) []Interval {
-	var out []Interval
+func (e *Exchange) txWindows(s SlotConfig, id packet.NodeID) windows {
+	var out windows
 	switch id {
 	case e.Sender:
-		rts := s.StartOf(e.RTSSlot)
-		out = append(out, Interval{rts, rts.Add(s.CtrlDur())})
+		out.add(s.StartOf(e.RTSSlot), s.CtrlDur())
 		if e.Confirmed {
-			data := s.StartOf(e.DataSlot())
-			out = append(out, Interval{data, data.Add(e.DataTx)})
+			out.add(s.StartOf(e.DataSlot()), e.DataTx)
 		}
 	case e.Receiver:
-		cts := s.StartOf(e.RTSSlot + 1)
-		out = append(out, Interval{cts, cts.Add(s.CtrlDur())})
+		out.add(s.StartOf(e.RTSSlot+1), s.CtrlDur())
 		if e.Confirmed {
-			ack := s.StartOf(e.AckSlot(s))
-			out = append(out, Interval{ack, ack.Add(s.CtrlDur())})
+			out.add(s.StartOf(e.AckSlot(s)), s.CtrlDur())
 		}
 	}
 	return out
@@ -105,9 +119,17 @@ func (e *Exchange) txWindows(s SlotConfig, id packet.NodeID) []Interval {
 // rule every protocol here inherits) and "would a transmission of mine,
 // arriving at neighbor n during [a, b), interfere with anything I know
 // n is doing?" (the EW-MAC extra-communication admission check).
+//
+// Exchanges are stored by value and pruned in place, so a warm ledger
+// records overheard negotiations without allocating. The *Exchange
+// returned by ObserveRTS, ObserveCTS and Lookup points into that
+// storage: it is valid only until the ledger's next mutation
+// (ObserveRTS, ObserveCTS, ObserveData, Prune, Clear).
 type Ledger struct {
 	slots     SlotConfig
-	exchanges []*Exchange
+	exchanges []Exchange
+	// busy is BusyParties' result buffer, reused across calls.
+	busy []packet.NodeID
 }
 
 // NewLedger returns an empty ledger over the given slot geometry.
@@ -116,14 +138,19 @@ func NewLedger(slots SlotConfig) *Ledger {
 }
 
 // Clear drops every tracked exchange (node cold-start after a crash).
-func (l *Ledger) Clear() { l.exchanges = nil }
+func (l *Ledger) Clear() { l.exchanges = l.exchanges[:0] }
+
+// add appends a zeroed exchange for the pair and returns it.
+func (l *Ledger) add(sender, receiver packet.NodeID) *Exchange {
+	l.exchanges = append(l.exchanges, Exchange{Sender: sender, Receiver: receiver})
+	return &l.exchanges[len(l.exchanges)-1]
+}
 
 // ObserveRTS records a speculative exchange from an overheard RTS.
 func (l *Ledger) ObserveRTS(f *packet.Frame, slot int64, dataTx time.Duration) *Exchange {
 	e := l.find(f.Src, f.Dst)
 	if e == nil {
-		e = &Exchange{Sender: f.Src, Receiver: f.Dst}
-		l.exchanges = append(l.exchanges, e)
+		e = l.add(f.Src, f.Dst)
 	}
 	e.RTSSlot = slot
 	e.PairDelay = f.PairDelay
@@ -138,8 +165,7 @@ func (l *Ledger) ObserveRTS(f *packet.Frame, slot int64, dataTx time.Duration) *
 func (l *Ledger) ObserveCTS(f *packet.Frame, ctsSlot int64, dataTx time.Duration) *Exchange {
 	e := l.find(f.Dst, f.Src)
 	if e == nil {
-		e = &Exchange{Sender: f.Dst, Receiver: f.Src}
-		l.exchanges = append(l.exchanges, e)
+		e = l.add(f.Dst, f.Src)
 	}
 	e.RTSSlot = ctsSlot - 1
 	e.PairDelay = f.PairDelay
@@ -150,9 +176,24 @@ func (l *Ledger) ObserveCTS(f *packet.Frame, ctsSlot int64, dataTx time.Duration
 	return e
 }
 
+// ObserveData covers an overheard data frame from an exchange whose
+// negotiation was missed: if the pair is untracked, it records a
+// confirmed exchange with the data in dataSlot, so the node stays quiet
+// through its Ack. A tracked pair is left as it is.
+func (l *Ledger) ObserveData(sender, receiver packet.NodeID, dataSlot int64, tau, dataTx time.Duration) {
+	if l.find(sender, receiver) != nil {
+		return
+	}
+	e := l.add(sender, receiver)
+	e.RTSSlot = dataSlot - 2
+	e.PairDelay = tau
+	e.DataTx = dataTx
+	e.Confirmed = true
+}
+
 func (l *Ledger) find(sender, receiver packet.NodeID) *Exchange {
-	for _, e := range l.exchanges {
-		if e.Sender == sender && e.Receiver == receiver {
+	for i := range l.exchanges {
+		if e := &l.exchanges[i]; e.Sender == sender && e.Receiver == receiver {
 			return e
 		}
 	}
@@ -164,16 +205,14 @@ func (l *Ledger) Lookup(sender, receiver packet.NodeID) *Exchange {
 	return l.find(sender, receiver)
 }
 
-// Prune drops exchanges that ended before the current slot.
+// Prune drops exchanges that ended before the current slot, compacting
+// the survivors in place.
 func (l *Ledger) Prune(currentSlot int64) {
 	kept := l.exchanges[:0]
-	for _, e := range l.exchanges {
-		if e.EndSlot(l.slots) > currentSlot {
-			kept = append(kept, e)
+	for i := range l.exchanges {
+		if e := &l.exchanges[i]; e.EndSlot(l.slots) > currentSlot {
+			kept = append(kept, *e)
 		}
-	}
-	for i := len(kept); i < len(l.exchanges); i++ {
-		l.exchanges[i] = nil
 	}
 	l.exchanges = kept
 }
@@ -186,8 +225,8 @@ func (l *Ledger) Len() int { return len(l.exchanges) }
 // slotted-FAMA defer rule.
 func (l *Ledger) QuietUntilSlot() int64 {
 	var until int64
-	for _, e := range l.exchanges {
-		if end := e.EndSlot(l.slots); end > until {
+	for i := range l.exchanges {
+		if end := l.exchanges[i].EndSlot(l.slots); end > until {
 			until = end
 		}
 	}
@@ -200,7 +239,8 @@ func (l *Ledger) QuietUntilSlot() int64 {
 // §3.1), so their grant decision ignores speculative entries.
 func (l *Ledger) QuietUntilSlotConfirmed() int64 {
 	var until int64
-	for _, e := range l.exchanges {
+	for i := range l.exchanges {
+		e := &l.exchanges[i]
 		if !e.Confirmed {
 			continue
 		}
@@ -216,11 +256,9 @@ func (l *Ledger) QuietUntilSlotConfirmed() int64 {
 // receiving. Interfering with a neighbor's reception is the one thing
 // extra communication must never do (paper §4.2).
 func (l *Ledger) RxConflict(id packet.NodeID, iv Interval) bool {
-	for _, e := range l.exchanges {
-		for _, w := range e.rxWindows(l.slots, id) {
-			if iv.Overlaps(w) {
-				return true
-			}
+	for i := range l.exchanges {
+		if ws := l.exchanges[i].rxWindows(l.slots, id); ws.overlaps(iv) {
+			return true
 		}
 	}
 	return false
@@ -231,28 +269,25 @@ func (l *Ledger) RxConflict(id packet.NodeID, iv Interval) bool {
 // half-duplex at id — harmless to others, fatal for a frame addressed
 // to id).
 func (l *Ledger) TxConflict(id packet.NodeID, iv Interval) bool {
-	for _, e := range l.exchanges {
-		for _, w := range e.txWindows(l.slots, id) {
-			if iv.Overlaps(w) {
-				return true
-			}
+	for i := range l.exchanges {
+		if ws := l.exchanges[i].txWindows(l.slots, id); ws.overlaps(iv) {
+			return true
 		}
 	}
 	return false
 }
 
 // BusyParties returns the IDs currently involved in tracked exchanges,
-// sorted for determinism.
+// sorted for determinism. The slice is the ledger's own buffer: it is
+// valid until the next BusyParties call, and callers must not modify
+// it.
 func (l *Ledger) BusyParties() []packet.NodeID {
-	seen := make(map[packet.NodeID]struct{}, 2*len(l.exchanges))
-	for _, e := range l.exchanges {
-		seen[e.Sender] = struct{}{}
-		seen[e.Receiver] = struct{}{}
+	out := l.busy[:0]
+	for i := range l.exchanges {
+		out = append(out, l.exchanges[i].Sender, l.exchanges[i].Receiver)
 	}
-	out := make([]packet.NodeID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	out = slices.Compact(out)
+	l.busy = out
 	return out
 }

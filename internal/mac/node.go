@@ -47,10 +47,14 @@ type Node struct {
 	cw          int
 	backoffLeft int
 
-	// Slot loop: onSlot runs at every local-clock slot boundary.
+	// Slot loop: onSlot runs at every local-clock slot boundary. Only
+	// one slot event is ever pending: Start arms the first, and each
+	// tick arms the next. nextSlot is the slot that event serves, and
+	// tickFn is tick bound once in Init, so re-arming allocates nothing.
 	started  bool
 	nextSlot int64
 	onSlot   func(slot int64)
+	tickFn   func()
 }
 
 // Init validates cfg, fills its defaults, and readies the node. The RNG
@@ -75,6 +79,7 @@ func (n *Node) Init(cfg Config, stream, failNoun string, onSlot func(slot int64)
 		cw:        cfg.CWMin,
 		onSlot:    onSlot,
 	}
+	n.tickFn = n.tick
 	n.queue = NewQueue(cfg,
 		func() time.Duration { return cfg.Engine.Now().Duration() },
 		n.dropPacket, n.queueEvent)
@@ -184,10 +189,16 @@ func (n *Node) Start() {
 	n.scheduleSlot()
 }
 
-func (n *Node) scheduleSlot() {
-	slot := n.nextSlot
+// tick runs the armed slot boundary and arms the next one.
+func (n *Node) tick() {
+	n.onSlot(n.nextSlot)
 	n.nextSlot++
-	at := n.cfg.Slots.StartOf(slot)
+	n.scheduleSlot()
+}
+
+// scheduleSlot arms the tick for nextSlot's boundary.
+func (n *Node) scheduleSlot() {
+	at := n.cfg.Slots.StartOf(n.nextSlot)
 	if n.cfg.Clock != nil {
 		// The node fires the boundary where its *local* clock claims
 		// slot start is; drift shifts it relative to the true grid. A
@@ -198,10 +209,7 @@ func (n *Node) scheduleSlot() {
 			at = now
 		}
 	}
-	n.cfg.Engine.MustScheduleAt(at, sim.PriorityMAC, func() {
-		n.onSlot(slot)
-		n.scheduleSlot()
-	})
+	n.cfg.Engine.MustScheduleAt(at, sim.PriorityMAC, n.tickFn)
 }
 
 // Restart cold-starts the node's shared soft state after a

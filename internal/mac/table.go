@@ -1,7 +1,7 @@
 package mac
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"ewmac/internal/packet"
@@ -13,8 +13,14 @@ import (
 // timestamp, and a receiver derives the pairwise delay as
 // (arrival end − timestamp − transmission time). Entries age out so
 // stale estimates for drifted neighbors are not trusted forever.
+//
+// NodeIDs are dense small integers, so the table is a slice indexed by
+// ID that grows to the largest ID seen: a lookup is an index, the Hello
+// phase never rehashes, and iteration is already in ID order.
 type NeighborTable struct {
-	entries map[packet.NodeID]tableEntry
+	entries []tableEntry
+	// n counts known entries, live or stale.
+	n int
 	// TTL is how long an estimate stays trusted; zero disables aging.
 	TTL time.Duration
 }
@@ -22,6 +28,8 @@ type NeighborTable struct {
 type tableEntry struct {
 	delay time.Duration
 	heard sim.Time
+	// known marks a slot holding an estimate.
+	known bool
 	// suspect marks an entry whose peer produced a physically
 	// impossible delay measurement since the last good refresh: every
 	// delay learned from that peer's timestamps — including this one —
@@ -31,7 +39,28 @@ type tableEntry struct {
 
 // NewNeighborTable returns an empty table with the given TTL.
 func NewNeighborTable(ttl time.Duration) *NeighborTable {
-	return &NeighborTable{entries: make(map[packet.NodeID]tableEntry), TTL: ttl}
+	return &NeighborTable{TTL: ttl}
+}
+
+// entry returns the slot for id, or nil when id is beyond the table.
+func (t *NeighborTable) entry(id packet.NodeID) *tableEntry {
+	if int(id) >= len(t.entries) {
+		return nil
+	}
+	return &t.entries[id]
+}
+
+// set stores a fresh (not suspect) estimate for id, growing the table
+// to cover it.
+func (t *NeighborTable) set(id packet.NodeID, delay time.Duration, heard sim.Time) {
+	if int(id) >= len(t.entries) {
+		t.entries = slices.Grow(t.entries, int(id)+1-len(t.entries))[:int(id)+1]
+	}
+	e := &t.entries[id]
+	if !e.known {
+		t.n++
+	}
+	*e = tableEntry{delay: delay, heard: heard, known: true}
 }
 
 // Observe updates the sender's delay estimate from a received frame.
@@ -44,7 +73,7 @@ func (t *NeighborTable) Observe(f *packet.Frame, arrivalEnd sim.Time, txDur time
 		// neighbor known with a zero-floor delay.
 		delay = 0
 	}
-	t.entries[f.Src] = tableEntry{delay: delay, heard: arrivalEnd}
+	t.set(f.Src, delay, arrivalEnd)
 }
 
 // ObservePair folds in piggybacked third-party delay info (e.g. a CTS
@@ -56,31 +85,33 @@ func (t *NeighborTable) ObservePair(id packet.NodeID, delay time.Duration, now s
 	if id == packet.Nobody || id == packet.Broadcast {
 		return
 	}
-	if _, ok := t.entries[id]; ok {
+	if e := t.entry(id); e != nil && e.known {
 		return
 	}
-	t.entries[id] = tableEntry{delay: delay, heard: now}
+	t.set(id, delay, now)
 }
 
 // Delay returns the current estimate for a neighbor and whether a live
 // estimate exists.
 func (t *NeighborTable) Delay(id packet.NodeID, now sim.Time) (time.Duration, bool) {
-	e, ok := t.entries[id]
-	if !ok {
-		return 0, false
-	}
-	if t.TTL > 0 && now.Sub(e.heard) > t.TTL {
+	e := t.entry(id)
+	if e == nil || !t.live(e, now) {
 		return 0, false
 	}
 	return e.delay, true
+}
+
+// live reports whether e holds an estimate that has not aged out.
+func (t *NeighborTable) live(e *tableEntry, now sim.Time) bool {
+	return e.known && (t.TTL <= 0 || now.Sub(e.heard) <= t.TTL)
 }
 
 // Age returns how long ago the estimate for a neighbor was refreshed,
 // and whether any estimate (live or stale) exists. Staleness-aware
 // admission rules use it to distrust old entries before TTL expiry.
 func (t *NeighborTable) Age(id packet.NodeID, now sim.Time) (time.Duration, bool) {
-	e, ok := t.entries[id]
-	if !ok {
+	e := t.entry(id)
+	if e == nil || !e.known {
 		return 0, false
 	}
 	return now.Sub(e.heard), true
@@ -90,50 +121,60 @@ func (t *NeighborTable) Age(id packet.NodeID, now sim.Time) (time.Duration, bool
 // produced an impossible delay measurement). A later plausible
 // Observe clears the flag.
 func (t *NeighborTable) MarkSuspect(id packet.NodeID) {
-	if e, ok := t.entries[id]; ok {
+	if e := t.entry(id); e != nil && e.known {
 		e.suspect = true
-		t.entries[id] = e
 	}
 }
 
 // Suspect reports whether the entry exists and is flagged suspect.
 func (t *NeighborTable) Suspect(id packet.NodeID) bool {
-	return t.entries[id].suspect
+	e := t.entry(id)
+	return e != nil && e.suspect
 }
 
-// Clear drops every entry (node cold-start after a crash).
+// Clear drops every entry, suspect flags included (node cold-start
+// after a crash).
 func (t *NeighborTable) Clear() {
-	t.entries = make(map[packet.NodeID]tableEntry)
+	clear(t.entries)
+	t.n = 0
 }
 
-// Known returns the IDs with live estimates, sorted for determinism.
+// Known returns the IDs with live estimates, in ID order.
 func (t *NeighborTable) Known(now sim.Time) []packet.NodeID {
-	out := make([]packet.NodeID, 0, len(t.entries))
-	for id := range t.entries {
-		if _, ok := t.Delay(id, now); ok {
-			out = append(out, id)
+	out := make([]packet.NodeID, 0, t.n)
+	for i := range t.entries {
+		if t.live(&t.entries[i], now) {
+			out = append(out, packet.NodeID(i))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Len reports the number of entries (live or stale).
-func (t *NeighborTable) Len() int { return len(t.entries) }
+func (t *NeighborTable) Len() int { return t.n }
 
 // Snapshot returns up to max live entries as piggybackable
 // NeighborInfo, sorted by ID. CS-MAC and ROPA use this to distribute
 // two-hop state; EW-MAC only ever piggybacks the single pair under
 // negotiation.
 func (t *NeighborTable) Snapshot(now sim.Time, max int) []packet.NeighborInfo {
-	ids := t.Known(now)
-	if max >= 0 && len(ids) > max {
-		ids = ids[:max]
+	n := 0
+	for i := range t.entries {
+		if t.live(&t.entries[i], now) {
+			n++
+		}
 	}
-	out := make([]packet.NeighborInfo, 0, len(ids))
-	for _, id := range ids {
-		d, _ := t.Delay(id, now)
-		out = append(out, packet.NeighborInfo{ID: id, Delay: d})
+	if max >= 0 && n > max {
+		n = max
+	}
+	out := make([]packet.NeighborInfo, 0, n)
+	for i := range t.entries {
+		if len(out) == n {
+			break
+		}
+		if e := &t.entries[i]; t.live(e, now) {
+			out = append(out, packet.NeighborInfo{ID: packet.NodeID(i), Delay: e.delay})
+		}
 	}
 	return out
 }

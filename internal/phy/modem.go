@@ -150,6 +150,7 @@ type Modem struct {
 	finishTxFn   func()
 	arrivals     []*arrival
 	free         []*arrival
+	slab         []arrival // fresh records not yet handed out
 	stats        Stats
 	down         bool
 
@@ -371,16 +372,24 @@ func (m *Modem) InjectInterference(levelDB float64, dur time.Duration) {
 	m.startArrival(m.newArrival(levelDB), dur)
 }
 
-// newArrival takes a zeroed record from the free list (allocating one,
-// with its bound fire func, only when the list is empty) and stamps
-// the received level every arrival has.
+// arrivalSlab is how many records newArrival carves from one
+// allocation when the free list is empty.
+const arrivalSlab = 8
+
+// newArrival takes a zeroed record from the free list (minting one from
+// the slab, with its bound fire func, only when the list is empty) and
+// stamps the received level every arrival has.
 func (m *Modem) newArrival(levelDB float64) *arrival {
 	var a *arrival
 	if n := len(m.free); n > 0 {
 		a = m.free[n-1]
 		m.free = m.free[:n-1]
 	} else {
-		a = &arrival{}
+		if len(m.slab) == 0 {
+			m.slab = make([]arrival, arrivalSlab)
+		}
+		a = &m.slab[0]
+		m.slab = m.slab[1:]
 		a.fire = func() { m.endArrival(a) }
 	}
 	a.levelDB = levelDB

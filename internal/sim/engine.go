@@ -84,6 +84,11 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
+// eventSlab is how many entries alloc carves from one allocation when
+// the free list is empty, so the pool grows to the in-flight high-water
+// mark in a few allocations instead of one per entry.
+const eventSlab = 64
+
 // compactMin is the queue size below which cancelled entries are left
 // for Run to discard; compacting tiny queues costs more than it saves.
 const compactMin = 64
@@ -93,6 +98,7 @@ type Engine struct {
 	now    Time
 	events []*event // binary min-heap ordered by eventLess
 	free   []*event // recycled entries; schedule pops from here first
+	slab   []event  // fresh entries not yet handed out
 	// live counts queued events that are neither cancelled nor executed.
 	live     int
 	seq      uint64
@@ -181,7 +187,7 @@ func (e *Engine) Pending() int { return e.live }
 // that have not yet been discarded or compacted away.
 func (e *Engine) PendingRaw() int { return len(e.events) }
 
-// alloc takes an entry from the free list, or mints one.
+// alloc takes an entry from the free list, or mints one from the slab.
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -189,7 +195,13 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{eng: e}
+	if len(e.slab) == 0 {
+		e.slab = make([]event, eventSlab)
+	}
+	ev := &e.slab[0]
+	e.slab = e.slab[1:]
+	ev.eng = e
+	return ev
 }
 
 // recycle invalidates outstanding handles and returns the entry to the

@@ -167,8 +167,12 @@ func (n *Network) MeanDegree() float64 {
 		return 0
 	}
 	total := 0
-	for _, nd := range n.nodes {
-		total += len(n.Neighbors(nd.ID))
+	for _, a := range n.nodes {
+		for _, b := range n.nodes {
+			if b.ID != a.ID && n.Model.InRange(a.Pos, b.Pos) {
+				total++
+			}
+		}
 	}
 	return float64(total) / float64(len(n.nodes))
 }
