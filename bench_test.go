@@ -150,6 +150,8 @@ func BenchmarkAblationNoGuard(b *testing.B) {
 			switch ev := e.(type) {
 			case *obs.FrameEmit:
 				o.RecordEmission(sim.At(ev.Frame.Timestamp), ev.Src, ev.Dst, ev.Frame, ev.Delay, ev.LevelDB)
+			case *obs.TxBegin:
+				o.RecordTx(now, ev.Node, ev.Dur)
 			case *obs.FrameLoss:
 				o.RecordLoss(now, ev.Node, ev.Frame, phy.LossReason(ev.ReasonCode))
 			}

@@ -6,6 +6,7 @@ import (
 
 	"ewmac/internal/acoustic"
 	"ewmac/internal/energy"
+	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
@@ -23,9 +24,7 @@ func TestGeometryCacheInvalidatedByStep(t *testing.T) {
 	net.Node(2).Vel = vec.V3{X: 100}
 
 	var traced []time.Duration
-	ch.SetTrace(func(src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64) {
-		traced = append(traced, delay)
-	})
+	onEmit(ch, func(e obs.FrameEmit) { traced = append(traced, e.Delay) })
 
 	f := &packet.Frame{Kind: packet.KindRTS, Src: 1, Dst: 2}
 	if err := modems[0].Transmit(f); err != nil {
@@ -86,9 +85,7 @@ func TestGeometryCacheInvalidatedByDirectMove(t *testing.T) {
 	eng, ch, modems, _ := lineNetwork(t, 0, 750)
 	net := chNetwork(ch)
 	var traced []time.Duration
-	ch.SetTrace(func(src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64) {
-		traced = append(traced, delay)
-	})
+	onEmit(ch, func(e obs.FrameEmit) { traced = append(traced, e.Delay) })
 	f := &packet.Frame{Kind: packet.KindRTS, Src: 1, Dst: 2}
 	if err := modems[0].Transmit(f); err != nil {
 		t.Fatal(err)

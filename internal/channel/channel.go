@@ -37,10 +37,6 @@ import (
 // beyond it but large enough to matter within.
 const InterferenceRangeFactor = 2.0
 
-// TraceFunc observes every scheduled delivery; used by tests and the
-// debug tracer. It runs at emission time.
-type TraceFunc func(src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64)
-
 // rxGeom is one precomputed receiver entry of a source's geometry list:
 // everything Broadcast needs per in-interference-range neighbor, so the
 // hot path does zero trigonometry while the topology is static.
@@ -85,7 +81,6 @@ type Channel struct {
 	net *topology.Network
 	// modems holds the registered modems, indexed by NodeID-1.
 	modems []*phy.Modem
-	trace  TraceFunc
 	rec    obs.Recorder
 
 	// geo caches per-source receiver geometry, indexed by NodeID-1. An
@@ -161,12 +156,9 @@ func (c *Channel) CacheStats() (hits, misses uint64) {
 	return c.cacheHits, c.cacheMisses
 }
 
-// SetTrace installs a delivery observer (nil to disable).
-func (c *Channel) SetTrace(t TraceFunc) { c.trace = t }
-
 // SetRecorder installs the observability event sink (nil to disable).
 // Every scheduled delivery is recorded as an obs.FrameEmit at emission
-// time, the trace-v2 superset of TraceFunc.
+// time.
 func (c *Channel) SetRecorder(r obs.Recorder) { c.rec = r }
 
 // Deliveries reports how many frame arrivals have been scheduled.
@@ -276,9 +268,6 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 	now := c.eng.Now()
 	for i := range geoms {
 		g := &geoms[i]
-		if c.trace != nil {
-			c.trace(src, g.dst, f, g.delay, g.levelDB)
-		}
 		if c.rec != nil {
 			obs.FrameEmit{
 				Src: src, Dst: g.dst, Frame: f, Delay: g.delay, LevelDB: g.levelDB,

@@ -7,6 +7,7 @@ import (
 
 	"ewmac/internal/acoustic"
 	"ewmac/internal/energy"
+	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
@@ -90,6 +91,16 @@ func TestBroadcastRespectsPropagationDelay(t *testing.T) {
 	}
 }
 
+// onEmit hands every scheduled delivery the channel records to fn, as
+// a copy: the pooled record is reclaimed when Record returns.
+func onEmit(ch *Channel, fn func(e obs.FrameEmit)) {
+	ch.SetRecorder(obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		if fe, ok := e.(*obs.FrameEmit); ok {
+			fn(*fe)
+		}
+	}))
+}
+
 func TestTraceSeesDeliveries(t *testing.T) {
 	eng, ch, modems, _ := lineNetwork(t, 0, 750)
 	type entry struct {
@@ -97,9 +108,7 @@ func TestTraceSeesDeliveries(t *testing.T) {
 		delay    time.Duration
 	}
 	var entries []entry
-	ch.SetTrace(func(src, dst packet.NodeID, _ *packet.Frame, delay time.Duration, _ float64) {
-		entries = append(entries, entry{src, dst, delay})
-	})
+	onEmit(ch, func(e obs.FrameEmit) { entries = append(entries, entry{e.Src, e.Dst, e.Delay}) })
 	if err := modems[0].Transmit(&packet.Frame{Kind: packet.KindRTS, Src: 1, Dst: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -112,10 +112,8 @@ type Config struct {
 	PER acoustic.PERModel
 	// Energy overrides the modem power profile (zero = default).
 	Energy energy.Profile
-	// EW / Ropa / CS pass protocol-specific options.
-	EW   ewmac.Options
-	Ropa ropa.Options
-	CS   csmac.Options
+	// EW passes EW-MAC's options.
+	EW ewmac.Options
 	// Faults enables deterministic fault injection (node churn, clock
 	// drift, delay shifts, outages, interference); nil runs the
 	// fault-free baseline bit-identically. When faults are active the
@@ -598,9 +596,9 @@ func buildProtocol(cfg Config, mcfg mac.Config) (mac.Protocol, error) {
 	case ProtocolSFAMA:
 		return sfama.New(mcfg)
 	case ProtocolROPA:
-		return ropa.New(mcfg, cfg.Ropa)
+		return ropa.New(mcfg)
 	case ProtocolCSMAC:
-		return csmac.New(mcfg, cfg.CS)
+		return csmac.New(mcfg)
 	case ProtocolSALOHA:
 		return saloha.New(mcfg)
 	default:

@@ -24,8 +24,8 @@ func attachOracle(cfg *Config) *oracle.Oracle {
 	return o
 }
 
-// oracleRecorder feeds the channel emissions and PHY outcomes of a run
-// to a batch oracle.
+// oracleRecorder feeds the channel emissions, transmissions and PHY
+// outcomes of a run to a batch oracle.
 func oracleRecorder(o *oracle.Oracle) obs.Recorder {
 	return obs.RecorderFunc(func(now sim.Time, e obs.Event) {
 		switch ev := e.(type) {
@@ -33,6 +33,8 @@ func oracleRecorder(o *oracle.Oracle) obs.Recorder {
 			// Emission is recorded at the frame's own timestamp: the
 			// instant its sender put it on air.
 			o.RecordEmission(sim.At(ev.Frame.Timestamp), ev.Src, ev.Dst, ev.Frame, ev.Delay, ev.LevelDB)
+		case *obs.TxBegin:
+			o.RecordTx(now, ev.Node, ev.Dur)
 		case *obs.FrameRx:
 			o.RecordReception(now, ev.Node, ev.Frame)
 		case *obs.FrameLoss:

@@ -50,7 +50,9 @@ func (r Role) String() string {
 }
 
 // Hooks customize the shared engine per protocol. All methods run on
-// the simulation goroutine.
+// the simulation goroutine. Base itself implements every hook with the
+// S-FAMA behaviour (first arrival wins, everything else a no-op), so a
+// protocol embedding *Base overrides only the hooks it changes.
 type Hooks interface {
 	// PickWinner chooses among RTS frames received in one slot
 	// (S-FAMA: first arrival; EW-MAC: highest random priority).
@@ -95,18 +97,15 @@ type Config struct {
 	// MaxRetries drops a packet after this many failed rounds
 	// (0 = retry forever).
 	MaxRetries int
-	// CWMin / CWMax bound the binary-exponential backoff window, in
-	// slots.
-	CWMin, CWMax int
+	// CWMax caps the binary-exponential backoff window, in slots; the
+	// window starts at cwMin.
+	CWMax int
 	// EnableHello broadcasts a Hello at a random instant inside
 	// HelloWindow so neighbors learn pairwise delays (paper §4.3).
 	EnableHello bool
 	HelloWindow time.Duration
 	// TableTTL ages out delay estimates (0 = never).
 	TableTTL time.Duration
-	// RPBoostCap is the wait-slots count at which the random priority
-	// boost saturates (paper §3.1: rp reflects contention/wait time).
-	RPBoostCap int64
 	// LenientGrant lets a receiver answer an RTS addressed to it even
 	// when it overheard other (unconfirmed) RTS attempts in the same
 	// contention slot. Slotted-FAMA-derived protocols defer on any
@@ -124,8 +123,6 @@ type Config struct {
 	// individual delay-table entries on demand (stale-table recovery),
 	// and answer probes addressed to it.
 	EnableProbe bool
-	// ProbeMinGap rate-limits probes per peer (default 10 s).
-	ProbeMinGap time.Duration
 	// Recovery arms per-peer liveness tracking and the stuck-state
 	// watchdog; disabled by default (see RecoveryConfig).
 	Recovery RecoveryConfig
@@ -135,24 +132,30 @@ type Config struct {
 	Overload OverloadConfig
 }
 
+// Protocol constants: the backoff floor every Node starts from, and
+// Base's priority, probe and scheduling margins.
+const (
+	// cwMin is the initial binary-exponential backoff window, in slots.
+	cwMin = 2
+	// rpBoostCap is the wait-slots count at which the random priority
+	// boost saturates (paper §3.1: rp reflects contention/wait time).
+	rpBoostCap = 16
+	// probeMinGap rate-limits unicast delay probes per peer.
+	probeMinGap = 10 * time.Second
+	// Guard is the scheduling safety margin the opportunistic protocols
+	// keep around every predicted busy window.
+	Guard = 2 * time.Millisecond
+)
+
 func (c *Config) applyDefaults() {
-	if c.CWMin <= 0 {
-		c.CWMin = 2
-	}
-	if c.CWMax < c.CWMin {
+	if c.CWMax < cwMin {
 		// In a saturated single broadcast domain a successful handshake
 		// needs a slot with exactly one RTS; the window must be able to
 		// grow to the same order as the contender population.
 		c.CWMax = 128
 	}
-	if c.RPBoostCap <= 0 {
-		c.RPBoostCap = 16
-	}
 	if c.HelloWindow <= 0 {
 		c.HelloWindow = 10 * time.Second
-	}
-	if c.ProbeMinGap <= 0 {
-		c.ProbeMinGap = 10 * time.Second
 	}
 	if c.Recovery.Enabled {
 		c.Recovery.applyDefaults()
@@ -221,8 +224,8 @@ type Base struct {
 	roleSlot int64
 }
 
-// NewBase validates cfg and returns an engine (hooks must be set with
-// SetHooks before Start).
+// NewBase validates cfg and returns an engine running the default
+// (S-FAMA) hooks until SetHooks replaces them.
 func NewBase(cfg Config) (*Base, error) {
 	b := &Base{
 		table:     NewNeighborTable(cfg.TableTTL),
@@ -235,11 +238,44 @@ func NewBase(cfg Config) (*Base, error) {
 		return nil, err
 	}
 	b.onVerdict = b.peerVerdict
+	b.hooks = b
 	return b, nil
 }
 
 // SetHooks installs the protocol behaviour. Must precede Start.
 func (b *Base) SetHooks(h Hooks) { b.hooks = h }
+
+// PickWinner implements Hooks: the first RTS to arrive wins.
+func (b *Base) PickWinner(cands []*packet.Frame) *packet.Frame {
+	if len(cands) == 0 {
+		return nil
+	}
+	return cands[0]
+}
+
+// Piggyback implements Hooks: no neighbour state rides on control
+// frames.
+func (b *Base) Piggyback(*packet.Frame) {}
+
+// OnSlotStart implements Hooks.
+func (b *Base) OnSlotStart(int64) {}
+
+// OnContentionLost implements Hooks: the loser simply backs off.
+func (b *Base) OnContentionLost(*packet.Frame) {}
+
+// OnNegotiated implements Hooks.
+func (b *Base) OnNegotiated(*packet.Frame) {}
+
+// OnOverheard implements Hooks: the ledger already defers for every
+// overheard negotiation.
+func (b *Base) OnOverheard(*packet.Frame) {}
+
+// OnExtraFrame implements Hooks: a stray extra frame is ignored.
+func (b *Base) OnExtraFrame(*packet.Frame) {}
+
+// OnRestart implements Hooks: there is no exchange state beyond the
+// base's own.
+func (b *Base) OnRestart() {}
 
 // Table returns the one-hop delay table.
 func (b *Base) Table() *NeighborTable { return b.table }
@@ -250,10 +286,14 @@ func (b *Base) Ledger() *Ledger { return b.ledger }
 // Role returns the current primary-handshake role.
 func (b *Base) Role() Role { return b.role }
 
-// EmitExtra records one extra-communication lifecycle event at the
-// current instant. Protocol implementations use it for their own
-// extra-phase events.
-func (b *Base) EmitExtra(v obs.Extra) { v.Emit(b.RecNow()) }
+// RecordExtra records one extra-communication lifecycle event at the
+// current instant when observing. xid is the extra exchange's lineage
+// and parent the primary handshake it exploits (zero when unknown).
+func (b *Base) RecordExtra(peer packet.NodeID, action, reason string, xid, parent uint64) {
+	if b.Observing() {
+		obs.Extra{Node: b.cfg.ID, Peer: peer, Action: action, Reason: reason, XID: xid, Parent: parent}.Emit(b.RecNow())
+	}
+}
 
 // setRole switches the primary-handshake role, recording the
 // transition when observability is on.
@@ -294,9 +334,6 @@ func (b *Base) Start() {
 	if b.started {
 		return
 	}
-	if b.hooks == nil {
-		panic("mac: Start before SetHooks")
-	}
 	if b.cfg.EnableHello {
 		off := time.Duration(b.rng.Int63n(int64(b.cfg.HelloWindow)))
 		b.cfg.Engine.ScheduleIn(off, sim.PriorityMAC, b.sendHello)
@@ -314,14 +351,14 @@ func (b *Base) sendHello() {
 // Probe sends a unicast Hello to peer to refresh its delay-table entry
 // (the peer answers with a unicast NbrUpdate, whose timestamp gives
 // this node a fresh measurement). Probes are rate-limited per peer by
-// ProbeMinGap and reported in Counters.Probes. Returns whether a probe
+// probeMinGap and reported in Counters.Probes. Returns whether a probe
 // went on air.
 func (b *Base) Probe(peer packet.NodeID) bool {
 	if !b.cfg.EnableProbe || peer == packet.Nobody || peer == packet.Broadcast {
 		return false
 	}
 	now := b.cfg.Engine.Now()
-	if last, ok := b.lastProbe[peer]; ok && now.Sub(last) < b.cfg.ProbeMinGap {
+	if last, ok := b.lastProbe[peer]; ok && now.Sub(last) < probeMinGap {
 		return false
 	}
 	if b.cfg.Modem.Transmitting() {
@@ -371,9 +408,7 @@ func (b *Base) Restart() {
 	b.ledger.Clear()
 	b.lastProbe = make(map[packet.NodeID]sim.Time)
 	b.headSince = b.cfg.Slots.SlotAt(b.cfg.Engine.Now())
-	if b.hooks != nil {
-		b.hooks.OnRestart()
-	}
+	b.hooks.OnRestart()
 }
 
 // NewFrame builds a frame from this node with the timestamp left to be
@@ -382,10 +417,30 @@ func (b *Base) NewFrame(kind packet.Kind, dst packet.NodeID) *packet.Frame {
 	return &packet.Frame{Kind: kind, Src: b.cfg.ID, Dst: dst}
 }
 
+// DataFrame builds a payload frame of the given kind (Data, EXData,
+// StolenData) carrying p to its next hop.
+func (b *Base) DataFrame(kind packet.Kind, p AppPacket) *packet.Frame {
+	f := b.NewFrame(kind, p.Dst)
+	f.DataBits = p.Bits
+	f.Seq = p.Seq
+	f.Origin = p.Origin
+	f.GeneratedAt = p.GeneratedAt
+	return f
+}
+
+// NewEXAck builds the acknowledgement of an extra payload frame.
+func (b *Base) NewEXAck(data *packet.Frame) *packet.Frame {
+	ack := b.NewFrame(packet.KindEXAck, data.Src)
+	ack.XID = data.XID
+	ack.Seq = data.Seq
+	ack.Origin = data.Origin
+	return ack
+}
+
 // SendNow stamps and transmits f immediately. Control frames pass
 // through the Piggyback hook first.
 func (b *Base) SendNow(f *packet.Frame) error {
-	if f.Kind.IsControl() && b.hooks != nil {
+	if f.Kind.IsControl() {
 		b.hooks.Piggyback(f)
 	}
 	f.Timestamp = b.LocalNow().Duration()
@@ -573,10 +628,10 @@ func (b *Base) randomPriority(s int64) float64 {
 	if wait < 0 {
 		wait = 0
 	}
-	if wait > b.cfg.RPBoostCap {
-		wait = b.cfg.RPBoostCap
+	if wait > rpBoostCap {
+		wait = rpBoostCap
 	}
-	return b.rng.Float64() + float64(wait)/float64(b.cfg.RPBoostCap)
+	return b.rng.Float64() + float64(wait)/float64(rpBoostCap)
 }
 
 func (b *Base) transmitData(s int64) {
@@ -584,11 +639,7 @@ func (b *Base) transmitData(s int64) {
 		b.setRole(RoleIdle)
 		return
 	}
-	f := b.NewFrame(packet.KindData, b.cur.Dst)
-	f.DataBits = b.cur.Bits
-	f.Seq = b.cur.Seq
-	f.Origin = b.cur.Origin
-	f.GeneratedAt = b.cur.GeneratedAt
+	f := b.DataFrame(packet.KindData, b.cur)
 	f.PairDelay = b.curTau
 	f.XID = b.curXID
 	if err := b.SendNow(f); err != nil {
@@ -719,12 +770,29 @@ func (b *Base) NextBusyAt() (sim.Time, bool) {
 	return 0, false
 }
 
-// InPrimaryExchange reports whether the node is a party to an ongoing
-// primary handshake.
-func (b *Base) InPrimaryExchange() bool { return b.role != RoleIdle }
-
-// CurrentPacket returns the packet of the in-flight sender round.
-func (b *Base) CurrentPacket() (AppPacket, bool) { return b.cur, b.hasCur }
+// ClearAtNeighbors is the §4.2 neighbour guard: it reports whether a
+// transmission starting at sendT and lasting dur arrives at every
+// neighbour this node knows to be party to a negotiation outside that
+// neighbour's predicted receive windows, Guard-padded. target is
+// excluded (its window is checked explicitly). A party whose delay is
+// unknown fails the check: the paper requires certainty.
+func (b *Base) ClearAtNeighbors(sendT sim.Time, dur time.Duration, target packet.NodeID) bool {
+	now := b.cfg.Engine.Now()
+	for _, n := range b.ledger.BusyParties() {
+		if n == target || n == b.cfg.ID {
+			continue
+		}
+		tau, known := b.table.Delay(n, now)
+		if !known {
+			return false
+		}
+		iv := Interval{Start: sendT.Add(tau - Guard), End: sendT.Add(tau + dur + Guard)}
+		if b.ledger.RxConflict(n, iv) {
+			return false
+		}
+	}
+	return true
+}
 
 // ---- PHY listener ----
 

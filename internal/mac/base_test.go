@@ -11,23 +11,6 @@ import (
 	"ewmac/internal/sim"
 )
 
-// nopHooks is a minimal protocol: first-RTS-wins, no extras.
-type nopHooks struct{}
-
-func (nopHooks) PickWinner(c []*packet.Frame) *packet.Frame {
-	if len(c) == 0 {
-		return nil
-	}
-	return c[0]
-}
-func (nopHooks) Piggyback(*packet.Frame)        {}
-func (nopHooks) OnSlotStart(int64)              {}
-func (nopHooks) OnContentionLost(*packet.Frame) {}
-func (nopHooks) OnNegotiated(*packet.Frame)     {}
-func (nopHooks) OnOverheard(*packet.Frame)      {}
-func (nopHooks) OnExtraFrame(*packet.Frame)     {}
-func (nopHooks) OnRestart()                     {}
-
 // sinkMedium swallows transmissions.
 type sinkMedium struct{}
 
@@ -57,7 +40,6 @@ func testBase(t *testing.T) (*Base, *sim.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.SetHooks(nopHooks{})
 	return b, eng
 }
 
@@ -163,7 +145,6 @@ func TestMaxRetriesDropsPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.SetHooks(nopHooks{})
 	b.Start()
 	b.Enqueue(AppPacket{Dst: 9, Bits: 1024})
 	eng.RunUntil(sim.At(300 * time.Second))
@@ -263,21 +244,26 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
-func TestStartWithoutHooksPanics(t *testing.T) {
-	eng := sim.NewEngine(1)
-	model := acoustic.DefaultModel()
-	modem, err := phy.NewModem(phy.Config{ID: 1, Engine: eng, Model: model, Medium: sinkMedium{}, Energy: energy.DefaultProfile()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBase(Config{ID: 1, Engine: eng, Modem: modem, Slots: paperSlots(), BitRate: 12000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Start without hooks did not panic")
-		}
-	}()
+// TestStartWithoutHooksRunsDefaults: a Base nobody gave hooks runs its
+// own S-FAMA defaults — it contends, answers the first RTS, and
+// piggybacks nothing.
+func TestStartWithoutHooksRunsDefaults(t *testing.T) {
+	b, eng := testBase(t)
 	b.Start()
+	b.Enqueue(AppPacket{Dst: 9, Bits: 1024})
+	eng.RunUntil(sim.At(10 * time.Second))
+	if b.Counters().RTSSent == 0 {
+		t.Error("default-hooked base never contended")
+	}
+	first := &packet.Frame{Kind: packet.KindRTS, Src: 2, RP: 0.1}
+	second := &packet.Frame{Kind: packet.KindRTS, Src: 3, RP: 0.9}
+	if w := b.PickWinner([]*packet.Frame{first, second}); w != first {
+		t.Error("default PickWinner should answer the first RTS")
+	}
+	cts := b.NewFrame(packet.KindCTS, 2)
+	cts.PairDelay = time.Second
+	b.Piggyback(cts)
+	if len(cts.Neighbors) != 0 {
+		t.Error("default Piggyback attached neighbour state")
+	}
 }

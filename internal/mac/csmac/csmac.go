@@ -26,36 +26,15 @@ import (
 	"ewmac/internal/sim"
 )
 
-// Options tune CS-MAC; the zero value matches the evaluation setup.
-type Options struct {
-	// Guard is the scheduling safety margin (default 2 ms).
-	Guard time.Duration
-	// UpdatePeriod is the interval between NbrUpdate broadcasts
-	// (default 75 s).
-	UpdatePeriod time.Duration
-	// MaintenanceEntries caps neighbor entries per NbrUpdate broadcast
-	// (default 8; entries rotate across broadcasts).
-	MaintenanceEntries int
-	// PiggybackEntries caps neighbor entries per control frame
-	// (default 4 — two-hop state, so heavier than EW-MAC's single
-	// pair entry).
-	PiggybackEntries int
-}
-
-func (o *Options) applyDefaults() {
-	if o.Guard <= 0 {
-		o.Guard = 2 * time.Millisecond
-	}
-	if o.UpdatePeriod <= 0 {
-		o.UpdatePeriod = 75 * time.Second
-	}
-	if o.MaintenanceEntries <= 0 {
-		o.MaintenanceEntries = 8
-	}
-	if o.PiggybackEntries <= 0 {
-		o.PiggybackEntries = 4
-	}
-}
+// Two-hop maintenance as in the evaluation setup: an NbrUpdate every
+// updatePeriod carrying maintenanceEntries table entries (rotating
+// across broadcasts), and piggybackEntries on every control frame —
+// two-hop state, so heavier than EW-MAC's single pair entry.
+const (
+	updatePeriod       = 75 * time.Second
+	maintenanceEntries = 8
+	piggybackEntries   = 4
+)
 
 type stealState struct {
 	pkt     mac.AppPacket
@@ -66,101 +45,28 @@ type stealState struct {
 	parent uint64
 }
 
-// MAC is the CS-MAC protocol.
+// MAC is the CS-MAC protocol: the shared handshake with first-RTS-wins
+// receivers, two-hop maintenance, and the stealing path.
 type MAC struct {
-	*mac.Base
-	opts       Options
-	steal      *stealState
-	lastUpdate sim.Time
-	rotCursor  int
+	mac.TwoHop
+	steal *stealState
 }
 
 var _ mac.Protocol = (*MAC)(nil)
 
 // New builds a CS-MAC node.
-func New(cfg mac.Config, opts Options) (*MAC, error) {
-	opts.applyDefaults()
-	cfg.LenientGrant = false
-	// Control frames carry up to PiggybackEntries neighbor entries.
-	cfg.Slots.Pad = packet.Duration(opts.PiggybackEntries*packet.NeighborInfoBits, cfg.BitRate)
-	base, err := mac.NewBase(cfg)
+func New(cfg mac.Config) (*MAC, error) {
+	th, err := mac.NewTwoHop(cfg, updatePeriod, maintenanceEntries, piggybackEntries)
 	if err != nil {
 		return nil, err
 	}
-	m := &MAC{Base: base, opts: opts}
-	base.SetHooks(m)
-	// Stagger the periodic maintenance phase per node so updates do not
-	// synchronize into collision storms.
-	m.lastUpdate = sim.At(-time.Duration(base.RNG().Int63n(int64(opts.UpdatePeriod))))
+	m := &MAC{TwoHop: th}
+	m.SetHooks(m)
 	return m, nil
 }
 
 // Name implements mac.Protocol.
 func (m *MAC) Name() string { return "CS-MAC" }
-
-// PickWinner implements mac.Hooks.
-func (m *MAC) PickWinner(cands []*packet.Frame) *packet.Frame {
-	if len(cands) == 0 {
-		return nil
-	}
-	return cands[0]
-}
-
-// Piggyback implements mac.Hooks: every control frame carries a
-// two-hop-state excerpt whose size grows with neighborhood density.
-func (m *MAC) Piggyback(f *packet.Frame) {
-	if f.Kind == packet.KindNbrUpdate {
-		return
-	}
-	snap := m.Table().Snapshot(m.Engine().Now(), m.opts.PiggybackEntries)
-	f.Neighbors = append(f.Neighbors, snap...)
-}
-
-// OnSlotStart implements mac.Hooks: periodic maintenance.
-func (m *MAC) OnSlotStart(int64) {
-	now := m.Engine().Now()
-	if now.Sub(m.lastUpdate) < m.opts.UpdatePeriod {
-		return
-	}
-	if m.Role() != mac.RoleIdle || m.Held() || m.Modem().Transmitting() {
-		return
-	}
-	if m.Ledger().QuietUntilSlot() > m.Slots().SlotAt(now) {
-		return
-	}
-	upd := m.NewFrame(packet.KindNbrUpdate, packet.Broadcast)
-	upd.Neighbors = m.rotatingSnapshot(now, m.opts.MaintenanceEntries)
-	if err := m.SendNow(upd); err != nil {
-		return
-	}
-	m.lastUpdate = now
-	m.CountersRef().MaintenanceBits += uint64(upd.Bits())
-}
-
-// rotatingSnapshot returns up to max entries from the table, starting
-// at a cursor that advances each broadcast so the whole two-hop state
-// circulates over successive updates without monster frames.
-func (m *MAC) rotatingSnapshot(now sim.Time, max int) []packet.NeighborInfo {
-	full := m.Table().Snapshot(now, -1)
-	if len(full) == 0 {
-		return nil
-	}
-	if len(full) <= max {
-		return full
-	}
-	out := make([]packet.NeighborInfo, 0, max)
-	for i := 0; i < max; i++ {
-		out = append(out, full[(m.rotCursor+i)%len(full)])
-	}
-	m.rotCursor = (m.rotCursor + max) % len(full)
-	return out
-}
-
-// OnContentionLost implements mac.Hooks.
-func (m *MAC) OnContentionLost(*packet.Frame) {}
-
-// OnNegotiated implements mac.Hooks.
-func (m *MAC) OnNegotiated(*packet.Frame) {}
 
 // OnOverheard implements mac.Hooks: an overheard CTS opens a stealing
 // opportunity. The CTS sender j is about to sit idle for the whole
@@ -203,35 +109,31 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 	// Admission: TD must fit inside the pair's propagation gap, and the
 	// whole steal must be received at j before the negotiated data
 	// lands there.
-	if dur+m.opts.Guard > tauPair {
-		m.recordExtra(j, obs.ExtraDeny, "gap-too-small", 0, f.XID)
+	if dur+mac.Guard > tauPair {
+		m.RecordExtra(j, obs.ExtraDeny, "gap-too-small", 0, f.XID)
 		return
 	}
 	slots := m.Slots()
 	ctsSlot := slots.SlotAt(sim.At(f.Timestamp))
 	dataLands := slots.StartOf(ctsSlot + 1).Add(tauPair)
-	sendT := now.Add(m.opts.Guard)
-	if sendT.Add(tau + dur + m.opts.Guard).After(dataLands) {
-		m.recordExtra(j, obs.ExtraDeny, "too-late", 0, f.XID)
+	sendT := now.Add(mac.Guard)
+	if sendT.Add(tau + dur + mac.Guard).After(dataLands) {
+		m.RecordExtra(j, obs.ExtraDeny, "too-late", 0, f.XID)
 		return
 	}
 
-	data := m.NewFrame(packet.KindStolenData, j)
+	data := m.DataFrame(packet.KindStolenData, pkt)
 	data.XID = m.NewXID()
-	data.DataBits = pkt.Bits
-	data.Seq = pkt.Seq
-	data.Origin = pkt.Origin
-	data.GeneratedAt = pkt.GeneratedAt
 	st := &stealState{pkt: pkt, xid: data.XID, parent: f.XID}
 	m.steal = st
 	// j acknowledges only after its negotiated exchange: wait through
 	// that exchange's ack slot plus the return propagation.
 	ackSlot := slots.AckSlot(ctsSlot+1, m.DataTx(f.DataBits), tauPair)
-	deadline := slots.StartOf(ackSlot + 1).Add(tau + m.ControlTx() + 8*m.opts.Guard)
+	deadline := slots.StartOf(ackSlot + 1).Add(tau + m.ControlTx() + 8*mac.Guard)
 	m.SetHold(deadline)
 	m.SendAt(sendT, data, func(error) { m.abort(st, false) })
 	m.CountersRef().ExtraAttempts++
-	m.recordExtra(j, obs.ExtraRequest, "", st.xid, st.parent)
+	m.RecordExtra(j, obs.ExtraRequest, "", st.xid, st.parent)
 	st.timeout = m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
 		if m.steal == st {
 			m.abort(st, true)
@@ -248,7 +150,7 @@ func (m *MAC) abort(st *stealState, failed bool) {
 	if failed {
 		m.CountersRef().Retransmissions++
 		m.CountersRef().RetransmittedBits += uint64(st.pkt.Bits)
-		m.recordExtra(st.pkt.Dst, obs.ExtraAbort, "steal-unacked", st.xid, st.parent)
+		m.RecordExtra(st.pkt.Dst, obs.ExtraAbort, "steal-unacked", st.xid, st.parent)
 	}
 	st.timeout.Cancel()
 	m.steal = nil
@@ -260,41 +162,27 @@ func (m *MAC) OnExtraFrame(f *packet.Frame) {
 	switch f.Kind {
 	case packet.KindStolenData:
 		m.DeliverData(f, true)
-		ack := m.NewFrame(packet.KindEXAck, f.Src)
-		ack.XID = f.XID
-		ack.Seq = f.Seq
-		ack.Origin = f.Origin
 		// The stolen data landed in this node's waiting window; the
 		// acknowledgement must wait until the negotiated exchange is
 		// over or it would occupy the transducer when the negotiated
 		// data arrives.
-		at := m.PrimaryFreeAt().Add(m.opts.Guard)
+		at := m.PrimaryFreeAt().Add(mac.Guard)
 		if at.Before(m.Engine().Now()) {
 			at = m.Engine().Now()
 		}
-		m.SendAt(at, ack, nil)
+		m.SendAt(at, m.NewEXAck(f), nil)
 	case packet.KindEXAck:
 		st := m.steal
 		if st == nil || f.Seq != st.pkt.Seq {
 			return
 		}
 		m.CountersRef().ExtraCompletions++
-		m.recordExtra(f.Src, obs.ExtraComplete, "", st.xid, st.parent)
+		m.RecordExtra(f.Src, obs.ExtraComplete, "", st.xid, st.parent)
 		m.CompleteBySeq(st.pkt.Origin, st.pkt.Seq)
 		m.abort(st, false)
 	default:
 	}
 }
-
-// recordExtra emits one stealing-lifecycle event when observing.
-func (m *MAC) recordExtra(peer packet.NodeID, action, reason string, xid, parent uint64) {
-	if m.Observing() {
-		m.EmitExtra(obs.Extra{Node: m.ID(), Peer: peer, Action: action, Reason: reason, XID: xid, Parent: parent})
-	}
-}
-
-// StealActive reports whether a steal is in flight (tests).
-func (m *MAC) StealActive() bool { return m.steal != nil }
 
 // OnRestart implements mac.Hooks: a crashed node forgets its in-flight
 // steal.

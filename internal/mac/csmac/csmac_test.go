@@ -64,7 +64,7 @@ func newRig(t *testing.T, seed int64, positions ...vec.V3) *rig {
 			BitRate:     model.BitRate(),
 			EnableHello: true,
 			HelloWindow: 5 * time.Second,
-		}, Options{})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,9 +33,6 @@ type Options struct {
 	// admission check (ablation: degrades EW-MAC toward CS-MAC's
 	// collision-prone stealing).
 	DisableNeighborGuard bool
-	// Guard is the scheduling safety margin around busy windows.
-	// Defaults to 2 ms.
-	Guard time.Duration
 	// UniformPriority disables the wait-time boost in rp (ablation for
 	// the fairness design choice). The boost itself lives in the base;
 	// this zeroes the candidate ordering advantage instead of the
@@ -45,16 +42,11 @@ type Options struct {
 	// extra-communication admission: attempts and grants against a
 	// stale entry are denied (reason "stale-delay") and a unicast probe
 	// is sent to refresh it, while entries merely aging toward the
-	// limit inflate the scheduling Guard up to 2×. Zero (the default)
-	// disables staleness handling entirely — extra scheduling trusts
-	// the table as long as the base TTL does, the paper's behaviour.
+	// limit inflate the scheduling margin mac.Guard up to 2×. Zero (the
+	// default) disables staleness handling entirely — extra scheduling
+	// trusts the table as long as the base TTL does, the paper's
+	// behaviour.
 	StaleAfter time.Duration
-}
-
-func (o *Options) applyDefaults() {
-	if o.Guard <= 0 {
-		o.Guard = 2 * time.Millisecond
-	}
 }
 
 type extraPhase uint8
@@ -96,7 +88,6 @@ var _ mac.Protocol = (*MAC)(nil)
 
 // New builds an EW-MAC node.
 func New(cfg mac.Config, opts Options) (*MAC, error) {
-	opts.applyDefaults()
 	// EW-MAC receivers arbitrate concurrent RTS attempts by priority
 	// rather than deferring on every overheard RTS (paper §3.1).
 	cfg.LenientGrant = true
@@ -117,11 +108,8 @@ func (m *MAC) Name() string { return "EW-MAC" }
 // PickWinner implements mac.Hooks: highest random priority wins
 // (paper §3.1). Ties break toward the earlier arrival.
 func (m *MAC) PickWinner(cands []*packet.Frame) *packet.Frame {
-	if len(cands) == 0 {
-		return nil
-	}
-	if m.opts.UniformPriority {
-		return cands[0]
+	if len(cands) == 0 || m.opts.UniformPriority {
+		return m.Base.PickWinner(cands)
 	}
 	best := cands[0]
 	for _, c := range cands[1:] {
@@ -142,15 +130,6 @@ func (m *MAC) Piggyback(f *packet.Frame) {
 	f.Neighbors = append(f.Neighbors, packet.NeighborInfo{ID: f.Dst, Delay: f.PairDelay})
 }
 
-// OnSlotStart implements mac.Hooks.
-func (m *MAC) OnSlotStart(int64) {}
-
-// OnNegotiated implements mac.Hooks.
-func (m *MAC) OnNegotiated(*packet.Frame) {}
-
-// OnOverheard implements mac.Hooks: base bookkeeping suffices.
-func (m *MAC) OnOverheard(*packet.Frame) {}
-
 // staleEntry reports whether peer's delay estimate is too old to base
 // extra-communication timing on. Extra exchanges are scheduled to
 // land inside windows a few guard-margins wide; a table entry that has
@@ -170,12 +149,12 @@ func (m *MAC) staleEntry(peer packet.NodeID, now sim.Time) bool {
 	return ok && age > m.opts.StaleAfter
 }
 
-// guardFor returns the scheduling margin to use against peer: the base
-// Guard, inflated linearly up to 2× as the peer's delay estimate ages
-// toward StaleAfter. Fresh entries (or StaleAfter zero) keep the exact
-// base margin.
+// guardFor returns the scheduling margin to use against peer:
+// mac.Guard, inflated linearly up to 2× as the peer's delay estimate
+// ages toward StaleAfter. Fresh entries (or StaleAfter zero) keep the
+// exact base margin.
 func (m *MAC) guardFor(peer packet.NodeID, now sim.Time) time.Duration {
-	g := m.opts.Guard
+	g := mac.Guard
 	if m.opts.StaleAfter <= 0 {
 		return g
 	}
@@ -200,7 +179,7 @@ func (m *MAC) guardFor(peer packet.NodeID, now sim.Time) time.Duration {
 // (j is the sender).
 func (m *MAC) OnContentionLost(cause *packet.Frame) {
 	if m.extra != nil || m.granted != nil {
-		m.denyExtra(cause.Src, "exchange-in-flight")
+		m.RecordExtra(cause.Src, obs.ExtraDeny, "exchange-in-flight", 0, 0)
 		return
 	}
 	pkt, ok := m.Queue().Peek()
@@ -210,13 +189,13 @@ func (m *MAC) OnContentionLost(cause *packet.Frame) {
 	now := m.Engine().Now()
 	tau, known := m.Table().Delay(cause.Src, now)
 	if !known {
-		m.denyExtra(cause.Src, "unknown-delay")
+		m.RecordExtra(cause.Src, obs.ExtraDeny, "unknown-delay", 0, 0)
 		return
 	}
 	if m.staleEntry(cause.Src, now) {
 		// Table confidence too low to aim inside j's idle window:
 		// deny conservatively and probe to refresh the entry.
-		m.denyExtra(cause.Src, "stale-delay")
+		m.RecordExtra(cause.Src, obs.ExtraDeny, "stale-delay", 0, 0)
 		m.Probe(cause.Src)
 		return
 	}
@@ -245,11 +224,11 @@ func (m *MAC) OnContentionLost(cause *packet.Frame) {
 	arrivalEnd := arrivalStart.Add(exrDur)
 	if arrivalEnd.After(winEnd) {
 		// Window too small — give up (paper: back to Quiet).
-		m.denyExtra(cause.Src, "window-too-small")
+		m.RecordExtra(cause.Src, obs.ExtraDeny, "window-too-small", 0, 0)
 		return
 	}
 	if !m.clearAtNeighbors(sendT, exrDur, cause.Src) {
-		m.denyExtra(cause.Src, "neighbor-conflict")
+		m.RecordExtra(cause.Src, obs.ExtraDeny, "neighbor-conflict", 0, 0)
 		return
 	}
 
@@ -261,64 +240,19 @@ func (m *MAC) OnContentionLost(cause *packet.Frame) {
 	m.SetHold(deadline)
 	m.SendAt(sendT, exr, func(error) { m.abortExtra(att) })
 	m.CountersRef().ExtraAttempts++
-	if m.Observing() {
-		m.EmitExtra(obs.Extra{Node: m.ID(), Peer: cause.Src, Action: obs.ExtraRequest, XID: att.xid, Parent: att.parent})
-	}
+	m.RecordExtra(cause.Src, obs.ExtraRequest, "", att.xid, att.parent)
 	att.timeout = m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
 		if m.extra == att && att.phase == phaseRequested {
-			if m.Observing() {
-				m.EmitExtra(obs.Extra{Node: m.ID(), Peer: att.target, Action: obs.ExtraDeny, Reason: "exc-timeout", XID: att.xid, Parent: att.parent})
-			}
+			m.RecordExtra(att.target, obs.ExtraDeny, "exc-timeout", att.xid, att.parent)
 			m.abortExtra(att)
 		}
 	})
 }
 
-// denyExtra records an extra-communication denial with the admission
-// rule that fired; it is the diagnostic for a starved extra path.
-func (m *MAC) denyExtra(peer packet.NodeID, reason string) {
-	if m.Observing() {
-		m.EmitExtra(obs.Extra{Node: m.ID(), Peer: peer, Action: obs.ExtraDeny, Reason: reason})
-	}
-}
-
-// recordAbort records an in-flight extra attempt being abandoned.
-func (m *MAC) recordAbort(att *extraAttempt, reason string) {
-	if m.Observing() {
-		m.EmitExtra(obs.Extra{Node: m.ID(), Peer: att.target, Action: obs.ExtraAbort, Reason: reason, XID: att.xid, Parent: att.parent})
-	}
-}
-
-// clearAtNeighbors checks that a transmission starting at sendT with
-// the given duration, arriving at every neighbor this node knows to be
-// party to a negotiation, misses that neighbor's predicted receive
-// windows. target is excluded (its window was checked explicitly).
-// Returns true when the transmission is safe (or the guard is disabled
-// for ablation).
+// clearAtNeighbors is the base's §4.2 neighbour guard, skipped when the
+// ablation disables it.
 func (m *MAC) clearAtNeighbors(sendT sim.Time, dur time.Duration, target packet.NodeID) bool {
-	if m.opts.DisableNeighborGuard {
-		return true
-	}
-	now := m.Engine().Now()
-	for _, n := range m.Ledger().BusyParties() {
-		if n == target || n == m.ID() {
-			continue
-		}
-		tau, known := m.Table().Delay(n, now)
-		if !known {
-			// Cannot predict the arrival time at this party: the paper
-			// requires certainty, so give up.
-			return false
-		}
-		iv := mac.Interval{
-			Start: sendT.Add(tau - m.opts.Guard),
-			End:   sendT.Add(tau + dur + m.opts.Guard),
-		}
-		if m.Ledger().RxConflict(n, iv) {
-			return false
-		}
-	}
-	return true
+	return m.opts.DisableNeighborGuard || m.ClearAtNeighbors(sendT, dur, target)
 }
 
 func (m *MAC) abortExtra(att *extraAttempt) {
@@ -353,7 +287,7 @@ func (m *MAC) OnExtraFrame(f *packet.Frame) {
 // primary exchange completes.
 func (m *MAC) onEXR(f *packet.Frame) {
 	if m.granted != nil {
-		m.denyExtra(f.Src, "already-granted")
+		m.RecordExtra(f.Src, obs.ExtraDeny, "already-granted", 0, 0)
 		return // one extra grant at a time
 	}
 	now := m.Engine().Now()
@@ -361,7 +295,7 @@ func (m *MAC) onEXR(f *packet.Frame) {
 		// My own knowledge of the requester is stale: the grant instant
 		// I would announce is computed against windows I can no longer
 		// trust. Deny and refresh instead of granting blind.
-		m.denyExtra(f.Src, "stale-delay")
+		m.RecordExtra(f.Src, obs.ExtraDeny, "stale-delay", 0, 0)
 		m.Probe(f.Src)
 		return
 	}
@@ -375,29 +309,27 @@ func (m *MAC) onEXR(f *packet.Frame) {
 	// every other negotiated neighbor must miss their receive windows
 	// (extra control packets are themselves extra communication, §4.2).
 	if busyAt, busy := m.NextBusyAt(); busy {
-		if now.Add(excDur + m.opts.Guard).After(busyAt) {
-			m.denyExtra(f.Src, "gap-too-small")
+		if now.Add(excDur + mac.Guard).After(busyAt) {
+			m.RecordExtra(f.Src, obs.ExtraDeny, "gap-too-small", 0, 0)
 			return
 		}
 	}
 	if !m.clearAtNeighbors(now, excDur, f.Src) {
-		m.denyExtra(f.Src, "neighbor-conflict")
+		m.RecordExtra(f.Src, obs.ExtraDeny, "neighbor-conflict", 0, 0)
 		return
 	}
-	grantAt := m.PrimaryFreeAt().Add(2 * m.opts.Guard)
+	grantAt := m.PrimaryFreeAt().Add(2 * mac.Guard)
 	exc.GrantAt = grantAt.Duration()
 	if err := m.SendNow(exc); err != nil {
-		m.denyExtra(f.Src, "transducer-busy")
+		m.RecordExtra(f.Src, obs.ExtraDeny, "transducer-busy", 0, 0)
 		return
 	}
-	if m.Observing() {
-		m.EmitExtra(obs.Extra{Node: m.ID(), Peer: f.Src, Action: obs.ExtraGrant, XID: f.XID})
-	}
+	m.RecordExtra(f.Src, obs.ExtraGrant, "", f.XID, 0)
 	dataDur := m.DataTx(f.DataBits)
 	m.granted = &grantedExtra{from: f.Src, bits: f.DataBits, at: grantAt}
 	// Suspend contention until the granted exchange (EXData + EXAck)
 	// is over; release early if the data never shows.
-	release := grantAt.Add(dataDur + m.ControlTx() + 8*m.opts.Guard)
+	release := grantAt.Add(dataDur + m.ControlTx() + 8*mac.Guard)
 	m.SetHold(release)
 	g := m.granted
 	m.ScheduleClamped(release, sim.PriorityMAC, func() {
@@ -425,19 +357,15 @@ func (m *MAC) onEXC(f *packet.Frame) {
 	dataDur := m.DataTx(att.pkt.Bits)
 	if !known || sendT.Before(now.Add(guard)) ||
 		!m.clearAtNeighbors(sendT, dataDur, att.target) {
-		m.recordAbort(att, "grant-unusable")
+		m.RecordExtra(att.target, obs.ExtraAbort, "grant-unusable", att.xid, att.parent)
 		m.abortExtra(att)
 		return
 	}
 	att.timeout.Cancel()
 	att.phase = phaseGranted
 
-	data := m.NewFrame(packet.KindEXData, att.target)
+	data := m.DataFrame(packet.KindEXData, att.pkt)
 	data.XID = att.xid
-	data.DataBits = att.pkt.Bits
-	data.Seq = att.pkt.Seq
-	data.Origin = att.pkt.Origin
-	data.GeneratedAt = att.pkt.GeneratedAt
 	deadline := sendT.Add(dataDur + 2*tau + m.ControlTx() + 8*guard)
 	m.SetHold(deadline)
 	// The grant can lie seconds ahead; new negotiations may begin in
@@ -449,7 +377,7 @@ func (m *MAC) onEXC(f *packet.Frame) {
 			return
 		}
 		if !m.clearAtNeighbors(m.Engine().Now(), dataDur, att.target) {
-			m.recordAbort(att, "late-neighbor-conflict")
+			m.RecordExtra(att.target, obs.ExtraAbort, "late-neighbor-conflict", att.xid, att.parent)
 			m.abortExtra(att)
 			return
 		}
@@ -470,11 +398,7 @@ func (m *MAC) onEXC(f *packet.Frame) {
 // exchange; deliver and confirm.
 func (m *MAC) onEXData(f *packet.Frame) {
 	m.DeliverData(f, true)
-	ack := m.NewFrame(packet.KindEXAck, f.Src)
-	ack.XID = f.XID
-	ack.Seq = f.Seq
-	ack.Origin = f.Origin
-	_ = m.SendNow(ack) // if the transducer is busy the sender retries normally
+	_ = m.SendNow(m.NewEXAck(f)) // if the transducer is busy the sender retries normally
 	if m.granted != nil && m.granted.from == f.Src {
 		m.granted = nil
 		m.SetHold(m.Engine().Now())
@@ -488,9 +412,7 @@ func (m *MAC) onEXAck(f *packet.Frame) {
 		return
 	}
 	m.CountersRef().ExtraCompletions++
-	if m.Observing() {
-		m.EmitExtra(obs.Extra{Node: m.ID(), Peer: f.Src, Action: obs.ExtraComplete, XID: att.xid, Parent: att.parent})
-	}
+	m.RecordExtra(f.Src, obs.ExtraComplete, "", att.xid, att.parent)
 	if !m.CompleteHead(att.pkt.Origin, att.pkt.Seq) {
 		m.CompleteBySeq(att.pkt.Origin, att.pkt.Seq)
 	}
@@ -498,13 +420,6 @@ func (m *MAC) onEXAck(f *packet.Frame) {
 	m.extra = nil
 	m.SetHold(m.Engine().Now())
 }
-
-// ExtraActive reports whether an extra attempt is in flight (tests).
-func (m *MAC) ExtraActive() bool { return m.extra != nil }
-
-// GrantActive reports whether this node has granted an extra exchange
-// (tests).
-func (m *MAC) GrantActive() bool { return m.granted != nil }
 
 // ClearAtNeighborsForTest exposes the admission check to tests and the
 // ablation benches.
@@ -532,7 +447,7 @@ var _ mac.PeerWatcher = (*MAC)(nil)
 func (m *MAC) OnPeerDead(peer packet.NodeID) {
 	m.Table().MarkSuspect(peer)
 	if att := m.extra; att != nil && att.target == peer {
-		m.recordAbort(att, "peer-dead")
+		m.RecordExtra(att.target, obs.ExtraAbort, "peer-dead", att.xid, att.parent)
 		m.abortExtra(att)
 	}
 	if g := m.granted; g != nil && g.from == peer {

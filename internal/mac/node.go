@@ -76,7 +76,7 @@ func (n *Node) Init(cfg Config, stream, failNoun string, onSlot func(slot int64)
 		peerFails: make(map[packet.NodeID]int),
 		peerState: make(map[packet.NodeID]PeerState),
 		failNoun:  failNoun,
-		cw:        cfg.CWMin,
+		cw:        cwMin,
 		onSlot:    onSlot,
 	}
 	n.tickFn = n.tick
@@ -222,7 +222,7 @@ func (n *Node) Restart() {
 	n.queue.UnlockHead()
 	n.attempts = 0
 	n.backoffLeft = 0
-	n.cw = n.cfg.CWMin
+	n.cw = cwMin
 	// A cold-started node has forgotten its liveness history too: every
 	// peer is presumed alive until it fails again.
 	n.peerFails = make(map[packet.NodeID]int)
@@ -381,7 +381,7 @@ func (n *Node) CompleteRound() {
 	n.queue.Pop()
 	n.counters.AckedPackets++
 	n.attempts = 0
-	n.cw = n.cfg.CWMin
+	n.cw = cwMin
 }
 
 // FailRound closes a failed round for head (has is false when no packet

@@ -22,35 +22,14 @@ import (
 	"ewmac/internal/sim"
 )
 
-// Options tune ROPA; the zero value matches the evaluation setup.
-type Options struct {
-	// Guard is the scheduling safety margin (default 2 ms).
-	Guard time.Duration
-	// UpdatePeriod is the interval between NbrUpdate broadcasts
-	// (default 90 s).
-	UpdatePeriod time.Duration
-	// MaintenanceEntries caps neighbor entries per NbrUpdate broadcast
-	// (default 4; entries rotate across broadcasts).
-	MaintenanceEntries int
-	// PiggybackEntries is how many neighbor entries ride on each
-	// control frame (default 1).
-	PiggybackEntries int
-}
-
-func (o *Options) applyDefaults() {
-	if o.Guard <= 0 {
-		o.Guard = 2 * time.Millisecond
-	}
-	if o.UpdatePeriod <= 0 {
-		o.UpdatePeriod = 90 * time.Second
-	}
-	if o.MaintenanceEntries <= 0 {
-		o.MaintenanceEntries = 4
-	}
-	if o.PiggybackEntries <= 0 {
-		o.PiggybackEntries = 1
-	}
-}
+// Two-hop maintenance as in the evaluation setup: an NbrUpdate every
+// updatePeriod carrying maintenanceEntries table entries (rotating
+// across broadcasts), and piggybackEntries on every control frame.
+const (
+	updatePeriod       = 90 * time.Second
+	maintenanceEntries = 4
+	piggybackEntries   = 1
+)
 
 // rtaState is the appender-side record of one RTA attempt.
 type rtaState struct {
@@ -71,109 +50,40 @@ type appendReq struct {
 	xid  uint64
 }
 
-// MAC is the ROPA protocol.
+// MAC is the ROPA protocol. Its receivers answer the first RTS, as in
+// MACA-U, and a losing contender plainly backs off: opportunism belongs
+// to the sender's neighbours.
 type MAC struct {
-	*mac.Base
-	opts       Options
-	pending    *rtaState
-	request    *appendReq
-	lastUpdate sim.Time
-	rotCursor  int
+	mac.TwoHop
+	pending *rtaState
+	request *appendReq
 }
 
 var _ mac.Protocol = (*MAC)(nil)
 
 // New builds a ROPA node.
-func New(cfg mac.Config, opts Options) (*MAC, error) {
-	opts.applyDefaults()
-	cfg.LenientGrant = false
-	// Control frames carry PiggybackEntries neighbor entries.
-	cfg.Slots.Pad = packet.Duration(opts.PiggybackEntries*packet.NeighborInfoBits, cfg.BitRate)
-	base, err := mac.NewBase(cfg)
+func New(cfg mac.Config) (*MAC, error) {
+	th, err := mac.NewTwoHop(cfg, updatePeriod, maintenanceEntries, piggybackEntries)
 	if err != nil {
 		return nil, err
 	}
-	m := &MAC{Base: base, opts: opts}
-	base.SetHooks(m)
-	// Stagger the periodic maintenance phase per node so updates do not
-	// synchronize into collision storms.
-	m.lastUpdate = sim.At(-time.Duration(base.RNG().Int63n(int64(opts.UpdatePeriod))))
+	m := &MAC{TwoHop: th}
+	m.SetHooks(m)
 	return m, nil
 }
 
 // Name implements mac.Protocol.
 func (m *MAC) Name() string { return "ROPA" }
 
-// PickWinner implements mac.Hooks (first RTS wins, as in MACA-U).
-func (m *MAC) PickWinner(cands []*packet.Frame) *packet.Frame {
-	if len(cands) == 0 {
-		return nil
-	}
-	return cands[0]
-}
-
-// Piggyback implements mac.Hooks: ROPA control frames carry a slice of
-// the sender's neighbor table so two-hop state propagates.
-func (m *MAC) Piggyback(f *packet.Frame) {
-	if f.Kind == packet.KindNbrUpdate {
-		return // already carries the full table
-	}
-	snap := m.Table().Snapshot(m.Engine().Now(), m.opts.PiggybackEntries)
-	f.Neighbors = append(f.Neighbors, snap...)
-}
-
-// OnSlotStart implements mac.Hooks: periodic two-hop maintenance and
-// cleanup of append requests whose primary negotiation died.
-func (m *MAC) OnSlotStart(int64) {
+// OnSlotStart implements mac.Hooks: cleanup of append requests whose
+// primary negotiation died, then periodic two-hop maintenance.
+func (m *MAC) OnSlotStart(slot int64) {
 	if m.request != nil && m.Role() != mac.RoleWaitCTS && m.Role() != mac.RoleSendData &&
 		m.Role() != mac.RoleWaitAck {
 		m.request = nil
 	}
-	m.maybeBroadcastUpdate()
+	m.TwoHop.OnSlotStart(slot)
 }
-
-func (m *MAC) maybeBroadcastUpdate() {
-	now := m.Engine().Now()
-	if now.Sub(m.lastUpdate) < m.opts.UpdatePeriod {
-		return
-	}
-	if m.Role() != mac.RoleIdle || m.Held() || m.Modem().Transmitting() {
-		return
-	}
-	if m.Ledger().QuietUntilSlot() > m.Slots().SlotAt(now) {
-		return
-	}
-	upd := m.NewFrame(packet.KindNbrUpdate, packet.Broadcast)
-	upd.Neighbors = m.rotatingSnapshot(now, m.opts.MaintenanceEntries)
-	if err := m.SendNow(upd); err != nil {
-		return
-	}
-	m.lastUpdate = now
-	m.CountersRef().MaintenanceBits += uint64(upd.Bits())
-}
-
-// rotatingSnapshot returns up to max entries from the table, starting
-// at a cursor that advances each broadcast so the whole two-hop state
-// circulates over successive updates without monster frames.
-func (m *MAC) rotatingSnapshot(now sim.Time, max int) []packet.NeighborInfo {
-	full := m.Table().Snapshot(now, -1)
-	if len(full) == 0 {
-		return nil
-	}
-	if len(full) <= max {
-		return full
-	}
-	out := make([]packet.NeighborInfo, 0, max)
-	for i := 0; i < max; i++ {
-		out = append(out, full[(m.rotCursor+i)%len(full)])
-	}
-	m.rotCursor = (m.rotCursor + max) % len(full)
-	return out
-}
-
-// OnContentionLost implements mac.Hooks: plain backoff — ROPA has no
-// loser path; opportunism belongs to the sender's neighbors.
-func (m *MAC) OnContentionLost(*packet.Frame) {}
 
 // OnNegotiated implements mac.Hooks: the primary sender's CTS arrived;
 // grant a pending appended request if the EXC reply fits in the idle
@@ -190,20 +100,20 @@ func (m *MAC) OnNegotiated(*packet.Frame) {
 	exc.XID = req.xid
 	m.Piggyback(exc)
 	if busyAt, busy := m.NextBusyAt(); busy {
-		if now.Add(m.FrameTx(exc) + m.opts.Guard).After(busyAt) {
-			m.recordExtra(req.from, obs.ExtraDeny, "gap-too-small", req.xid, 0)
+		if now.Add(m.FrameTx(exc) + mac.Guard).After(busyAt) {
+			m.RecordExtra(req.from, obs.ExtraDeny, "gap-too-small", req.xid, 0)
 			return
 		}
 	}
-	grantAt := m.PrimaryFreeAt().Add(2 * m.opts.Guard)
+	grantAt := m.PrimaryFreeAt().Add(2 * mac.Guard)
 	exc.GrantAt = grantAt.Duration()
 	if err := m.SendNow(exc); err != nil {
-		m.recordExtra(req.from, obs.ExtraDeny, "transducer-busy", req.xid, 0)
+		m.RecordExtra(req.from, obs.ExtraDeny, "transducer-busy", req.xid, 0)
 		return
 	}
-	m.recordExtra(req.from, obs.ExtraGrant, "", req.xid, 0)
+	m.RecordExtra(req.from, obs.ExtraGrant, "", req.xid, 0)
 	// Stay off the channel until the appended exchange finishes.
-	release := grantAt.Add(m.DataTx(req.bits) + m.ControlTx() + 8*m.opts.Guard)
+	release := grantAt.Add(m.DataTx(req.bits) + m.ControlTx() + 8*mac.Guard)
 	m.SetHold(release)
 	m.ScheduleClamped(release, sim.PriorityMAC, func() {
 		if !m.Held() {
@@ -233,10 +143,10 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 	}
 	slots := m.Slots()
 	rtsSlot := slots.SlotAt(sim.At(f.Timestamp))
-	winStart := slots.StartOf(rtsSlot).Add(m.FrameTx(f) + m.opts.Guard)
+	winStart := slots.StartOf(rtsSlot).Add(m.FrameTx(f) + mac.Guard)
 	// The RTA must be fully received at the sender before its CTS
 	// begins arriving.
-	winEnd := slots.StartOf(rtsSlot + 1).Add(f.PairDelay - m.opts.Guard)
+	winEnd := slots.StartOf(rtsSlot + 1).Add(f.PairDelay - mac.Guard)
 
 	pkt := m.Queue().Items()[idx]
 	rta := m.NewFrame(packet.KindRTA, f.Src)
@@ -245,7 +155,7 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 	m.Piggyback(rta)
 	rtaDur := m.FrameTx(rta)
 
-	sendT := now.Add(m.opts.Guard)
+	sendT := now.Add(mac.Guard)
 	if earliest := winStart.Add(-tau); sendT.Before(earliest) {
 		sendT = earliest
 	}
@@ -254,18 +164,8 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 	}
 	// ROPA knows two-hop state: avoid arriving inside any known
 	// receive window.
-	for _, n := range m.Ledger().BusyParties() {
-		if n == f.Src || n == m.ID() {
-			continue
-		}
-		tn, ok := m.Table().Delay(n, now)
-		if !ok {
-			return
-		}
-		iv := mac.Interval{Start: sendT.Add(tn - m.opts.Guard), End: sendT.Add(tn + rtaDur + m.opts.Guard)}
-		if m.Ledger().RxConflict(n, iv) {
-			return
-		}
+	if !m.ClearAtNeighbors(sendT, rtaDur, f.Src) {
+		return
 	}
 
 	st := &rtaState{target: f.Src, pkt: pkt, xid: rta.XID, parent: f.XID}
@@ -276,7 +176,7 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 	m.SetHold(deadline)
 	m.SendAt(sendT, rta, func(error) { m.abort(st) })
 	m.CountersRef().ExtraAttempts++
-	m.recordExtra(f.Src, obs.ExtraRequest, "", st.xid, st.parent)
+	m.RecordExtra(f.Src, obs.ExtraRequest, "", st.xid, st.parent)
 	st.timeout = m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
 		if m.pending == st && !st.granted {
 			m.abort(st)
@@ -293,13 +193,6 @@ func (m *MAC) abort(st *rtaState) {
 	m.SetHold(m.Engine().Now())
 }
 
-// recordExtra emits one appending-lifecycle event when observing.
-func (m *MAC) recordExtra(peer packet.NodeID, action, reason string, xid, parent uint64) {
-	if m.Observing() {
-		m.EmitExtra(obs.Extra{Node: m.ID(), Peer: peer, Action: action, Reason: reason, XID: xid, Parent: parent})
-	}
-}
-
 // OnExtraFrame implements mac.Hooks.
 func (m *MAC) OnExtraFrame(f *packet.Frame) {
 	switch f.Kind {
@@ -313,18 +206,14 @@ func (m *MAC) OnExtraFrame(f *packet.Frame) {
 		m.onGrant(f)
 	case packet.KindEXData:
 		m.DeliverData(f, true)
-		ack := m.NewFrame(packet.KindEXAck, f.Src)
-		ack.XID = f.XID
-		ack.Seq = f.Seq
-		ack.Origin = f.Origin
-		_ = m.SendNow(ack)
+		_ = m.SendNow(m.NewEXAck(f))
 	case packet.KindEXAck:
 		st := m.pending
 		if st == nil || f.Src != st.target || f.Seq != st.pkt.Seq {
 			return
 		}
 		m.CountersRef().ExtraCompletions++
-		m.recordExtra(f.Src, obs.ExtraComplete, "", st.xid, st.parent)
+		m.RecordExtra(f.Src, obs.ExtraComplete, "", st.xid, st.parent)
 		m.CompleteBySeq(st.pkt.Origin, st.pkt.Seq)
 		m.abort(st)
 	default:
@@ -340,7 +229,7 @@ func (m *MAC) onGrant(f *packet.Frame) {
 	now := m.Engine().Now()
 	tau, known := m.Table().Delay(st.target, now)
 	sendT := sim.At(f.GrantAt).Add(-tau)
-	if !known || sendT.Before(now.Add(m.opts.Guard)) {
+	if !known || sendT.Before(now.Add(mac.Guard)) {
 		m.abort(st)
 		return
 	}
@@ -351,14 +240,10 @@ func (m *MAC) onGrant(f *packet.Frame) {
 	}
 	st.granted = true
 	st.timeout.Cancel()
-	data := m.NewFrame(packet.KindEXData, st.target)
+	data := m.DataFrame(packet.KindEXData, st.pkt)
 	data.XID = st.xid
-	data.DataBits = st.pkt.Bits
-	data.Seq = st.pkt.Seq
-	data.Origin = st.pkt.Origin
-	data.GeneratedAt = st.pkt.GeneratedAt
 	dur := m.DataTx(st.pkt.Bits)
-	deadline := sendT.Add(dur + 2*tau + m.ControlTx() + 8*m.opts.Guard)
+	deadline := sendT.Add(dur + 2*tau + m.ControlTx() + 8*mac.Guard)
 	m.SetHold(deadline)
 	// Re-validate against exchanges negotiated between the grant and
 	// the send instant (ROPA maintains two-hop state, so it can).
@@ -366,21 +251,9 @@ func (m *MAC) onGrant(f *packet.Frame) {
 		if m.pending != st {
 			return
 		}
-		nowSend := m.Engine().Now()
-		for _, n := range m.Ledger().BusyParties() {
-			if n == st.target || n == m.ID() {
-				continue
-			}
-			tn, ok := m.Table().Delay(n, nowSend)
-			if !ok {
-				m.abort(st)
-				return
-			}
-			iv := mac.Interval{Start: nowSend.Add(tn - m.opts.Guard), End: nowSend.Add(tn + dur + m.opts.Guard)}
-			if m.Ledger().RxConflict(n, iv) {
-				m.abort(st)
-				return
-			}
+		if !m.ClearAtNeighbors(m.Engine().Now(), dur, st.target) {
+			m.abort(st)
+			return
 		}
 		if err := m.SendNow(data); err != nil {
 			m.abort(st)
@@ -392,9 +265,6 @@ func (m *MAC) onGrant(f *packet.Frame) {
 		}
 	})
 }
-
-// PendingRTA reports whether an appended request is in flight (tests).
-func (m *MAC) PendingRTA() bool { return m.pending != nil }
 
 // OnRestart implements mac.Hooks: a crashed node forgets its in-flight
 // RTA attempt and any appended-request it promised to serve.

@@ -6,12 +6,14 @@
 // that exchange. Each transmission therefore reserves the worst-case
 // propagation delay, which is exactly why its bandwidth utilization is
 // poor — the property EW-MAC exploits.
+//
+// S-FAMA is the shared base engine with its default hooks: a receiver
+// answers the first RTS to arrive, a losing contender backs off, no
+// neighbour state rides on control frames (the zero-overhead baseline
+// of Figure 10), and there is no extra-communication path.
 package sfama
 
-import (
-	"ewmac/internal/mac"
-	"ewmac/internal/packet"
-)
+import "ewmac/internal/mac"
 
 // MAC is the Slotted FAMA protocol.
 type MAC struct {
@@ -22,49 +24,12 @@ var _ mac.Protocol = (*MAC)(nil)
 
 // New builds an S-FAMA node over the shared base engine.
 func New(cfg mac.Config) (*MAC, error) {
-	cfg.LenientGrant = false
 	base, err := mac.NewBase(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := &MAC{Base: base}
-	base.SetHooks(m)
-	return m, nil
+	return &MAC{Base: base}, nil
 }
 
 // Name implements mac.Protocol.
 func (m *MAC) Name() string { return "S-FAMA" }
-
-// PickWinner implements mac.Hooks: the original S-FAMA replies to the
-// first successfully received RTS; later ones in the same slot lose.
-func (m *MAC) PickWinner(cands []*packet.Frame) *packet.Frame {
-	if len(cands) == 0 {
-		return nil
-	}
-	return cands[0]
-}
-
-// Piggyback implements mac.Hooks: S-FAMA carries no neighbor state —
-// it is the zero-overhead baseline of Figure 10.
-func (m *MAC) Piggyback(*packet.Frame) {}
-
-// OnSlotStart implements mac.Hooks.
-func (m *MAC) OnSlotStart(int64) {}
-
-// OnContentionLost implements mac.Hooks: S-FAMA simply backs off.
-func (m *MAC) OnContentionLost(*packet.Frame) {}
-
-// OnNegotiated implements mac.Hooks.
-func (m *MAC) OnNegotiated(*packet.Frame) {}
-
-// OnOverheard implements mac.Hooks: the defer behaviour is already
-// handled by the base ledger.
-func (m *MAC) OnOverheard(*packet.Frame) {}
-
-// OnExtraFrame implements mac.Hooks: S-FAMA has no extra-communication
-// path; a stray extra frame is ignored.
-func (m *MAC) OnExtraFrame(*packet.Frame) {}
-
-// OnRestart implements mac.Hooks: S-FAMA keeps no protocol-private
-// exchange state beyond the base.
-func (m *MAC) OnRestart() {}

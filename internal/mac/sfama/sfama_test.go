@@ -8,6 +8,7 @@ import (
 	"ewmac/internal/channel"
 	"ewmac/internal/energy"
 	"ewmac/internal/mac"
+	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
@@ -19,6 +20,16 @@ type rig struct {
 	eng  *sim.Engine
 	ch   *channel.Channel
 	macs []*MAC
+}
+
+// onEmit hands every delivery the channel schedules to fn, as a copy:
+// the pooled record is reclaimed when Record returns.
+func onEmit(ch *channel.Channel, fn func(e obs.FrameEmit)) {
+	ch.SetRecorder(obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		if fe, ok := e.(*obs.FrameEmit); ok {
+			fn(*fe)
+		}
+	}))
 }
 
 func newRig(t *testing.T, seed int64, positions ...vec.V3) *rig {
@@ -118,7 +129,8 @@ func TestHandshakeSlotAlignment(t *testing.T) {
 	)
 	slots := r.macs[0].Slots()
 	bad := 0
-	r.ch.SetTrace(func(_, _ packet.NodeID, f *packet.Frame, _ time.Duration, _ float64) {
+	onEmit(r.ch, func(e obs.FrameEmit) {
+		f := e.Frame
 		switch f.Kind {
 		case packet.KindRTS, packet.KindCTS, packet.KindData, packet.KindAck:
 			at := sim.At(f.Timestamp)
@@ -145,7 +157,8 @@ func TestEquation5MultiSlotData(t *testing.T) {
 	)
 	slots := r.macs[0].Slots()
 	var dataSlot, ackSlot int64 = -1, -1
-	r.ch.SetTrace(func(_, _ packet.NodeID, f *packet.Frame, _ time.Duration, _ float64) {
+	onEmit(r.ch, func(e obs.FrameEmit) {
+		f := e.Frame
 		switch f.Kind {
 		case packet.KindData:
 			dataSlot = slots.SlotAt(sim.At(f.Timestamp))
@@ -177,7 +190,8 @@ func TestOverhearerDefersDuringExchange(t *testing.T) {
 	slots := r.macs[0].Slots()
 	var ctsSlot, thirdRTSSlot int64 = -1, -1
 	var exchange *mac.Exchange
-	r.ch.SetTrace(func(src, dst packet.NodeID, f *packet.Frame, _ time.Duration, _ float64) {
+	onEmit(r.ch, func(e obs.FrameEmit) {
+		src, f := e.Src, e.Frame
 		if f.Kind == packet.KindCTS && src == 1 && f.Dst == 2 && exchange == nil {
 			ctsSlot = slots.SlotAt(sim.At(f.Timestamp))
 			exchange = &mac.Exchange{

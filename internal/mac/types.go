@@ -5,7 +5,10 @@
 // busy windows (paper §4.2/Figure 2), transmit queues, the Node core
 // every MAC embeds (queue, overload gates, liveness, slot loop, retry
 // round), and a Base engine on Node implementing the shared four-way
-// RTS/CTS/Data/Ack handshake with protocol-specific hooks.
+// RTS/CTS/Data/Ack handshake with protocol-specific hooks. Base also
+// holds what the opportunistic protocols share — the §4.2 neighbour
+// guard, extra-exchange frame and event helpers — and TwoHop adds the
+// two-hop neighbour maintenance ROPA and CS-MAC carry.
 //
 // All four protocols of the paper's evaluation — EW-MAC, S-FAMA, ROPA,
 // and CS-MAC — are implemented on this common base, mirroring the

@@ -81,8 +81,7 @@ func Multi(recs ...Recorder) Recorder {
 
 // FrameEmit records one scheduled frame delivery at emission time: the
 // channel computed a propagation delay and received level for the
-// (src, dst) pair and scheduled the arrival. It is the trace-v2
-// superset of the legacy channel.TraceFunc observation.
+// (src, dst) pair and scheduled the arrival.
 type FrameEmit struct {
 	Src, Dst packet.NodeID
 	Frame    *packet.Frame

@@ -1,0 +1,7 @@
+//go:build !race
+
+package obs
+
+// raceEnabled reports a -race build, whose sync.Pool drops Puts at
+// random.
+const raceEnabled = false

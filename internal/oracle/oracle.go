@@ -88,7 +88,6 @@ type Oracle struct {
 
 	arrivals   []arrival
 	txSpans    map[packet.NodeID][]span
-	txSeen     map[frameKey]bool
 	receptions []reception
 	losses     []loss
 }
@@ -99,30 +98,39 @@ func New(bitRate, captureDB float64) *Oracle {
 		BitRate:   bitRate,
 		CaptureDB: captureDB,
 		txSpans:   make(map[packet.NodeID][]span),
-		txSeen:    make(map[frameKey]bool),
 	}
 }
 
-// RecordEmission logs one scheduled delivery (call from the channel
-// trace at emission time).
+// RecordEmission logs one scheduled delivery (the chan.emit event, at
+// emission time). The sender's own transmission span comes from
+// RecordTx.
 func (o *Oracle) RecordEmission(now sim.Time, src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64) {
 	dur := f.TxDuration(o.BitRate)
-	k := keyOf(f)
 	o.arrivals = append(o.arrivals, arrival{
-		key:     k,
+		key:     keyOf(f),
 		at:      dst,
 		span:    span{now.Add(delay), now.Add(delay + dur)},
 		levelDB: levelDB,
 		kind:    f.Kind,
 	})
-	if !o.txSeen[k] {
-		o.txSeen[k] = true
-		o.txSpans[src] = append(o.txSpans[src], span{now, now.Add(dur)})
-	}
 }
 
-// RecordReception logs a claimed successful decode (call from the
-// modem's rx tap; now is the decode instant = arrival end).
+// RecordTx logs one transmission span at node (the phy.tx event), so
+// every transmission is checked for half-duplex, retransmissions that
+// reuse a frame key included. An exact repeat of the node's previous
+// span is suppressed, as in Streaming.RecordTx, so fixtures that record
+// one span per receiver of a broadcast stay comparable.
+func (o *Oracle) RecordTx(now sim.Time, node packet.NodeID, dur time.Duration) {
+	sp := span{now, now.Add(dur)}
+	spans := o.txSpans[node]
+	if n := len(spans); n > 0 && spans[n-1] == sp {
+		return
+	}
+	o.txSpans[node] = append(spans, sp)
+}
+
+// RecordReception logs a claimed successful decode (the phy.rx event;
+// now is the decode instant = arrival end).
 func (o *Oracle) RecordReception(now sim.Time, node packet.NodeID, f *packet.Frame) {
 	o.receptions = append(o.receptions, reception{node: node, key: keyOf(f), at: now})
 }

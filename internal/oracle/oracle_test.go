@@ -33,9 +33,33 @@ func TestHalfDuplexViolationDetected(t *testing.T) {
 	o.RecordEmission(sim.At(time.Second), 1, 3, rx, 200*time.Millisecond, 130)
 	// Node 3 transmits while rx is arriving at it.
 	o.RecordEmission(sim.At(time.Second+100*time.Millisecond), 3, 2, tx, 300*time.Millisecond, 130)
+	o.RecordTx(sim.At(time.Second+100*time.Millisecond), 3, tx.TxDuration(12000))
 	o.RecordReception(sim.At(time.Second+380*time.Millisecond), 3, rx)
 	if v := o.Verify(); len(v) == 0 {
 		t.Error("half-duplex violation missed")
+	}
+}
+
+// TestHalfDuplexCatchesSameKeyRetransmission: a frame sent again later
+// with its original key (same sender, kind, seq and timestamp, as a
+// stalled clock produces) is a second transmission all the same; if it
+// overlaps a reception at its sender, the reception is a half-duplex
+// violation.
+func TestHalfDuplexCatchesSameKeyRetransmission(t *testing.T) {
+	o := New(12000, 10)
+	f := dataFrame(1, 2, 5, time.Second)
+	dur := f.TxDuration(12000)
+	o.RecordEmission(sim.At(time.Second), 1, 2, f, 300*time.Millisecond, 130)
+	o.RecordTx(sim.At(time.Second), 1, dur)
+	// The retransmission goes on air at 3 s but carries the 1 s key.
+	o.RecordEmission(sim.At(time.Second), 1, 2, f, 300*time.Millisecond, 130)
+	o.RecordTx(sim.At(3*time.Second), 1, dur)
+	// Node 3's frame arrives at node 1 during that retransmission.
+	in := dataFrame(3, 1, 8, 2900*time.Millisecond)
+	o.RecordEmission(sim.At(2900*time.Millisecond), 3, 1, in, 200*time.Millisecond, 130)
+	o.RecordReception(sim.At(3100*time.Millisecond).Add(dur), 1, in)
+	if v := o.Verify(); len(v) == 0 {
+		t.Error("reception during a same-key retransmission accepted")
 	}
 }
 

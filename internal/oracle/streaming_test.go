@@ -67,8 +67,8 @@ func violationsOf(v verifier) []string {
 		vs = append(o.Verify(), o.VerifyExtraSafety()...)
 	case *Streaming:
 		vs = o.Violations()
-	case *streamingCompat:
-		vs = o.Violations()
+	case *emissionTx:
+		return violationsOf(o.txVerifier)
 	default:
 		panic("unknown verifier")
 	}
@@ -81,27 +81,34 @@ func violationsOf(v verifier) []string {
 }
 
 // eachOracle runs fn once with the batch oracle and once with the
-// streaming one, so a shared fixture pins both. The streaming verifier
-// derives transmission spans from its own tap in production; the
-// fixture-compat path (findArrival fallback + RecordTx dedup) keeps
-// emission-driven fixtures equivalent.
+// streaming one, so a shared fixture pins both. Both verifiers take
+// transmission spans from the phy.tx tap in production; the fixtures
+// derive them from emissions instead (see emissionTx).
 func eachOracle(t *testing.T, bitRate, captureDB float64, fn func(t *testing.T, v verifier)) {
 	t.Helper()
-	t.Run("batch", func(t *testing.T) { fn(t, New(bitRate, captureDB)) })
+	t.Run("batch", func(t *testing.T) { fn(t, &emissionTx{New(bitRate, captureDB), bitRate}) })
 	t.Run("streaming", func(t *testing.T) {
-		s := NewStreaming(bitRate, captureDB, 5*time.Second)
-		fn(t, &streamingCompat{s})
+		fn(t, &emissionTx{NewStreaming(bitRate, captureDB, 5*time.Second), bitRate})
 	})
 }
 
-// streamingCompat mirrors the batch oracle's emission-derived tx
-// spans: one span per emission at the source (RecordTx suppresses the
-// exact duplicates a multi-receiver broadcast produces).
-type streamingCompat struct{ *Streaming }
+// txVerifier is a verifier that also takes transmission spans.
+type txVerifier interface {
+	verifier
+	RecordTx(now sim.Time, node packet.NodeID, dur time.Duration)
+}
 
-func (c *streamingCompat) RecordEmission(now sim.Time, src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64) {
-	c.Streaming.RecordEmission(now, src, dst, f, delay, levelDB)
-	c.Streaming.RecordTx(now, src, f.TxDuration(c.BitRate))
+// emissionTx records a transmission span at the source with every
+// emission (RecordTx suppresses the exact duplicates a multi-receiver
+// broadcast produces).
+type emissionTx struct {
+	txVerifier
+	bitRate float64
+}
+
+func (c *emissionTx) RecordEmission(now sim.Time, src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64) {
+	c.txVerifier.RecordEmission(now, src, dst, f, delay, levelDB)
+	c.RecordTx(now, src, f.TxDuration(c.bitRate))
 }
 
 // TestBoundaryTouchIsNotInterference: an arrival ending exactly when
@@ -203,8 +210,9 @@ func TestDuplicateReceptionsVerifiedIndependently(t *testing.T) {
 func TestBatchStreamingAgreement(t *testing.T) {
 	const bitRate = 12000
 	const captureDB = 10
-	batch := New(bitRate, captureDB)
-	stream := &streamingCompat{NewStreaming(bitRate, captureDB, 5*time.Second)}
+	streaming := NewStreaming(bitRate, captureDB, 5*time.Second)
+	batch := &emissionTx{New(bitRate, captureDB), bitRate}
+	stream := &emissionTx{streaming, bitRate}
 
 	replay := func(v verifier) {
 		// t=1s: clean unicast 1→3.
@@ -255,7 +263,7 @@ func TestBatchStreamingAgreement(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("oracles disagree:\n batch:     %v\n streaming: %v", want, got)
 	}
-	st := stream.Stats()
+	st := streaming.Stats()
 	if st.Violations != uint64(len(want)) || st.Receptions != 4 || st.Losses != 2 {
 		t.Errorf("streaming stats inconsistent with verdict: %+v", st)
 	}

@@ -154,11 +154,6 @@ type Modem struct {
 	stats        Stats
 	down         bool
 
-	// rxTap / lossTap are observability hooks for metrics and
-	// verification oracles; they see the same events as the listener
-	// but never influence protocol behaviour.
-	rxTap   func(f *packet.Frame)
-	lossTap func(f *packet.Frame, reason LossReason)
 	// rec is the structured event sink (nil when observability is off).
 	rec obs.Recorder
 }
@@ -220,14 +215,6 @@ func (m *Modem) ID() packet.NodeID { return m.id }
 // SetListener installs the MAC callback sink. It must be called before
 // the simulation starts; a nil listener drops events.
 func (m *Modem) SetListener(l Listener) { m.listener = l }
-
-// SetRxTap installs an observer for successfully decoded frames (for
-// verification oracles; nil disables).
-func (m *Modem) SetRxTap(tap func(f *packet.Frame)) { m.rxTap = tap }
-
-// SetLossTap installs an observer for lost decodable frames (for
-// verification oracles; nil disables).
-func (m *Modem) SetLossTap(tap func(f *packet.Frame, reason LossReason)) { m.lossTap = tap }
 
 // SetRecorder installs the observability event sink (nil to disable).
 // The modem records obs.TxBegin, obs.FrameRx, and obs.FrameLoss.
@@ -466,9 +453,6 @@ func (m *Modem) endArrival(a *arrival) {
 	m.stats.FramesRx++
 	m.stats.BitsRx += uint64(f.Bits())
 	obs.FrameRx{Node: m.id, Frame: f}.Emit(m.rec, m.eng.Now())
-	if m.rxTap != nil {
-		m.rxTap(f)
-	}
 	if m.listener != nil {
 		m.listener.OnFrameReceived(f)
 	}
@@ -488,9 +472,6 @@ func (m *Modem) notifyLost(f *packet.Frame, r LossReason) {
 	obs.FrameLoss{
 		Node: m.id, Frame: f, ReasonCode: uint8(r), Reason: r.String(),
 	}.Emit(m.rec, m.eng.Now())
-	if m.lossTap != nil {
-		m.lossTap(f, r)
-	}
 	if m.listener != nil {
 		m.listener.OnFrameLost(f, r)
 	}

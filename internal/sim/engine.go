@@ -335,13 +335,9 @@ func (e *Engine) MustScheduleAt(at Time, prio Priority, fn func()) Handle {
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// SetHorizon makes Run ignore events scheduled after t. A zero horizon
-// means run until the queue drains.
-func (e *Engine) SetHorizon(t Time) { e.horizon = t }
-
-// Run executes events in order until the queue is empty, the horizon is
-// reached, or Stop is called. It returns the number of events executed
-// during this call.
+// Run executes events in order until the queue is empty, RunUntil's
+// horizon is reached, or Stop is called. It returns the number of
+// events executed during this call.
 func (e *Engine) Run() uint64 {
 	if e.budgetErr != nil {
 		// A budget abort is terminal for this engine: the stream was cut
