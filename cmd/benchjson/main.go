@@ -5,13 +5,17 @@
 //	benchjson -o out.json                          # -o is required
 //	benchjson -o out.json -benchtime 3s            # longer sampling
 //	benchjson -o out.json -quick                   # engine/channel micro-benches only
-//	benchjson -o out.json -compare BENCH_12.json   # print % deltas vs a saved run,
+//	benchjson -o out.json -compare BENCH_16.json   # print % deltas vs a saved run,
 //	                                               # exit nonzero past -threshold
-//	benchjson -o out.json -compare BENCH_12.json -alloc-threshold 10
-//	                                               # also gate allocs/op regressions
+//	benchjson -o out.json -compare BENCH_16.json -alloc-threshold 10
+//	                                               # also gate allocs/op, and bytes/op
+//	                                               # on the obs-off scenario row
 //
 // There is no default output path, so a bare run cannot overwrite a
-// committed baseline; it prints usage and exits 2.
+// committed baseline; it prints usage and exits 2. The file holds the
+// results and the host they ran on (Go version, GOMAXPROCS, CPU
+// model); -compare also reads the bare result arrays that files before
+// BENCH_16.json hold.
 //
 // The full suite runs the engine schedule/run micro-benchmark, the
 // channel broadcast micro-benchmark at two densities (40 and 200
@@ -29,6 +33,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,6 +61,49 @@ type result struct {
 	Iterations   int     `json:"iterations"`
 }
 
+// report is the file benchjson writes: the results and the host that
+// produced them, without which two files' ns/op are not comparable.
+type report struct {
+	Env     hostEnv  `json:"env"`
+	Results []result `json:"results"`
+}
+
+// hostEnv is what simbench -o stamps its results with, minus the
+// workload settings.
+type hostEnv struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPUModel   string `json:"cpu_model"`
+}
+
+func currentEnv() hostEnv {
+	return hostEnv{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPUModel:   cpuModel(),
+	}
+}
+
+// cpuModel reads the first "model name" line of /proc/cpuinfo.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
 func main() {
 	os.Exit(run())
 }
@@ -68,7 +117,7 @@ func run() int {
 	quick := flag.Bool("quick", false, "run only the engine/channel micro-benchmarks")
 	compare := flag.String("compare", "", "baseline JSON to diff against (per-benchmark % deltas)")
 	threshold := flag.Float64("threshold", 5, "ns/op regression % beyond which -compare exits nonzero")
-	allocThreshold := flag.Float64("alloc-threshold", 0, "allocs/op regression % beyond which -compare exits nonzero (0 disables); any allocation on a zero-alloc baseline row fails")
+	allocThreshold := flag.Float64("alloc-threshold", 0, "allocs/op regression %, and bytes/op on the obs-off scenario row, beyond which -compare exits nonzero (0 disables); any allocation on a zero-alloc baseline row fails")
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -o is required (usage: benchjson -o out.json [-benchtime D] [-quick] [-compare base.json])")
@@ -127,32 +176,51 @@ func run() int {
 	return 0
 }
 
-// writeResults lands the JSON atomically: a crash mid-write must not
-// leave a torn baseline for a later -compare to misparse.
+// writeResults lands the JSON, stamped with this host, atomically: a
+// crash mid-write must not leave a torn baseline for a later -compare
+// to misparse.
 func writeResults(path string, results []result) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(report{Env: currentEnv(), Results: results}); err != nil {
 		return err
 	}
 	return obs.WriteFileAtomic(path, buf.Bytes())
 }
 
+// readResults reads a file writeResults wrote, or a bare result array
+// as files before BENCH_16.json hold.
+func readResults(path string) ([]result, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep report
+	dst := any(&rep)
+	if b := bytes.TrimSpace(raw); len(b) > 0 && b[0] == '[' {
+		dst = &rep.Results
+	}
+	if err := json.Unmarshal(raw, dst); err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if rep.Results == nil {
+		return nil, fmt.Errorf("parsing %s: no results", path)
+	}
+	return rep.Results, nil
+}
+
 // compareResults prints per-benchmark deltas of the current run against
 // the baseline file and reports whether any benchmark's ns/op regressed
 // beyond threshold percent, or (when allocThreshold > 0) its allocs/op
-// regressed beyond allocThreshold percent. A baseline row at zero
-// allocs/op has no percentage to regress by, so under the allocation
-// gate any allocation on it counts as a regression.
+// — and, on the obs-off scenario row, its bytes/op — regressed beyond
+// allocThreshold percent. A baseline row at zero allocs/op has no
+// percentage to regress by, so under the allocation gate any
+// allocation on it counts as a regression.
 func compareResults(path string, cur []result, threshold, allocThreshold float64) (regressed bool, err error) {
-	raw, err := os.ReadFile(path)
+	old, err := readResults(path)
 	if err != nil {
 		return false, err
-	}
-	var old []result
-	if err := json.Unmarshal(raw, &old); err != nil {
-		return false, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	base := make(map[string]result, len(old))
 	for _, r := range old {
@@ -190,6 +258,10 @@ func compareResults(path string, cur []result, threshold, allocThreshold float64
 			regressed = true
 			fmt.Printf("  ALLOCS-REGRESSED")
 		}
+		if allocThreshold > 0 && bytesGated(r.Name) && allocsRegressed(o.BytesPerOp, r.BytesPerOp, allocThreshold) {
+			regressed = true
+			fmt.Printf("  BYTES-REGRESSED")
+		}
 		fmt.Println()
 	}
 	for _, o := range old {
@@ -207,9 +279,9 @@ func compareResults(path string, cur []result, threshold, allocThreshold float64
 	return regressed, nil
 }
 
-// allocsRegressed reports whether allocs/op rose from oldV to newV by
-// more than threshold percent; from a zero-alloc baseline, any
-// allocation does.
+// allocsRegressed reports whether allocs/op (or bytes/op) rose from
+// oldV to newV by more than threshold percent; from a zero baseline,
+// any allocation does.
 func allocsRegressed(oldV, newV int64, threshold float64) bool {
 	if oldV == 0 {
 		return newV > 0
@@ -300,6 +372,14 @@ func benchChannel(n int) (result, error) {
 	}
 	return toResult(fmt.Sprintf("channel/broadcast-%d", n), br), nil
 }
+
+// bytesGated reports whether -compare gates a row's bytes/op. Only the
+// obs-off scenario's bytes repeat between runs (to within ~50 B): a
+// micro-benchmark's bytes/op carry warm-up costs amortized over however
+// many iterations it ran, and obs-on allocates a fresh trace buffer
+// whenever the writer goroutine has not yet handed one back, so its
+// bytes follow the scheduler (1.61–1.82 MB per run on one host).
+func bytesGated(name string) bool { return name == "ewmac/obs-off" }
 
 // scenarioSeeds is the fixed seed list one scenario op runs, one 60 s
 // run per seed. Every op runs the same list, so the per-run figures do

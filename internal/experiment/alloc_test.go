@@ -1,0 +1,38 @@
+package experiment
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// setupBytesCeiling bounds what the Table 2 EW-MAC scenario allocates
+// when it stops 1 ms after warmup: almost all of it is per-run set-up
+// (deployment, channel geometry, modems, MAC cores, neighbour tables,
+// RNG streams), since the steady state allocates next to nothing. It
+// is the figure measured with Go 1.24 on linux/amd64 (1,409,608 B)
+// plus 5%; set-up as it was before streams were seeded lazily and
+// tables presized allocated 1,874,680 B.
+const setupBytesCeiling = 1_480_000
+
+func TestHeadlineSetupBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	cfg := Default(ProtocolEWMAC)
+	cfg.SimTime = cfg.Warmup + time.Millisecond
+	if _, err := Run(cfg); err != nil { // warm package-level state
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("set-up allocated %d B in %d objects", got, after.Mallocs-before.Mallocs)
+	if got > setupBytesCeiling {
+		t.Errorf("set-up allocated %d B, ceiling %d B", got, setupBytesCeiling)
+	}
+}

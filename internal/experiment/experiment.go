@@ -360,6 +360,7 @@ func Run(cfg Config) (*Result, error) {
 			Engine:      eng,
 			Modem:       modem,
 			Slots:       slots,
+			MaxID:       packet.NodeID(net.Len()),
 			BitRate:     model.BitRate(),
 			IsSink:      n.Sink,
 			QueueMax:    cfg.QueueMax,

@@ -182,7 +182,7 @@ func (in *Injector) Start(from, until sim.Time) {
 // re-disciplines the clock (a rebooted node resynchronizes first).
 func (in *Injector) churnLoop(m *member, from, until sim.Time) {
 	spec := in.sc.Churn
-	rng := in.eng.RNG(fmt.Sprintf("fault/churn/%d", m.id))
+	rng := in.eng.Stream("fault/churn", int(m.id))
 	var crash, revive func()
 	crash = func() {
 		at := in.eng.Now().Add(expAfter(rng, spec.MeanUp))
@@ -236,7 +236,7 @@ func (in *Injector) syncLoop(m *member, from, until sim.Time) {
 // clock's error accumulates unchecked.
 func (in *Injector) syncLossLoop(m *member, from, until sim.Time) {
 	spec := in.sc.Drift
-	rng := in.eng.RNG(fmt.Sprintf("fault/drift/%d", m.id))
+	rng := in.eng.Stream("fault/drift", int(m.id))
 	var open, shut func()
 	open = func() {
 		at := in.eng.Now().Add(expAfter(rng, spec.LossMeanEvery))
@@ -265,7 +265,7 @@ func (in *Injector) syncLossLoop(m *member, from, until sim.Time) {
 // exponential intervals, invalidating neighbors' learned delays.
 func (in *Injector) shiftLoop(m *member, from, until sim.Time) {
 	spec := in.sc.DelayShift
-	rng := in.eng.RNG(fmt.Sprintf("fault/shift/%d", m.id))
+	rng := in.eng.Stream("fault/shift", int(m.id))
 	var jump func()
 	jump = func() {
 		at := in.eng.Now().Add(expAfter(rng, spec.MeanEvery))
@@ -301,7 +301,7 @@ func randUnit(rng *sim.RNG) vec.V3 {
 // keeps its state and resumes where it left off.
 func (in *Injector) outageLoop(m *member, from, until sim.Time) {
 	spec := in.sc.Outage
-	rng := in.eng.RNG(fmt.Sprintf("fault/outage/%d", m.id))
+	rng := in.eng.Stream("fault/outage", int(m.id))
 	var begin, end func()
 	begin = func() {
 		at := in.eng.Now().Add(expAfter(rng, spec.MeanEvery))

@@ -99,7 +99,7 @@ func TestBusyPartiesZeroAlloc(t *testing.T) {
 }
 
 func TestNeighborTableZeroAlloc(t *testing.T) {
-	tab := NewNeighborTable(time.Minute)
+	tab := NewNeighborTable(time.Minute, 0)
 	f := &packet.Frame{Kind: packet.KindRTS, Src: 7, Dst: 1}
 	now := sim.At(time.Second)
 	tab.Observe(f, now, time.Millisecond)

@@ -88,6 +88,9 @@ type Config struct {
 	Engine *sim.Engine
 	Modem  *phy.Modem
 	Slots  SlotConfig
+	// MaxID is the deployment's largest node ID; the neighbour table is
+	// sized to it once (it still grows should a larger ID be heard).
+	MaxID packet.NodeID
 	// BitRate is the shared modem bit rate (bits/s).
 	BitRate float64
 	// IsSink marks pure receivers.
@@ -228,7 +231,7 @@ type Base struct {
 // (S-FAMA) hooks until SetHooks replaces them.
 func NewBase(cfg Config) (*Base, error) {
 	b := &Base{
-		table:     NewNeighborTable(cfg.TableTTL),
+		table:     NewNeighborTable(cfg.TableTTL, cfg.MaxID),
 		ledger:    NewLedger(cfg.Slots),
 		role:      RoleIdle,
 		rtsCands:  make(map[int64][]*packet.Frame),

@@ -69,7 +69,7 @@ func (n *Node) Init(cfg Config, stream, failNoun string, onSlot func(slot int64)
 	cfg.applyDefaults()
 	*n = Node{
 		cfg:       cfg,
-		rng:       cfg.Engine.RNG(fmt.Sprintf("%s/%d", stream, cfg.ID)),
+		rng:       cfg.Engine.Stream(stream, int(cfg.ID)),
 		gate:      NewAdmissionGate(cfg),
 		bucket:    NewRetryBucket(cfg),
 		seen:      make(map[uint64]struct{}),

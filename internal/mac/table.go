@@ -15,8 +15,9 @@ import (
 // stale estimates for drifted neighbors are not trusted forever.
 //
 // NodeIDs are dense small integers, so the table is a slice indexed by
-// ID that grows to the largest ID seen: a lookup is an index, the Hello
-// phase never rehashes, and iteration is already in ID order.
+// ID, sized once to the deployment's largest ID (and grown should a
+// larger one appear): a lookup is an index, the Hello phase never
+// reallocates, and iteration is already in ID order.
 type NeighborTable struct {
 	entries []tableEntry
 	// n counts known entries, live or stale.
@@ -37,9 +38,10 @@ type tableEntry struct {
 	suspect bool
 }
 
-// NewNeighborTable returns an empty table with the given TTL.
-func NewNeighborTable(ttl time.Duration) *NeighborTable {
-	return &NeighborTable{TTL: ttl}
+// NewNeighborTable returns an empty table with the given TTL, sized
+// for IDs up to maxID.
+func NewNeighborTable(ttl time.Duration, maxID packet.NodeID) *NeighborTable {
+	return &NeighborTable{TTL: ttl, entries: make([]tableEntry, int(maxID)+1)}
 }
 
 // entry returns the slot for id, or nil when id is beyond the table.

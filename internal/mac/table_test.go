@@ -9,7 +9,7 @@ import (
 )
 
 func TestTableObserveDerivesDelay(t *testing.T) {
-	tab := NewNeighborTable(0)
+	tab := NewNeighborTable(0, 0)
 	// Frame sent at t=10s, tx took 5 ms, arrival completed at 10.505 s:
 	// delay = 500 ms.
 	f := &packet.Frame{Kind: packet.KindRTS, Src: 4, Dst: 9, Timestamp: 10 * time.Second}
@@ -21,7 +21,7 @@ func TestTableObserveDerivesDelay(t *testing.T) {
 }
 
 func TestTableNegativeDelayClamped(t *testing.T) {
-	tab := NewNeighborTable(0)
+	tab := NewNeighborTable(0, 0)
 	f := &packet.Frame{Kind: packet.KindRTS, Src: 4, Dst: 9, Timestamp: 20 * time.Second}
 	tab.Observe(f, sim.At(10*time.Second), time.Millisecond)
 	d, ok := tab.Delay(4, sim.At(11*time.Second))
@@ -31,7 +31,7 @@ func TestTableNegativeDelayClamped(t *testing.T) {
 }
 
 func TestTableTTL(t *testing.T) {
-	tab := NewNeighborTable(10 * time.Second)
+	tab := NewNeighborTable(10*time.Second, 0)
 	f := &packet.Frame{Kind: packet.KindRTS, Src: 4, Dst: 9, Timestamp: 0}
 	tab.Observe(f, sim.At(time.Second), time.Millisecond)
 	if _, ok := tab.Delay(4, sim.At(5*time.Second)); !ok {
@@ -49,7 +49,7 @@ func TestTableTTL(t *testing.T) {
 }
 
 func TestObservePairDoesNotOverrideMeasurement(t *testing.T) {
-	tab := NewNeighborTable(0)
+	tab := NewNeighborTable(0, 0)
 	f := &packet.Frame{Kind: packet.KindRTS, Src: 4, Dst: 9, Timestamp: 0}
 	tab.Observe(f, sim.At(300*time.Millisecond), 0)
 	tab.ObservePair(4, 999*time.Millisecond, sim.At(time.Second))
@@ -68,7 +68,7 @@ func TestObservePairDoesNotOverrideMeasurement(t *testing.T) {
 }
 
 func TestKnownSortedAndSnapshot(t *testing.T) {
-	tab := NewNeighborTable(0)
+	tab := NewNeighborTable(0, 0)
 	for _, id := range []packet.NodeID{9, 3, 7} {
 		f := &packet.Frame{Kind: packet.KindHello, Src: id, Dst: packet.Broadcast, Timestamp: 0}
 		tab.Observe(f, sim.At(time.Duration(id)*time.Millisecond), 0)

@@ -201,7 +201,7 @@ func NewModem(cfg Config) (*Modem, error) {
 		medium:   cfg.Medium,
 		listener: cfg.Listener,
 		meter:    energy.NewMeter(cfg.Energy, cfg.Engine.Now()),
-		rng:      cfg.Engine.RNG(fmt.Sprintf("phy/%d", cfg.ID)),
+		rng:      cfg.Engine.Stream("phy", int(cfg.ID)),
 		noiseLin: noiseLin,
 		noiseDB:  acoustic.LinToDB(noiseLin),
 	}

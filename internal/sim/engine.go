@@ -105,11 +105,8 @@ type Engine struct {
 	executed uint64
 	stopped  bool
 	seed     int64
-	streams  map[string]*RNG
-	// lastStream memoizes the most recent RNG lookup so hot paths that
-	// re-request the same named stream skip the map.
-	lastStream *RNG
-	horizon    Time // 0 means unbounded
+	streams  map[streamKey]*RNG
+	horizon  Time // 0 means unbounded
 	// wallAccum / runStart track wall-clock time spent inside Run for
 	// LoopStats. They are touched only at Run entry/exit, never in the
 	// per-event loop, so instrumentation costs the hot path nothing.
@@ -165,7 +162,7 @@ func (e *Engine) LoopStats() LoopStats {
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		seed:    seed,
-		streams: make(map[string]*RNG),
+		streams: make(map[streamKey]*RNG),
 	}
 }
 

@@ -260,13 +260,13 @@ func TestCancelSubsetProperty(t *testing.T) {
 }
 
 func TestDeriveSeedStable(t *testing.T) {
-	if deriveSeed(1, "a") != deriveSeed(1, "a") {
+	if deriveSeed(1, keyOf("a")) != deriveSeed(1, keyOf("a")) {
 		t.Error("deriveSeed not deterministic")
 	}
-	if deriveSeed(1, "a") == deriveSeed(2, "a") {
+	if deriveSeed(1, keyOf("a")) == deriveSeed(2, keyOf("a")) {
 		t.Error("deriveSeed ignores engine seed")
 	}
-	if deriveSeed(1, "a") == deriveSeed(1, "b") {
+	if deriveSeed(1, keyOf("a")) == deriveSeed(1, keyOf("b")) {
 		t.Error("deriveSeed ignores stream name")
 	}
 }

@@ -95,7 +95,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return &Generator{
 		node:         cfg.Node,
 		eng:          cfg.Engine,
-		rng:          cfg.Engine.RNG(fmt.Sprintf("traffic/%d", cfg.Node)),
+		rng:          cfg.Engine.Stream("traffic", int(cfg.Node)),
 		sink:         cfg.Sink,
 		route:        cfg.Route,
 		rate:         cfg.RatePPS,
