@@ -16,9 +16,6 @@ import (
 	"ewmac/internal/acoustic"
 	ewmacproto "ewmac/internal/mac/ewmac"
 	"ewmac/internal/obs"
-	"ewmac/internal/oracle"
-	"ewmac/internal/phy"
-	"ewmac/internal/sim"
 )
 
 func benchFigure(b *testing.B, run func(ewmac.FigureOptions) (*ewmac.FigureTable, error), metric string, pick func(*ewmac.FigureTable) float64) {
@@ -134,8 +131,8 @@ func runLoaded(b *testing.B, edit func(*ewmac.Config)) float64 {
 // check before extra transmissions. Unguarded EW-MAC admits more extras
 // and may even gain raw throughput — but it starts corrupting
 // negotiated exchanges, which is precisely what the paper's §4.2
-// forbids. The oracle counts those guard breaches; guarded EW-MAC must
-// show zero.
+// forbids. The streaming oracle counts those guard breaches; guarded
+// EW-MAC must show zero.
 func BenchmarkAblationNoGuard(b *testing.B) {
 	b.ReportAllocs()
 	run := func(disable bool) (float64, int) {
@@ -144,23 +141,12 @@ func BenchmarkAblationNoGuard(b *testing.B) {
 		cfg.SimTime = 150 * time.Second
 		cfg.MobileFraction = 0
 		cfg.EW = ewmacproto.Options{DisableNeighborGuard: disable}
-		model := acoustic.DefaultModel()
-		o := oracle.New(model.BitRate(), model.SINRThresholdDB)
-		cfg.Observe = &ewmac.Observe{Recorder: obs.RecorderFunc(func(now sim.Time, e obs.Event) {
-			switch ev := e.(type) {
-			case *obs.FrameEmit:
-				o.RecordEmission(sim.At(ev.Frame.Timestamp), ev.Src, ev.Dst, ev.Frame, ev.Delay, ev.LevelDB)
-			case *obs.TxBegin:
-				o.RecordTx(now, ev.Node, ev.Dur)
-			case *obs.FrameLoss:
-				o.RecordLoss(now, ev.Node, ev.Frame, phy.LossReason(ev.ReasonCode))
-			}
-		})}
+		cfg.Observe = &ewmac.Observe{Verify: true}
 		res, err := ewmac.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.Summary.ThroughputKbps, len(o.VerifyExtraSafety())
+		return res.Summary.ThroughputKbps, int(res.Conformance.ByReason[obs.OracleExtraGuard])
 	}
 	var withThr, withoutThr float64
 	var withBreach, withoutBreach int

@@ -56,7 +56,7 @@ func main() {
 
 func run() int {
 	var (
-		proto   = flag.String("proto", "ewmac", "protocol: ewmac, sfama, ropa, csmac, or all")
+		proto   = flag.String("proto", "ewmac", "protocol: ewmac, sfama, ropa, csmac, saloha, or all (the paper's four)")
 		nodes   = flag.Int("nodes", 60, "number of sensing nodes")
 		sinks   = flag.Int("sinks", 4, "number of surface sinks")
 		load    = flag.Float64("load", 0.5, "network-wide offered load in kbps")

@@ -40,7 +40,8 @@ import (
 // Protocol selects the MAC protocol under test.
 type Protocol = experiment.Protocol
 
-// The four protocols of the paper's evaluation.
+// The four protocols of the paper's evaluation, plus the S-ALOHA
+// extension baseline.
 const (
 	// EWMAC is the paper's contribution.
 	EWMAC = experiment.ProtocolEWMAC

@@ -44,8 +44,7 @@ func TestGeometryCacheInvalidatedByStep(t *testing.T) {
 	if traced[1] != before {
 		t.Fatalf("static rebroadcast delay %v != %v", traced[1], before)
 	}
-	hits, _ := ch.CacheStats()
-	if hits == 0 {
+	if ch.cacheHits == 0 {
 		t.Fatal("static rebroadcast did not hit the cache")
 	}
 

@@ -94,20 +94,18 @@ type Channel struct {
 	free     []*delivery
 	slab     []delivery // fresh records not yet handed out
 
-	cacheHits   uint64
-	cacheMisses uint64
+	// cacheHits counts broadcasts served from the geometry cache.
+	cacheHits uint64
 
 	// Deliveries counts scheduled frame arrivals (per receiver).
 	deliveries uint64
-	// droppedUnknown counts broadcasts rejected because the source has
-	// no node in the topology.
-	droppedUnknown uint64
 }
 
 // ErrUnknownSource is returned by Broadcast when the transmitting node
 // is not part of the deployed topology. The transmission is dropped and
-// counted rather than crashing the run: a mis-wired harness should
-// surface as an observable error, not a panic inside the event loop.
+// reported as an invariant event rather than crashing the run: a
+// mis-wired harness should surface as an observable error, not a panic
+// inside the event loop.
 var ErrUnknownSource = errors.New("channel: broadcast from unknown source")
 
 var _ phy.Medium = (*Channel)(nil)
@@ -151,11 +149,6 @@ func (c *Channel) Register(m *phy.Modem) error {
 // scratch — the reference path the determinism tests compare against.
 func (c *Channel) SetCacheEnabled(on bool) { c.cacheOff = !on }
 
-// CacheStats reports geometry-cache hits and misses (rebuilds).
-func (c *Channel) CacheStats() (hits, misses uint64) {
-	return c.cacheHits, c.cacheMisses
-}
-
 // SetRecorder installs the observability event sink (nil to disable).
 // Every scheduled delivery is recorded as an obs.FrameEmit at emission
 // time.
@@ -163,10 +156,6 @@ func (c *Channel) SetRecorder(r obs.Recorder) { c.rec = r }
 
 // Deliveries reports how many frame arrivals have been scheduled.
 func (c *Channel) Deliveries() uint64 { return c.deliveries }
-
-// DroppedUnknown reports how many broadcasts were dropped because their
-// source was not in the topology.
-func (c *Channel) DroppedUnknown() uint64 { return c.droppedUnknown }
 
 // buildGeoms computes the receiver list for srcNode into out (reused
 // between rebuilds), iterating in node-ID order — arrivals scheduled
@@ -229,7 +218,6 @@ func (c *Channel) geomsFor(src packet.NodeID, srcNode *topology.Node) []rxGeom {
 		c.cacheHits++
 		return sg.list
 	}
-	c.cacheMisses++
 	if !sg.built {
 		// First build: collect into the shared scratch list and keep an
 		// exact-size copy, one allocation instead of regrowing from empty.
@@ -252,7 +240,6 @@ func (c *Channel) geomsFor(src packet.NodeID, srcNode *topology.Node) []rxGeom {
 func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duration) error {
 	srcNode := c.net.Node(src)
 	if srcNode == nil {
-		c.droppedUnknown++
 		obs.Invariant{
 			Node:   src,
 			Check:  "channel.broadcast.src",

@@ -153,34 +153,3 @@ func (m *Meter) Snapshot(now sim.Time) (Breakdown, error) {
 	}
 	return m.acc, nil
 }
-
-// TotalJoules accrues up to now and returns total energy.
-func (m *Meter) TotalJoules(now sim.Time) (float64, error) {
-	b, err := m.Snapshot(now)
-	if err != nil {
-		return 0, err
-	}
-	return b.Total(), nil
-}
-
-// MeanPowerW returns average power (watts) over [0, now].
-func (m *Meter) MeanPowerW(now sim.Time) (float64, error) {
-	if now <= 0 {
-		return 0, nil
-	}
-	j, err := m.TotalJoules(now)
-	if err != nil {
-		return 0, err
-	}
-	return j / now.Seconds(), nil
-}
-
-// TxEnergyJ returns the energy cost of transmitting the given number of
-// bits at the given rate under this profile — a closed-form helper used
-// by analytical overhead accounting.
-func (p Profile) TxEnergyJ(bits int, bitRate float64) float64 {
-	if bitRate <= 0 || bits <= 0 {
-		return 0
-	}
-	return p.TxW * float64(bits) / bitRate
-}

@@ -44,13 +44,6 @@ func TestMeterIntegratesStates(t *testing.T) {
 	if !almost(b.Total(), 1.5+4+3+0.1) {
 		t.Errorf("Total = %v", b.Total())
 	}
-	mean, err := m.MeanPowerW(sim.At(30 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(mean, b.Total()/30) {
-		t.Errorf("MeanPowerW = %v", mean)
-	}
 }
 
 func TestMeterRejectsBackwardTime(t *testing.T) {
@@ -60,14 +53,6 @@ func TestMeterRejectsBackwardTime(t *testing.T) {
 	}
 	if _, err := m.Snapshot(sim.At(time.Second)); err == nil {
 		t.Error("backward Snapshot accepted")
-	}
-}
-
-func TestMeanPowerAtEpoch(t *testing.T) {
-	m := NewMeter(DefaultProfile(), sim.Epoch)
-	mean, err := m.MeanPowerW(sim.Epoch)
-	if err != nil || mean != 0 {
-		t.Errorf("MeanPowerW at epoch = %v, %v", mean, err)
 	}
 }
 
@@ -96,17 +81,6 @@ func TestProfileValidate(t *testing.T) {
 	}
 	if err := (Profile{TxW: -1}).Validate(); err == nil {
 		t.Error("negative power accepted")
-	}
-}
-
-func TestTxEnergy(t *testing.T) {
-	p := Profile{TxW: 2}
-	// 12000 bits at 12 kbps = 1 s of tx at 2 W = 2 J.
-	if got := p.TxEnergyJ(12000, 12000); !almost(got, 2) {
-		t.Errorf("TxEnergyJ = %v, want 2", got)
-	}
-	if p.TxEnergyJ(0, 12000) != 0 || p.TxEnergyJ(100, 0) != 0 {
-		t.Error("degenerate TxEnergyJ should be 0")
 	}
 }
 

@@ -40,7 +40,8 @@ import (
 // Protocol selects the MAC under test.
 type Protocol string
 
-// The four protocols of the paper's evaluation.
+// The four protocols of the paper's evaluation, plus the S-ALOHA
+// extension baseline.
 const (
 	ProtocolEWMAC Protocol = "ewmac"
 	ProtocolSFAMA Protocol = "sfama"
@@ -85,16 +86,11 @@ type Config struct {
 	MobileFraction, CurrentMS float64
 	// OfferedLoadKbps is the network-wide generated payload rate.
 	OfferedLoadKbps float64
-	// FixedBatch, if positive, replaces the Poisson load with a batch
-	// of that many packets injected at warmup (Figure 8's workload).
-	FixedBatch int
 	// DataBits is the payload size (Table 2: 1024–4096, default 2048).
 	DataBits int
 	// SimTime is total simulated time; Warmup is the initialization
 	// period (Hello phase) excluded from the measurement window.
 	SimTime, Warmup time.Duration
-	// MobilityStep is how often node positions advance.
-	MobilityStep time.Duration
 	// Seed drives every random stream.
 	Seed int64
 	// QueueMax bounds MAC queues (0 = unbounded).
@@ -102,8 +98,6 @@ type Config struct {
 	// MaxRetries drops a packet after that many failed rounds (0 = keep
 	// trying).
 	MaxRetries int
-	// CWMax overrides the backoff window ceiling in slots (0 = default).
-	CWMax int
 	// Model overrides the acoustic environment (nil = default).
 	Model *acoustic.Model
 	// PER overrides the packet-error model (nil = threshold receiver
@@ -158,6 +152,9 @@ type Config struct {
 	Observe *Observe
 }
 
+// mobilityStep is how often drifting nodes' positions advance.
+const mobilityStep = time.Second
+
 // Default returns the paper's Table 2 scenario for protocol p.
 func Default(p Protocol) Config {
 	return Config{
@@ -171,7 +168,6 @@ func Default(p Protocol) Config {
 		DataBits:        2048,
 		SimTime:         300 * time.Second,
 		Warmup:          12 * time.Second,
-		MobilityStep:    time.Second,
 		Seed:            1,
 		QueueMax:        128,
 	}
@@ -205,12 +201,6 @@ func (c Config) Validate() error {
 	}
 	if c.OfferedLoadKbps < 0 {
 		bad("offered load %v", c.OfferedLoadKbps)
-	}
-	if c.FixedBatch < 0 {
-		bad("fixed batch %d", c.FixedBatch)
-	}
-	if c.MobilityStep <= 0 {
-		bad("mobility step %v", c.MobilityStep)
 	}
 	if c.QueueMax < 0 {
 		bad("queue max %d", c.QueueMax)
@@ -365,7 +355,6 @@ func Run(cfg Config) (*Result, error) {
 			IsSink:      n.Sink,
 			QueueMax:    cfg.QueueMax,
 			MaxRetries:  cfg.MaxRetries,
-			CWMax:       cfg.CWMax,
 			EnableHello: true,
 			HelloWindow: cfg.Warmup,
 			Recorder:    ro.rec,
@@ -412,9 +401,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	warmupAt := sim.At(cfg.Warmup)
 	endAt := sim.At(cfg.SimTime)
-	if cfg.FixedBatch > 0 {
-		spreadBatch(eng, net, protos, route, cfg)
-	} else if cfg.OfferedLoadKbps > 0 {
+	if cfg.OfferedLoadKbps > 0 {
 		rate := traffic.PerNodeRate(cfg.OfferedLoadKbps, cfg.DataBits, cfg.Nodes)
 		for i, n := range net.Nodes() {
 			if n.Sink {
@@ -446,12 +433,12 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.MobileFraction > 0 && cfg.CurrentMS > 0 {
 		var step func()
 		step = func() {
-			net.Step(cfg.MobilityStep)
-			if eng.Now().Add(cfg.MobilityStep).Before(endAt) {
-				eng.ScheduleIn(cfg.MobilityStep, sim.PriorityObserver, step)
+			net.Step(mobilityStep)
+			if eng.Now().Add(mobilityStep).Before(endAt) {
+				eng.ScheduleIn(mobilityStep, sim.PriorityObserver, step)
 			}
 		}
-		eng.ScheduleIn(cfg.MobilityStep, sim.PriorityObserver, step)
+		eng.ScheduleIn(mobilityStep, sim.PriorityObserver, step)
 	}
 
 	if err := ro.startSampler(cfg, eng, slots, protos, modems, endAt); err != nil {
@@ -561,33 +548,6 @@ func runRecovering(cfg Config) (res *Result, err error) {
 		}
 	}()
 	return Run(cfg)
-}
-
-// spreadBatch injects cfg.FixedBatch packets, round-robin across
-// non-sink nodes, shortly after warmup (Figure 8's workload).
-func spreadBatch(eng *sim.Engine, net *topology.Network, protos []mac.Protocol, route traffic.Router, cfg Config) {
-	nonSinks := make([]int, 0, net.Len())
-	for i, n := range net.Nodes() {
-		if !n.Sink {
-			nonSinks = append(nonSinks, i)
-		}
-	}
-	if len(nonSinks) == 0 {
-		return
-	}
-	// Round-robin the batch across nodes, one FixedBatch call per node
-	// so sequence numbers stay unique per origin.
-	per := make(map[int]int, len(nonSinks))
-	for k := 0; k < cfg.FixedBatch; k++ {
-		per[nonSinks[k%len(nonSinks)]]++
-	}
-	for _, idx := range nonSinks {
-		if per[idx] == 0 {
-			continue
-		}
-		node := net.Nodes()[idx].ID
-		traffic.FixedBatch(eng, protos[idx], route, node, cfg.DataBits, per[idx], sim.At(cfg.Warmup))
-	}
 }
 
 func buildProtocol(cfg Config, mcfg mac.Config) (mac.Protocol, error) {

@@ -137,22 +137,6 @@ func TestOverheadOrdering(t *testing.T) {
 	}
 }
 
-func TestFixedBatchWorkload(t *testing.T) {
-	cfg := short(ProtocolEWMAC)
-	cfg.OfferedLoadKbps = 0
-	cfg.FixedBatch = 20
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.MAC.Generated != 20 {
-		t.Fatalf("generated %d packets, want 20", res.Summary.MAC.Generated)
-	}
-	if res.Summary.MAC.DeliveredPackets < 15 {
-		t.Errorf("only %d of 20 batch packets delivered", res.Summary.MAC.DeliveredPackets)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -163,7 +147,6 @@ func TestConfigValidation(t *testing.T) {
 		{"sim within warmup", func(c *Config) { c.SimTime = c.Warmup }},
 		{"zero region", func(c *Config) { c.RegionSide = 0 }},
 		{"negative load", func(c *Config) { c.OfferedLoadKbps = -1 }},
-		{"zero mobility step", func(c *Config) { c.MobilityStep = 0 }},
 		{"unknown protocol", func(c *Config) { c.Protocol = "alohaext" }},
 	}
 	for _, tc := range cases {

@@ -25,8 +25,6 @@ func TestValidateEveryField(t *testing.T) {
 		{"region side", func(c *Config) { c.RegionSide = 0 }, "region side 0"},
 		{"mobile fraction", func(c *Config) { c.MobileFraction = 1.5 }, "mobile fraction 1.5 outside [0, 1]"},
 		{"offered load", func(c *Config) { c.OfferedLoadKbps = -0.1 }, "offered load -0.1"},
-		{"fixed batch", func(c *Config) { c.FixedBatch = -3 }, "fixed batch -3"},
-		{"mobility step", func(c *Config) { c.MobilityStep = 0 }, "mobility step 0"},
 		{"queue max", func(c *Config) { c.QueueMax = -1 }, "queue max -1"},
 		{"max retries", func(c *Config) { c.MaxRetries = -2 }, "max retries -2"},
 		{"budget deadline", func(c *Config) { c.Budget.Deadline = -time.Second }, "budget deadline -1s"},

@@ -46,34 +46,6 @@ func TestStreamingVerifyCleanRuns(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesBatchOnRealRun runs one contended EW-MAC
-// scenario with both oracles attached — the batch oracle through
-// Observe.Recorder, the streaming one through Observe.Verify — and requires
-// the same verdict and the same ground-truth coverage from both.
-func TestStreamingMatchesBatchOnRealRun(t *testing.T) {
-	cfg := Default(ProtocolEWMAC)
-	cfg.SimTime = 120 * time.Second
-	cfg.OfferedLoadKbps = 0.8
-	cfg.Observe = &Observe{Verify: true}
-	o := attachOracle(&cfg)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Conformance
-	if st == nil {
-		t.Fatal("Result.Conformance is nil")
-	}
-	if batch := len(o.Verify()) + len(o.VerifyExtraSafety()); uint64(batch) != st.Violations {
-		t.Errorf("oracles disagree: batch found %d violations, streaming %d (%+v)",
-			batch, st.Violations, st.ByReason)
-	}
-	if o.Receptions() != int(st.Receptions) || o.Losses() != int(st.Losses) {
-		t.Errorf("ground-truth coverage differs: batch %d rx / %d loss, streaming %d / %d",
-			o.Receptions(), o.Losses(), st.Receptions, st.Losses)
-	}
-}
-
 // TestVerifyDoesNotPerturbRun: the verifier is purely observational —
 // arming it must leave the simulation's outcome bit-identical to a
 // bare run of the same seed.

@@ -7,6 +7,21 @@ import (
 	"ewmac/internal/sim"
 )
 
+func TestClockDrift(t *testing.T) {
+	c := oscillator{offset: 50 * time.Millisecond, skewPPM: 20}
+	at := sim.At(1000 * time.Second)
+	got := c.local(at)
+	// 20 ppm over 1000 s = 20 ms, plus the 50 ms offset.
+	want := 1000*time.Second + 50*time.Millisecond + 20*time.Millisecond
+	if diff := got - want; diff < -time.Microsecond || diff > time.Microsecond {
+		t.Errorf("local = %v, want %v", got, want)
+	}
+	perfect := oscillator{}
+	if perfect.local(at) != 1000*time.Second {
+		t.Error("zero oscillator is not the identity")
+	}
+}
+
 func TestDriftClockLocalAndTrueTime(t *testing.T) {
 	c := NewDriftClock(10*time.Millisecond, 100) // +10ms, +100 ppm
 	at := sim.At(100 * time.Second)
@@ -44,8 +59,8 @@ func TestDriftClockSyncLoss(t *testing.T) {
 	c := NewDriftClock(0, 500)
 	c.Sync(sim.At(10 * time.Second))
 	c.Desync(true)
-	if !c.Lost() {
-		t.Fatal("Lost() false after Desync(true)")
+	if !c.lost {
+		t.Fatal("lost false after Desync(true)")
 	}
 	at := sim.At(60 * time.Second)
 	before := c.Err(at)

@@ -100,9 +100,6 @@ type Config struct {
 	// MaxRetries drops a packet after this many failed rounds
 	// (0 = retry forever).
 	MaxRetries int
-	// CWMax caps the binary-exponential backoff window, in slots; the
-	// window starts at cwMin.
-	CWMax int
 	// EnableHello broadcasts a Hello at a random instant inside
 	// HelloWindow so neighbors learn pairwise delays (paper §4.3).
 	EnableHello bool
@@ -135,11 +132,16 @@ type Config struct {
 	Overload OverloadConfig
 }
 
-// Protocol constants: the backoff floor every Node starts from, and
+// Protocol constants: the backoff window bounds every Node uses, and
 // Base's priority, probe and scheduling margins.
 const (
 	// cwMin is the initial binary-exponential backoff window, in slots.
 	cwMin = 2
+	// cwMax caps the window. In a saturated single broadcast domain a
+	// successful handshake needs a slot with exactly one RTS, so the
+	// window must be able to grow to the same order as the contender
+	// population.
+	cwMax = 128
 	// rpBoostCap is the wait-slots count at which the random priority
 	// boost saturates (paper §3.1: rp reflects contention/wait time).
 	rpBoostCap = 16
@@ -151,12 +153,6 @@ const (
 )
 
 func (c *Config) applyDefaults() {
-	if c.CWMax < cwMin {
-		// In a saturated single broadcast domain a successful handshake
-		// needs a slot with exactly one RTS; the window must be able to
-		// grow to the same order as the contender population.
-		c.CWMax = 128
-	}
 	if c.HelloWindow <= 0 {
 		c.HelloWindow = 10 * time.Second
 	}

@@ -421,12 +421,6 @@ func (m *MAC) onEXAck(f *packet.Frame) {
 	m.SetHold(m.Engine().Now())
 }
 
-// ClearAtNeighborsForTest exposes the admission check to tests and the
-// ablation benches.
-func (m *MAC) ClearAtNeighborsForTest(sendT sim.Time, dur time.Duration, target packet.NodeID) bool {
-	return m.clearAtNeighbors(sendT, dur, target)
-}
-
 // OnRestart implements mac.Hooks: a crashed node forgets its in-flight
 // extra attempt and any grant it issued.
 func (m *MAC) OnRestart() {

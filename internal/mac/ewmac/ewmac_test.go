@@ -241,12 +241,12 @@ func TestClearAtNeighborsGuard(t *testing.T) {
 	tau21, _ := m.Table().Delay(1, now)
 	dataWindowStart := slots.StartOf(curSlot + 2).Add(tau31)
 	sendT := dataWindowStart.Add(50 * time.Millisecond).Add(-tau21)
-	if m.ClearAtNeighborsForTest(sendT, 20*time.Millisecond, 3) {
+	if m.clearAtNeighbors(sendT, 20*time.Millisecond, 3) {
 		t.Error("guard admitted a transmission into a negotiated receive window")
 	}
 	// The same transmission shifted well before the window is fine.
 	early := dataWindowStart.Add(-500 * time.Millisecond).Add(-tau21)
-	if !m.ClearAtNeighborsForTest(early, 20*time.Millisecond, 3) {
+	if !m.clearAtNeighbors(early, 20*time.Millisecond, 3) {
 		t.Error("guard refused a clearly safe transmission")
 	}
 	// With the ablation knob the unsafe transmission is admitted.
@@ -256,7 +256,7 @@ func TestClearAtNeighborsGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !un.ClearAtNeighborsForTest(sendT, 20*time.Millisecond, 3) {
+	if !un.clearAtNeighbors(sendT, 20*time.Millisecond, 3) {
 		t.Error("ablation knob did not disable the guard")
 	}
 }
@@ -270,7 +270,7 @@ func TestGuardRefusesUnknownDelays(t *testing.T) {
 	// No hello phase has run at t=0: table empty; ledger names node 3.
 	cts := &packet.Frame{Kind: packet.KindCTS, Src: 1, Dst: 3, PairDelay: 400 * time.Millisecond, DataBits: 2048}
 	m.Ledger().ObserveCTS(cts, 2, m.DataTx(2048))
-	if m.ClearAtNeighborsForTest(sim.At(time.Second), 20*time.Millisecond, 99) {
+	if m.clearAtNeighbors(sim.At(time.Second), 20*time.Millisecond, 99) {
 		t.Error("guard admitted a transmission with unknown neighbor delays")
 	}
 }

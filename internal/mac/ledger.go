@@ -96,24 +96,6 @@ func (e *Exchange) rxWindows(s SlotConfig, id packet.NodeID) windows {
 	return out
 }
 
-// txWindows returns when node id is transmitting within this exchange.
-func (e *Exchange) txWindows(s SlotConfig, id packet.NodeID) windows {
-	var out windows
-	switch id {
-	case e.Sender:
-		out.add(s.StartOf(e.RTSSlot), s.CtrlDur())
-		if e.Confirmed {
-			out.add(s.StartOf(e.DataSlot()), e.DataTx)
-		}
-	case e.Receiver:
-		out.add(s.StartOf(e.RTSSlot+1), s.CtrlDur())
-		if e.Confirmed {
-			out.add(s.StartOf(e.AckSlot(s)), s.CtrlDur())
-		}
-	}
-	return out
-}
-
 // Ledger tracks the negotiations a node has overheard, answering two
 // questions: "until which slot must I stay quiet?" (the S-FAMA defer
 // rule every protocol here inherits) and "would a transmission of mine,
@@ -258,19 +240,6 @@ func (l *Ledger) QuietUntilSlotConfirmed() int64 {
 func (l *Ledger) RxConflict(id packet.NodeID, iv Interval) bool {
 	for i := range l.exchanges {
 		if ws := l.exchanges[i].rxWindows(l.slots, id); ws.overlaps(iv) {
-			return true
-		}
-	}
-	return false
-}
-
-// TxConflict reports whether node id is predicted to be transmitting at
-// some point in the interval (an arrival then would be lost to
-// half-duplex at id — harmless to others, fatal for a frame addressed
-// to id).
-func (l *Ledger) TxConflict(id packet.NodeID, iv Interval) bool {
-	for i := range l.exchanges {
-		if ws := l.exchanges[i].txWindows(l.slots, id); ws.overlaps(iv) {
 			return true
 		}
 	}

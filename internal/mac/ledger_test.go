@@ -115,33 +115,6 @@ func TestLedgerRxWindows(t *testing.T) {
 	}
 }
 
-func TestLedgerTxWindows(t *testing.T) {
-	l, s := ledgerFixture()
-	tau := 400 * time.Millisecond
-	dataTx := 176 * time.Millisecond
-	l.ObserveCTS(ctsFrame(3, 2, tau, 2048), 11, dataTx)
-
-	// Sender transmits data during [StartOf(12), +dataTx).
-	dt := s.StartOf(12)
-	if !l.TxConflict(2, Interval{dt.Add(time.Millisecond), dt.Add(2 * time.Millisecond)}) {
-		t.Error("no tx conflict during sender's data transmission")
-	}
-	// Receiver transmits CTS at slot 11 and Ack at slot 13.
-	cts := s.StartOf(11)
-	if !l.TxConflict(3, Interval{cts, cts.Add(time.Millisecond)}) {
-		t.Error("no tx conflict during CTS")
-	}
-	ack := s.StartOf(13)
-	if !l.TxConflict(3, Interval{ack, ack.Add(time.Millisecond)}) {
-		t.Error("no tx conflict during Ack")
-	}
-	// Between windows the receiver is free to be addressed.
-	gap := s.StartOf(11).Add(s.Omega + 10*time.Millisecond)
-	if l.TxConflict(3, Interval{gap, gap.Add(time.Millisecond)}) {
-		t.Error("tx conflict in receiver's idle gap")
-	}
-}
-
 func TestLedgerSpeculativeWindows(t *testing.T) {
 	l, s := ledgerFixture()
 	tau := 400 * time.Millisecond

@@ -407,10 +407,10 @@ func (n *Node) FailRound(head AppPacket, has bool) (reset bool) {
 		reset = true
 	}
 	n.backoffLeft = 1 + n.rng.Intn(n.cw)
-	if n.cw < n.cfg.CWMax {
+	if n.cw < cwMax {
 		n.cw *= 2
-		if n.cw > n.cfg.CWMax {
-			n.cw = n.cfg.CWMax
+		if n.cw > cwMax {
+			n.cw = cwMax
 		}
 	}
 	return reset

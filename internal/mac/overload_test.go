@@ -387,13 +387,13 @@ func TestQueueRemoveAtInterleavings(t *testing.T) {
 	if _, ok := q.RemoveAt(2); !ok { // mid-queue removal keeps the lock
 		t.Fatal("RemoveAt(2) failed")
 	}
-	if !q.HeadLocked() {
+	if !q.headLocked {
 		t.Fatal("mid-queue removal released the head lock")
 	}
 	if _, ok := q.RemoveAt(0); !ok { // head removal releases it
 		t.Fatal("RemoveAt(0) failed")
 	}
-	if q.HeadLocked() {
+	if q.headLocked {
 		t.Fatal("head removal kept the lock")
 	}
 	var got []uint32
@@ -406,13 +406,13 @@ func TestQueueRemoveAtInterleavings(t *testing.T) {
 	// Pop also releases a fresh lock.
 	q.LockHead()
 	q.Pop()
-	if q.HeadLocked() {
+	if q.headLocked {
 		t.Fatal("Pop kept the lock")
 	}
 	// LockHead on an empty queue is a no-op.
 	q.Pop()
 	q.LockHead()
-	if q.HeadLocked() {
+	if q.headLocked {
 		t.Fatal("empty queue locked")
 	}
 }
@@ -452,7 +452,7 @@ func TestQueueEventHooks(t *testing.T) {
 			}
 		}}
 	q.Push(AppPacket{Seq: 1})
-	q.PushFront(AppPacket{Seq: 0})
+	q.Push(AppPacket{Seq: 0})
 	q.Push(AppPacket{Seq: 2}) // rejected: no event
 	q.Pop()
 	q.RemoveAt(0)

@@ -40,11 +40,10 @@ type Queue struct {
 	// owns that drop.
 	OnDrop func(p AppPacket, reason string)
 	// OnEvent observes occupancy changes: pushed=true after an accepted
-	// Push/PushFront, pushed=false after a Pop/RemoveAt (not after
+	// Push, pushed=false after a Pop/RemoveAt (not after
 	// OnDrop evictions — those are drops, not service).
 	OnEvent func(pushed bool, p AppPacket)
 
-	peak       int
 	headLocked bool
 }
 
@@ -193,24 +192,10 @@ func (q *Queue) Push(p AppPacket) bool {
 		}
 	}
 	q.insert(p)
-	if len(q.items) > q.peak {
-		q.peak = len(q.items)
-	}
 	if q.OnEvent != nil {
 		q.OnEvent(true, p)
 	}
 	return true
-}
-
-// PushFront reinserts p at the head (retransmission path).
-func (q *Queue) PushFront(p AppPacket) {
-	q.items = append([]AppPacket{p}, q.items...)
-	if len(q.items) > q.peak {
-		q.peak = len(q.items)
-	}
-	if q.OnEvent != nil {
-		q.OnEvent(true, p)
-	}
 }
 
 // Peek returns the head without removing it. Under DropDeadline an
@@ -283,14 +268,8 @@ func (q *Queue) LockHead() {
 // UnlockHead releases the in-flight pin (failed round, restart).
 func (q *Queue) UnlockHead() { q.headLocked = false }
 
-// HeadLocked reports whether the head is pinned.
-func (q *Queue) HeadLocked() bool { return q.headLocked }
-
 // Len reports queued packets.
 func (q *Queue) Len() int { return len(q.items) }
-
-// Peak reports the high-water mark.
-func (q *Queue) Peak() int { return q.peak }
 
 // Items exposes the backing slice for read-only scans (do not mutate).
 func (q *Queue) Items() []AppPacket { return q.items }

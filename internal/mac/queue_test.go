@@ -10,8 +10,8 @@ func TestQueueFIFO(t *testing.T) {
 	for i := uint32(1); i <= 3; i++ {
 		q.Push(AppPacket{Seq: i, Dst: 9})
 	}
-	if q.Len() != 3 || q.Peak() != 3 {
-		t.Fatalf("Len=%d Peak=%d", q.Len(), q.Peak())
+	if q.Len() != 3 {
+		t.Fatalf("Len=%d", q.Len())
 	}
 	if p, ok := q.Peek(); !ok || p.Seq != 1 {
 		t.Fatalf("Peek = %+v, %v", p, ok)
@@ -43,15 +43,6 @@ func TestQueueBoundedDropsTail(t *testing.T) {
 	}
 	if p, _ := q.Peek(); p.Seq != 1 {
 		t.Error("head changed by overflow")
-	}
-}
-
-func TestQueuePushFront(t *testing.T) {
-	var q Queue
-	q.Push(AppPacket{Seq: 2})
-	q.PushFront(AppPacket{Seq: 1})
-	if p, _ := q.Pop(); p.Seq != 1 {
-		t.Error("PushFront did not take the head")
 	}
 }
 

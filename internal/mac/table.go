@@ -141,17 +141,6 @@ func (t *NeighborTable) Clear() {
 	t.n = 0
 }
 
-// Known returns the IDs with live estimates, in ID order.
-func (t *NeighborTable) Known(now sim.Time) []packet.NodeID {
-	out := make([]packet.NodeID, 0, t.n)
-	for i := range t.entries {
-		if t.live(&t.entries[i], now) {
-			out = append(out, packet.NodeID(i))
-		}
-	}
-	return out
-}
-
 // Len reports the number of entries (live or stale).
 func (t *NeighborTable) Len() int { return t.n }
 

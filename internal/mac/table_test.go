@@ -73,9 +73,9 @@ func TestKnownSortedAndSnapshot(t *testing.T) {
 		f := &packet.Frame{Kind: packet.KindHello, Src: id, Dst: packet.Broadcast, Timestamp: 0}
 		tab.Observe(f, sim.At(time.Duration(id)*time.Millisecond), 0)
 	}
-	ids := tab.Known(sim.At(time.Second))
+	ids := known(tab, sim.At(time.Second))
 	if len(ids) != 3 || ids[0] != 3 || ids[1] != 7 || ids[2] != 9 {
-		t.Fatalf("Known = %v", ids)
+		t.Fatalf("known = %v", ids)
 	}
 	snap := tab.Snapshot(sim.At(time.Second), 2)
 	if len(snap) != 2 || snap[0].ID != 3 || snap[1].ID != 7 {

@@ -43,7 +43,7 @@ import (
 type Streaming struct {
 	// BitRate converts frame sizes to duration; CaptureDB is the SINR
 	// margin above which a stronger frame survives a weaker overlapping
-	// one. Match the acoustic model, exactly as with the batch Oracle.
+	// one. Match the acoustic model's SINR threshold.
 	BitRate   float64
 	CaptureDB float64
 	// Horizon is extra lookback headroom before eviction, normally the
@@ -135,9 +135,9 @@ func (s *Streaming) Record(at sim.Time, e obs.Event) {
 }
 
 // RecordEmission logs one scheduled delivery: the frame's arrival
-// interval at dst. Unlike the batch Oracle it does not derive the
-// transmission span — that comes from RecordTx (the phy.tx tap), once
-// per transmission instead of once per receiver.
+// interval at dst. It does not derive the transmission span: that
+// comes from RecordTx (the phy.tx tap), once per transmission instead
+// of once per receiver.
 func (s *Streaming) RecordEmission(now sim.Time, src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64) {
 	s.emissions++
 	dur := f.TxDuration(s.BitRate)
@@ -172,7 +172,7 @@ func (s *Streaming) RecordEmission(now sim.Time, src, dst packet.NodeID, f *pack
 
 // RecordTx logs one transmission span at node (the phy.tx tap). An
 // exact-duplicate span is suppressed so emission-derived fixtures that
-// record one span per receiver stay comparable with the batch Oracle.
+// record one span per receiver stay comparable with the batch reference in the tests.
 func (s *Streaming) RecordTx(now sim.Time, node packet.NodeID, dur time.Duration) {
 	if dur > s.maxDur {
 		s.maxDur = dur
@@ -268,8 +268,8 @@ func (s *Streaming) RecordLoss(now sim.Time, node packet.NodeID, f *packet.Frame
 // to. The stream's decode instant is exactly the arrival's end, so the
 // primary lookup is a binary search for start == now − duration; the
 // bounded fallback scan keeps fabricated fixtures (whose claimed
-// instants need not line up) matched the way the batch Oracle matches
-// them.
+// instants need not line up) matched the way the batch reference in the tests
+// matches them.
 func (s *Streaming) findArrival(now sim.Time, node packet.NodeID, f *packet.Frame) (arrival, bool) {
 	idx := s.arrivals[node]
 	if idx == nil {

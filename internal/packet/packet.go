@@ -170,15 +170,9 @@ type Frame struct {
 	// XID is simulator-side exchange-lineage metadata: every frame of
 	// one handshake or extra exchange carries the same nonzero value, so
 	// observability consumers can fold raw events into causal spans. It
-	// is not part of the wire format (MarshalBinary skips it) and does
-	// not contribute to Bits() — a real MAC would recover the lineage
-	// from (src, dst, kind, seq), which the simulator shortcuts.
+	// does not contribute to Bits() — a real MAC would recover the
+	// lineage from (src, dst, kind, seq), which the simulator shortcuts.
 	XID uint64
-
-	// shared marks a frame handed to multiple consumers (every receiver
-	// of one broadcast). A shared frame is read-only by contract;
-	// Mutable gives would-be writers a private deep copy.
-	shared bool
 }
 
 // ControlBits is the base wire size of a control frame per the paper's
@@ -219,7 +213,6 @@ func (f *Frame) String() string {
 // Clone returns a deep, exclusively-owned copy.
 func (f *Frame) Clone() *Frame {
 	c := *f
-	c.shared = false
 	if f.Neighbors != nil {
 		c.Neighbors = make([]NeighborInfo, len(f.Neighbors))
 		copy(c.Neighbors, f.Neighbors)
@@ -227,27 +220,13 @@ func (f *Frame) Clone() *Frame {
 	return &c
 }
 
-// Share returns a copy-on-write view of f: a shallow copy (the
-// Neighbors backing array is shared) flagged read-only. The channel
-// hands one shared view per broadcast to every receiver instead of
-// deep-cloning per receiver; receivers by contract never mutate
-// delivered frames, and any future writer must go through Mutable.
+// Share returns a read-only view of f: a shallow copy whose Neighbors
+// backing array is shared. The channel hands one view per broadcast to
+// every receiver instead of deep-cloning per receiver; receivers by
+// contract never mutate delivered frames, and a writer must Clone.
 func (f *Frame) Share() *Frame {
 	c := *f
-	c.shared = true
 	return &c
-}
-
-// Shared reports whether f is a read-only shared view.
-func (f *Frame) Shared() bool { return f.shared }
-
-// Mutable returns f itself when exclusively owned, or a private deep
-// copy when f is shared — the write half of the copy-on-write contract.
-func (f *Frame) Mutable() *Frame {
-	if !f.shared {
-		return f
-	}
-	return f.Clone()
 }
 
 // Validate reports structural problems that indicate protocol bugs.

@@ -1,9 +1,7 @@
 package packet
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -126,106 +124,6 @@ func TestCloneIsDeep(t *testing.T) {
 	c.Seq = 99
 	if f.Neighbors[0].ID != 9 || f.Seq != 42 {
 		t.Error("Clone shares state with original")
-	}
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	f := validFrame()
-	f.Origin = 11
-	f.GeneratedAt = 12345 * time.Microsecond
-	f.Neighbors = []NeighborInfo{{ID: 5, Delay: 800 * time.Millisecond}, {ID: 6, Delay: time.Second}}
-	raw, err := f.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var g Frame
-	if err := g.UnmarshalBinary(raw); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if g.Kind != f.Kind || g.Src != f.Src || g.Dst != f.Dst || g.Seq != f.Seq ||
-		g.Timestamp != f.Timestamp || g.PairDelay != f.PairDelay ||
-		g.RP != f.RP || g.DataBits != f.DataBits || g.Origin != f.Origin ||
-		g.GeneratedAt != f.GeneratedAt || len(g.Neighbors) != 2 ||
-		g.Neighbors[1] != f.Neighbors[1] {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", g, *f)
-	}
-}
-
-func TestWireRejectsGarbage(t *testing.T) {
-	var f Frame
-	if err := f.UnmarshalBinary(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if err := f.UnmarshalBinary([]byte{0, 0, 0}); err == nil {
-		t.Error("bad magic accepted")
-	}
-	good, err := validFrame().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.UnmarshalBinary(good[:len(good)-1]); err == nil {
-		t.Error("truncated input accepted")
-	}
-	if err := f.UnmarshalBinary(append(good, 0)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
-func TestMarshalRejectsInvalid(t *testing.T) {
-	f := validFrame()
-	f.Src = Nobody
-	if _, err := f.MarshalBinary(); err == nil {
-		t.Error("marshal accepted invalid frame")
-	}
-}
-
-// Property: any structurally valid frame survives a wire round trip
-// bit-exactly (durations quantized to microseconds, as on the wire).
-func TestWireRoundTripProperty(t *testing.T) {
-	f := func(kindRaw uint8, src, dst uint16, seq uint32, tsUS, pdUS uint32, rp float64, bits uint16, nNbr uint8) bool {
-		kind := Kind(kindRaw%uint8(kindEnd-1)) + 1
-		fr := &Frame{
-			Kind:      kind,
-			Src:       NodeID(src%1000 + 1),
-			Dst:       NodeID(dst%1000 + 1),
-			Seq:       seq,
-			Timestamp: time.Duration(tsUS) * time.Microsecond,
-			PairDelay: time.Duration(pdUS) * time.Microsecond,
-			RP:        rp,
-			DataBits:  int(bits) + 1,
-		}
-		if math.IsNaN(rp) {
-			fr.RP = 0.5
-		}
-		for i := 0; i < int(nNbr%5); i++ {
-			fr.Neighbors = append(fr.Neighbors, NeighborInfo{
-				ID:    NodeID(i + 1),
-				Delay: time.Duration(i) * 100 * time.Millisecond,
-			})
-		}
-		raw, err := fr.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var g Frame
-		if err := g.UnmarshalBinary(raw); err != nil {
-			return false
-		}
-		if g.Kind != fr.Kind || g.Src != fr.Src || g.Dst != fr.Dst ||
-			g.Seq != fr.Seq || g.Timestamp != fr.Timestamp ||
-			g.PairDelay != fr.PairDelay || g.RP != fr.RP ||
-			g.DataBits != fr.DataBits || len(g.Neighbors) != len(fr.Neighbors) {
-			return false
-		}
-		for i := range g.Neighbors {
-			if g.Neighbors[i] != fr.Neighbors[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
 	}
 }
 

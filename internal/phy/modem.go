@@ -269,10 +269,6 @@ func (m *Modem) Receiving() bool {
 	return false
 }
 
-// CarrierSensed reports whether any signal energy (decodable or not) is
-// on the channel at this modem.
-func (m *Modem) CarrierSensed() bool { return len(m.arrivals) > 0 || m.transmitting }
-
 // Transmit clocks out f. The frame's on-air time follows from its size
 // and the model's bit rate. Returns ErrBusy if a transmission is in
 // progress. Transmitting corrupts every arrival currently in the air at

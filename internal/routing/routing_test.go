@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 
 	"ewmac/internal/acoustic"
@@ -73,6 +74,56 @@ func TestNextHopUnreachable(t *testing.T) {
 	if _, ok := NextHop(net, 99); ok {
 		t.Error("unknown node found a next hop")
 	}
+}
+
+// HopOutcome classifies how a HopCount walk ended.
+type HopOutcome int
+
+const (
+	// HopReached: a sink was reached; the hop count is the path length.
+	HopReached HopOutcome = iota
+	// HopNoRoute: the walk hit a node with no next hop; the hop count
+	// is the hops actually walked before getting stuck (0 when the
+	// starting node itself has no route).
+	HopNoRoute
+	// HopBudgetExceeded: maxHops hops were walked without reaching a
+	// sink — a routing loop, or a budget smaller than the path.
+	HopBudgetExceeded
+)
+
+// String renders the outcome for test failures and logs.
+func (o HopOutcome) String() string {
+	switch o {
+	case HopReached:
+		return "reached"
+	case HopNoRoute:
+		return "no-route"
+	case HopBudgetExceeded:
+		return "budget-exceeded"
+	default:
+		return fmt.Sprintf("HopOutcome(%d)", int(o))
+	}
+}
+
+// HopCount walks next hops from a node until a sink is reached,
+// returning the hops actually walked and how the walk ended. maxHops
+// bounds the walk (guarding against routing loops on degenerate
+// topologies); a walk cut by the budget reports HopBudgetExceeded,
+// distinct from the HopNoRoute dead end.
+func HopCount(net *topology.Network, from packet.NodeID, maxHops int) (int, HopOutcome) {
+	cur := from
+	for h := 1; h <= maxHops; h++ {
+		next, ok := NextHop(net, cur)
+		if !ok {
+			// Hop h was never taken: only h-1 hops were walked.
+			return h - 1, HopNoRoute
+		}
+		if n := net.Node(next); n != nil && n.Sink {
+			return h, HopReached
+		}
+		cur = next
+	}
+	return maxHops, HopBudgetExceeded
 }
 
 func TestHopCountReachesSink(t *testing.T) {

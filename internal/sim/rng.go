@@ -45,9 +45,6 @@ func (r *RNG) Float64() float64 { return r.src().Float64() }
 // Intn returns a pseudo-random number in [0, n); it panics if n <= 0.
 func (r *RNG) Intn(n int) int { return r.src().Intn(n) }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *RNG) Int63() int64 { return r.src().Int63() }
-
 // Int63n returns a pseudo-random number in [0, n); it panics if n <= 0.
 func (r *RNG) Int63n(n int64) int64 { return r.src().Int63n(n) }
 

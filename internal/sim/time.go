@@ -25,9 +25,6 @@ const (
 // At converts a duration since the epoch into an absolute Time.
 func At(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
-// FromSeconds converts fractional seconds since the epoch into a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(time.Second)) }
-
 // Add returns the instant d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 

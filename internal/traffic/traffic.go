@@ -172,28 +172,3 @@ func PerNodeRate(loadKbps float64, bits, n int) float64 {
 	}
 	return loadKbps * 1000 / float64(bits) / float64(n)
 }
-
-// FixedBatch enqueues count packets at the given instants — the
-// workload of Figure 8 ("time for successful transmission" of a fixed
-// number of packets).
-func FixedBatch(eng *sim.Engine, sink Sink, route Router, node packet.NodeID, bits, count int, at sim.Time) uint64 {
-	var made uint64
-	for i := 0; i < count; i++ {
-		i := i
-		eng.MustScheduleAt(at, sim.PriorityApp, func() {
-			dst, ok := route(node)
-			if !ok {
-				return
-			}
-			sink.Enqueue(mac.AppPacket{
-				Dst:         dst,
-				Bits:        bits,
-				Origin:      node,
-				Seq:         uint32(i + 1),
-				GeneratedAt: eng.Now().Duration(),
-			})
-		})
-		made++
-	}
-	return made
-}

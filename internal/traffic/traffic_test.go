@@ -196,26 +196,3 @@ func TestGeneratorDeterministicPerSeed(t *testing.T) {
 		t.Error("different seeds look identical")
 	}
 }
-
-func TestFixedBatch(t *testing.T) {
-	eng := sim.NewEngine(1)
-	c := &collector{}
-	made := FixedBatch(eng, c, okRoute, 4, 2048, 15, sim.At(3*time.Second))
-	if made != 15 {
-		t.Fatalf("FixedBatch returned %d", made)
-	}
-	eng.Run()
-	if len(c.pkts) != 15 {
-		t.Fatalf("delivered %d packets, want 15", len(c.pkts))
-	}
-	seqs := map[uint32]bool{}
-	for _, p := range c.pkts {
-		if p.GeneratedAt != 3*time.Second {
-			t.Errorf("batch packet at %v, want 3s", p.GeneratedAt)
-		}
-		if seqs[p.Seq] {
-			t.Errorf("duplicate batch seq %d", p.Seq)
-		}
-		seqs[p.Seq] = true
-	}
-}

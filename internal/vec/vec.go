@@ -34,12 +34,6 @@ func (v V3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 // Dist returns the Euclidean distance between points v and w.
 func (v V3) Dist(w V3) float64 { return v.Sub(w).Norm() }
 
-// DistXY returns the horizontal (surface-plane) distance between v and w.
-func (v V3) DistXY(w V3) float64 {
-	dx, dy := v.X-w.X, v.Y-w.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // Depth returns the depth coordinate (Z, meters below surface).
 func (v V3) Depth() float64 { return v.Z }
 

@@ -35,9 +35,6 @@ func TestDist(t *testing.T) {
 	if !almost(a.Dist(c), 13) {
 		t.Errorf("Dist = %v, want 13", a.Dist(c))
 	}
-	if !almost(a.DistXY(c), 5) {
-		t.Errorf("DistXY = %v, want 5", a.DistXY(c))
-	}
 }
 
 func TestCube(t *testing.T) {
