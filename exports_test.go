@@ -27,6 +27,7 @@ var testOnlyAllowed = map[string]string{
 	"fault.Dur.MarshalJSON":          "called by encoding/json",
 	"fault.Dur.UnmarshalJSON":        "called by encoding/json",
 	"sim.BudgetError.Unwrap":         "called by errors.Is and errors.As",
+	"sim.lazySource.Int63":           "called by rand.Rand through rand.Source",
 }
 
 // TestNoTestOnlyExports fails when an exported func or method declared

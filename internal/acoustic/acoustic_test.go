@@ -125,6 +125,22 @@ func TestMeanSpeed(t *testing.T) {
 	}
 }
 
+// hiddenSpeed hides a UniformSpeed from MeanSpeed's type switch, so it
+// takes the generic trapezoid.
+type hiddenSpeed struct{ SpeedProfile }
+
+func TestMeanSpeedUniformMatchesGeneric(t *testing.T) {
+	for _, c := range []float64{1500, 1500.123, 1000 + 1.0/3, 1e3 * math.Pi} {
+		u := UniformSpeed(c)
+		for _, d := range [][2]float64{{0, 1000}, {1000, 0}, {12.5, 12.5}, {3, 2999.75}, {-1, math.Inf(1)}} {
+			got, want := MeanSpeed(u, d[0], d[1]), MeanSpeed(hiddenSpeed{u}, d[0], d[1])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("MeanSpeed(UniformSpeed(%v), %v, %v) = %v, generic path %v", c, d[0], d[1], got, want)
+			}
+		}
+	}
+}
+
 func TestModelDelay(t *testing.T) {
 	m := DefaultModel()
 	a := vec.V3{X: 0, Y: 0, Z: 100}

@@ -84,6 +84,15 @@ func MeanSpeed(p SpeedProfile, depthA, depthB float64) float64 {
 		return p.SpeedAt(depthA)
 	}
 	const steps = 16
+	if u, ok := p.(UniformSpeed); ok {
+		// The same sums in the same order, without the 17 calls.
+		c := float64(u)
+		sum := (c + c) / 2
+		for i := 1; i < steps; i++ {
+			sum += c
+		}
+		return sum / steps
+	}
 	lo, hi := depthA, depthB
 	if lo > hi {
 		lo, hi = hi, lo
