@@ -2,6 +2,7 @@ package channel
 
 import (
 	"testing"
+	"time"
 
 	"ewmac/internal/acoustic"
 	"ewmac/internal/energy"
@@ -12,29 +13,35 @@ import (
 	"ewmac/internal/vec"
 )
 
-// TestBroadcastAllocsPerBroadcast pins the fan-out to one allocation
-// per broadcast — the shared copy-on-write frame view — with every
-// scheduled arrival drained: per-receiver deliveries and PHY arrivals
+// TestBroadcastAllocsPerBroadcast pins the fan-out to zero allocations
+// per broadcast with every scheduled arrival drained: receivers share
+// the transmitted frame, and per-receiver deliveries and PHY arrivals
 // are recycled records with pre-bound handlers. It covers direct rays
-// and surface echoes, with the geometry cache on and on the uncached
-// reference path.
+// and surface echoes, with the geometry cache on, on the uncached
+// reference path, and with half the sensors drifting between
+// broadcasts, where no source's geometry is ever reused and so none
+// may be kept.
 func TestBroadcastAllocsPerBroadcast(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		surface bool
 		cache   bool
+		drift   bool
 	}{
-		{"direct", false, true},
-		{"surface", true, true},
-		{"direct/cache-off", false, false},
+		{"direct", false, true, false},
+		{"surface", true, true, false},
+		{"direct/cache-off", false, false, false},
+		{"direct/drifting", false, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
 			model := acoustic.DefaultModel()
 			model.SurfaceReflection = tc.surface
-			net, err := topology.Deploy(topology.DeployConfig{
-				Nodes: 196, Sinks: 4, Region: vec.Cube(3000),
-			}, model, eng.RNG("deploy"))
+			cfg := topology.DeployConfig{Nodes: 196, Sinks: 4, Region: vec.Cube(3000)}
+			if tc.drift {
+				cfg.Mobile, cfg.CurrentMS = 0.5, 1.5
+			}
+			net, err := topology.Deploy(cfg, model, eng.RNG("deploy"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,6 +71,13 @@ func TestBroadcastAllocsPerBroadcast(t *testing.T) {
 			// arrival pool and every source's geometry entry is exercised.
 			round := func() {
 				for _, f := range frames {
+					if tc.drift {
+						epoch := net.Epoch()
+						net.Step(time.Second)
+						if net.Epoch() == epoch {
+							t.Fatal("drifting Step bumped no epoch")
+						}
+					}
 					if err := ch.Broadcast(f.Src, f, dur); err != nil {
 						t.Fatal(err)
 					}
@@ -81,8 +95,15 @@ func TestBroadcastAllocsPerBroadcast(t *testing.T) {
 			}
 			per := avg / float64(len(frames))
 			t.Logf("%.2f allocs per broadcast at fan-out %.1f", per, fanout)
-			if per > 1 {
-				t.Errorf("%.2f allocs per broadcast, want <= 1", per)
+			if per > 0 {
+				t.Errorf("%.2f allocs per broadcast, want 0", per)
+			}
+			if tc.drift {
+				for i, sg := range ch.geo {
+					if sg.list != nil {
+						t.Errorf("source n%d kept geometry that drift invalidated before reuse", i+1)
+					}
+				}
 			}
 		})
 	}

@@ -14,7 +14,9 @@ import (
 	"ewmac/internal/vec"
 )
 
-// Moving a node must invalidate the cached geometry: the next broadcast
+// A source keeps its geometry once a second build comes under the same
+// topology, so the second static broadcast promotes and the third hits.
+// Moving a node must invalidate the kept geometry: the next broadcast
 // has to see the new positions' delay, not the pre-move one.
 func TestGeometryCacheInvalidatedByStep(t *testing.T) {
 	eng, ch, modems, _ := lineNetwork(t, 0, 750)
@@ -36,16 +38,26 @@ func TestGeometryCacheInvalidatedByStep(t *testing.T) {
 	}
 	before := traced[0]
 
-	// Same geometry again: must be a cache hit with an identical delay.
-	if err := modems[0].Transmit(f); err != nil {
-		t.Fatal(err)
+	// The first build is not kept. The second under the same geometry
+	// is, and the third is served from it; all with an identical delay.
+	sg := &ch.geo[0]
+	if sg.list != nil {
+		t.Fatal("first build was kept before any reuse")
 	}
-	eng.Run()
-	if traced[1] != before {
-		t.Fatalf("static rebroadcast delay %v != %v", traced[1], before)
-	}
-	if ch.cacheHits == 0 {
-		t.Fatal("static rebroadcast did not hit the cache")
+	for i, wantHits := range []uint64{0, 1} {
+		if err := modems[0].Transmit(f); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if got := traced[1+i]; got != before {
+			t.Fatalf("static rebroadcast %d delay %v != %v", i+1, got, before)
+		}
+		if !sg.kept || len(sg.list) != 1 {
+			t.Fatalf("static rebroadcast %d: kept=%v list=%d entries, want the one receiver kept", i+1, sg.kept, len(sg.list))
+		}
+		if ch.cacheHits != wantHits {
+			t.Fatalf("static rebroadcast %d: %d cache hits, want %d", i+1, ch.cacheHits, wantHits)
+		}
 	}
 
 	epoch := net.Epoch()
@@ -58,11 +70,14 @@ func TestGeometryCacheInvalidatedByStep(t *testing.T) {
 	}
 	eng.Run()
 	want := net.Model.Delay(net.Node(1).Pos, net.Node(2).Pos)
-	if got := traced[2]; got != want {
+	if got := traced[3]; got != want {
 		t.Fatalf("post-move delay = %v, want fresh %v (stale cached %v)", got, want, before)
 	}
-	if got := traced[2]; got == before {
+	if got := traced[3]; got == before {
 		t.Fatal("post-move broadcast served the stale cached delay")
+	}
+	if sg.kept || ch.cacheHits != 1 {
+		t.Fatalf("post-move broadcast: kept=%v, %d cache hits; want a fresh unkept build", sg.kept, ch.cacheHits)
 	}
 }
 
@@ -177,7 +192,7 @@ func chNetwork(c *Channel) *topology.Network { return c.net }
 
 // BenchmarkChannelBroadcast measures one broadcast fanning out to a
 // static 40-node deployment plus draining the scheduled arrivals — the
-// geometry-cache + copy-on-write hot path.
+// geometry-cache hot path.
 func BenchmarkChannelBroadcast(b *testing.B) {
 	eng := sim.NewEngine(1)
 	model := acoustic.DefaultModel()

@@ -10,16 +10,18 @@
 // faithfully represented rather than assumed away.
 //
 // Each per-receiver delivery (direct ray or surface echo) is a pooled
-// record with a pre-bound handler, so a broadcast allocates only the
-// shared frame view. Ownership rule, as for obs's pooled records: a
-// delivery is recycled when its handler runs, before the modem sees
-// the arrival; nothing may retain one past that point.
+// record with a pre-bound handler, and every receiver gets the
+// transmitted frame itself, so a broadcast allocates nothing. Frames
+// are immutable from phy.Modem.Transmit on: the sender, every receiver
+// and every recorder share one *packet.Frame. Ownership rule, as for
+// obs's pooled records: a delivery is recycled when its handler runs,
+// before the modem sees the arrival; nothing may retain one past that
+// point.
 package channel
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"ewmac/internal/acoustic"
@@ -51,12 +53,16 @@ type rxGeom struct {
 	surf      bool
 }
 
-// srcGeoms is the cached receiver list for one source, stamped with the
-// topology epoch and modem-registration generation it was built under.
+// srcGeoms is one source's geometry state, stamped with the topology
+// epoch and modem-registration generation of its latest build. A build
+// lives in the channel's scratch list; the source keeps its own copy
+// in list only once a second build comes under the same stamp, so
+// geometry that drift invalidates before it is reused costs no memory.
 type srcGeoms struct {
 	epoch uint64
 	gen   uint64
-	built bool
+	built bool // a build happened under (epoch, gen)
+	kept  bool // list holds that build
 	list  []rxGeom
 }
 
@@ -83,14 +89,13 @@ type Channel struct {
 	modems []*phy.Modem
 	rec    obs.Recorder
 
-	// geo caches per-source receiver geometry, indexed by NodeID-1. An
-	// entry is valid while the topology epoch and registration
-	// generation it was built under are both current; Broadcast rebuilds
-	// it lazily (reusing the slice) otherwise.
+	// geo caches per-source receiver geometry, indexed by NodeID-1. A
+	// kept list is valid while the topology epoch and registration
+	// generation it was built under are both current.
 	geo      []srcGeoms
 	regGen   uint64 // bumped by Register; invalidates every cache entry
 	cacheOff bool
-	scratch  []rxGeom // reused build target when the cache is disabled
+	scratch  []rxGeom // target of every build
 	free     []*delivery
 	slab     []delivery // fresh records not yet handed out
 
@@ -204,39 +209,35 @@ func (c *Channel) buildGeoms(srcNode *topology.Node, out []rxGeom) []rxGeom {
 	return out
 }
 
-// geomsFor returns the receiver list for src, from cache when the
-// topology epoch and modem registrations are unchanged since it was
-// built. The returned slice is owned by the channel and only valid
-// until the next Broadcast.
+// geomsFor returns the receiver list for src: the source's kept copy
+// when the topology epoch and modem registrations are unchanged since
+// it was built, a fresh build otherwise. A second build under the same
+// stamp is kept; with the cache off nothing is. The returned slice is
+// owned by the channel and only valid until the next Broadcast.
 func (c *Channel) geomsFor(src packet.NodeID, srcNode *topology.Node) []rxGeom {
-	if c.cacheOff {
-		c.scratch = c.buildGeoms(srcNode, c.scratch[:0])
-		return c.scratch
-	}
 	sg := &c.geo[int(src)-1]
-	if sg.built && sg.epoch == c.net.Epoch() && sg.gen == c.regGen {
+	epoch := c.net.Epoch()
+	same := !c.cacheOff && sg.built && sg.epoch == epoch && sg.gen == c.regGen
+	if same && sg.kept {
 		c.cacheHits++
 		return sg.list
 	}
-	if !sg.built {
-		// First build: collect into the shared scratch list and keep an
-		// exact-size copy, one allocation instead of regrowing from empty.
-		c.scratch = c.buildGeoms(srcNode, c.scratch[:0])
-		sg.list = slices.Clone(c.scratch)
-	} else {
-		sg.list = c.buildGeoms(srcNode, sg.list[:0])
+	c.scratch = c.buildGeoms(srcNode, c.scratch[:0])
+	switch {
+	case same:
+		sg.list = append(sg.list[:0], c.scratch...)
+		sg.kept = true
+	case !c.cacheOff:
+		sg.epoch, sg.gen, sg.built, sg.kept = epoch, c.regGen, true, false
 	}
-	sg.epoch = c.net.Epoch()
-	sg.gen = c.regGen
-	sg.built = true
-	return sg.list
+	return c.scratch
 }
 
 // Broadcast implements phy.Medium: it fans f out to every other modem
 // within interference range, with per-pair delay and received level
 // computed from the current node positions (cached while the topology
-// is static). All receivers share one copy-on-write view of the frame
-// instead of a deep clone each.
+// is static). Every receiver gets f itself: a frame is immutable once
+// transmitted.
 func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duration) error {
 	srcNode := c.net.Node(src)
 	if srcNode == nil {
@@ -251,7 +252,6 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 	if len(geoms) == 0 {
 		return nil
 	}
-	fc := f.Share()
 	now := c.eng.Now()
 	for i := range geoms {
 		g := &geoms[i]
@@ -263,9 +263,9 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 		c.deliveries++
 		// The delivery copies out of the cache entry: the cache slice
 		// may be rebuilt in place before the scheduled arrivals run.
-		c.deliver(g.delay, g.rx, fc, g.levelDB, dur, g.syncable)
+		c.deliver(g.delay, g.rx, f, g.levelDB, dur, g.syncable)
 		if g.surf {
-			c.deliver(g.surfDelay, g.rx, fc, g.surfLevel, dur, false)
+			c.deliver(g.surfDelay, g.rx, f, g.surfLevel, dur, false)
 		}
 	}
 	return nil

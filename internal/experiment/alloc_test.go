@@ -10,11 +10,13 @@ import (
 // when it stops 1 ms after warmup: almost all of it is per-run set-up
 // (deployment, channel geometry, modems, MAC cores, neighbour tables,
 // RNG streams), since the steady state allocates next to nothing. It
-// is the figure measured with Go 1.24 on linux/amd64 (736,936 B) plus
+// is the figure measured with Go 1.24 on linux/amd64 (467,672 B) plus
 // 5%. Set-up allocated 1,874,680 B before streams were seeded lazily
-// and tables presized, and 1,409,608 B while every drawn stream still
-// built math/rand's 607-word state.
-const setupBytesCeiling = 774_000
+// and tables presized, 1,409,608 B while every drawn stream still
+// built math/rand's 607-word state, and 736,936 B while the channel
+// kept every source's first geometry build and gave each broadcast
+// its own frame view.
+const setupBytesCeiling = 492_000
 
 func TestHeadlineSetupBytes(t *testing.T) {
 	if raceEnabled {

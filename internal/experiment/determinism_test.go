@@ -84,7 +84,7 @@ func goldenMobileConfig() Config {
 
 // goldenStaticHashes pins the exact event trace of the no-fault
 // static-topology scenario per protocol, captured before the hot-path
-// overhaul (pooled scheduler, geometry cache, copy-on-write frames).
+// overhaul (pooled scheduler, geometry cache, shared frames).
 // A mismatch means an "optimization" changed simulation behaviour.
 var goldenStaticHashes = map[Protocol]uint64{
 	ProtocolSFAMA:  0xc55ae16771c274d3,

@@ -17,7 +17,7 @@ import (
 // same property end to end.
 
 // steadyEvents covers every producer-side event shape. The frames are
-// shared (the channel's copy-on-write frames behave the same way) and
+// shared (the channel hands every receiver the transmitted frame) and
 // the strings are the interned constants real emission sites pass.
 func steadyState() (at sim.Time, f *packet.Frame, emit func(Recorder)) {
 	f = &packet.Frame{

@@ -15,10 +15,10 @@ import (
 // Ownership rule: the record handed to Recorder.Record is owned by the
 // emitter and is reclaimed the moment Record returns. Recorders must
 // copy any field they keep — retaining the record itself corrupts a
-// later event. The one exception is the *packet.Frame fields: frames
-// are copy-on-write values owned by the channel layer and outlive the
-// record, so frame-level consumers (the oracle taps) may hold them
-// exactly as before.
+// later event. The one exception is the *packet.Frame fields: a frame
+// is immutable from phy.Modem.Transmit on and outlives the record, so
+// frame-level consumers (the oracle taps) may hold it exactly as
+// before.
 //
 // Consumers therefore type-switch on pointer types (*FrameEmit,
 // *TxBegin, ...); a value event never reaches the bus from the

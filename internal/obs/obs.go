@@ -17,7 +17,8 @@
 // (*FrameEmit, *Delivery, …). Ownership rule: the record is reclaimed
 // the moment Record returns, so a recorder that keeps an event past
 // its own Record call must copy the struct. Frame pointers inside
-// events are shared copy-on-write frames and are safe to retain.
+// events point at frames immutable since transmission and are safe to
+// retain.
 package obs
 
 import (
@@ -383,7 +384,7 @@ const (
 // OracleViolation records one conformance violation found by the
 // always-on verification oracle: the named reception or loss at Node is
 // inconsistent with channel-level ground truth. Frame is the violating
-// frame (copy-on-write, safe to retain); Detail names the conflicting
+// frame (immutable, safe to retain); Detail names the conflicting
 // transmission or arrival.
 type OracleViolation struct {
 	Node   packet.NodeID

@@ -127,6 +127,10 @@ const NeighborInfoBits = 40
 // Frame is one over-the-air transmission. A single struct (rather than
 // a type per kind) keeps the PHY and channel generic; protocol logic
 // switches on Kind and reads only the fields meaningful for that kind.
+//
+// A frame is immutable from phy.Modem.Transmit on, Neighbors included:
+// the sender, every receiver and every recorder hold the same pointer.
+// A sender builds a fresh frame rather than edit one it has sent.
 type Frame struct {
 	// Kind is the frame type.
 	Kind Kind
@@ -208,25 +212,6 @@ func (f *Frame) TxDuration(bitRate float64) time.Duration {
 // String renders a compact description for traces.
 func (f *Frame) String() string {
 	return fmt.Sprintf("%s %s→%s seq=%d bits=%d", f.Kind, f.Src, f.Dst, f.Seq, f.Bits())
-}
-
-// Clone returns a deep, exclusively-owned copy.
-func (f *Frame) Clone() *Frame {
-	c := *f
-	if f.Neighbors != nil {
-		c.Neighbors = make([]NeighborInfo, len(f.Neighbors))
-		copy(c.Neighbors, f.Neighbors)
-	}
-	return &c
-}
-
-// Share returns a read-only view of f: a shallow copy whose Neighbors
-// backing array is shared. The channel hands one view per broadcast to
-// every receiver instead of deep-cloning per receiver; receivers by
-// contract never mutate delivered frames, and a writer must Clone.
-func (f *Frame) Share() *Frame {
-	c := *f
-	return &c
 }
 
 // Validate reports structural problems that indicate protocol bugs.

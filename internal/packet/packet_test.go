@@ -116,17 +116,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	f := validFrame()
-	f.Neighbors = []NeighborInfo{{ID: 9, Delay: time.Second}}
-	c := f.Clone()
-	c.Neighbors[0].ID = 10
-	c.Seq = 99
-	if f.Neighbors[0].ID != 9 || f.Seq != 42 {
-		t.Error("Clone shares state with original")
-	}
-}
-
 func TestNodeIDString(t *testing.T) {
 	if Nobody.String() != "n∅" || Broadcast.String() != "n*" || NodeID(7).String() != "n7" {
 		t.Error("NodeID.String formatting changed")

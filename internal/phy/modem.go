@@ -10,7 +10,8 @@
 // records come from a per-modem free list; ownership rule, as for
 // obs's pooled records: an arrival is recycled as its end-of-arrival
 // handler runs, before any listener, tap or recorder is called, and
-// those see only the frame, never the record.
+// those see only the frame, never the record. The frame is the one the
+// sender transmitted, shared and immutable (see packet.Frame).
 package phy
 
 import (
@@ -81,7 +82,8 @@ type Listener interface {
 // implements it against the deployed topology.
 type Medium interface {
 	// Broadcast delivers f (with on-air duration dur) to every other
-	// modem, applying propagation delay and attenuation. A non-nil error
+	// modem, applying propagation delay and attenuation. Receivers may
+	// share f, which no one mutates once transmitted. A non-nil error
 	// means the medium dropped the transmission entirely (e.g. the
 	// source is not part of the deployed topology); the transmitter
 	// still spent its on-air time and energy.
@@ -272,7 +274,8 @@ func (m *Modem) Receiving() bool {
 // Transmit clocks out f. The frame's on-air time follows from its size
 // and the model's bit rate. Returns ErrBusy if a transmission is in
 // progress. Transmitting corrupts every arrival currently in the air at
-// this modem (half-duplex).
+// this modem (half-duplex). From here on f must not change: the medium
+// hands f itself to every receiver (see packet.Frame).
 func (m *Modem) Transmit(f *packet.Frame) error {
 	if m.down {
 		return fmt.Errorf("%w: %v", ErrDown, f)

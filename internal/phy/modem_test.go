@@ -29,9 +29,9 @@ func (fm *fakeMedium) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Dur
 			continue
 		}
 		rx := p
-		fc := f.Clone()
+		// Like the channel, hand every peer the transmitted frame.
 		fm.eng.ScheduleIn(fm.delay, sim.PriorityPHY, func() {
-			rx.BeginArrival(fc, fm.level, dur, fm.usable)
+			rx.BeginArrival(f, fm.level, dur, fm.usable)
 		})
 	}
 	return nil
