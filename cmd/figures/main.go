@@ -44,7 +44,7 @@ func run() int {
 		faults  = flag.String("faults", "", "fault-injection scenario JSON applied to every sweep point (see examples/faults/)")
 		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files (optional)")
 		quiet   = flag.Bool("q", false, "suppress progress lines")
-		workers = flag.Int("workers", 0, "max concurrent sweep points (0 = GOMAXPROCS, 1 = serial)")
+		workers = flag.Int("workers", 0, "max figures in flight, and max points in flight per figure (0 = GOMAXPROCS); each point still runs its seeds concurrently")
 
 		httpAddr  = flag.String("http", "", "serve live sweep introspection (/metrics, /progress, /debug/pprof) on this address")
 		resume    = flag.String("resume", "", "checkpoint manifest path: journal finished points and skip them on re-run")

@@ -127,10 +127,30 @@ func run() int {
 	overload.PacketTTL = *ttl
 	overload.HighWater = *admission
 	overload.RetryBudget = ewmac.RetryBudgetConfig{Burst: *retryBurst, RatePerSec: *retryRate}
-	overload.Priority = *prioEvery > 0
-	if *closedLoop && *admission <= 0 {
-		fmt.Fprintln(os.Stderr, "uansim: -closed-loop needs -admission to produce a backpressure signal")
-		return 2
+	overload.PriorityEvery = *prioEvery
+
+	cfgFor := func(p ewmac.Protocol) ewmac.Config {
+		cfg := ewmac.DefaultConfig(p)
+		cfg.Nodes = *nodes
+		cfg.Sinks = *sinks
+		cfg.OfferedLoadKbps = *load
+		cfg.DataBits = *bits
+		cfg.RegionSide = *side
+		cfg.MobileFraction = *mobile
+		cfg.SimTime = *simTime
+		cfg.Seed = *seed
+		cfg.Faults = scenario
+		cfg.Overload = overload
+		cfg.ClosedLoop = *closedLoop
+		return cfg
+	}
+	// A bad flag combination is a usage error: reject it before any run
+	// starts or any output is opened.
+	for _, p := range protos {
+		if err := cfgFor(p).Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "uansim: %v\n", err)
+			return 2
+		}
 	}
 
 	if *adversary {
@@ -202,19 +222,7 @@ func run() int {
 	fmt.Printf("%-8s %10s %8s %10s %9s %12s %9s\n",
 		"protocol", "thr(kbps)", "deliv%", "exec(s)", "pow(mW)", "overhead(b)", "colls")
 	for _, p := range protos {
-		cfg := ewmac.DefaultConfig(p)
-		cfg.Nodes = *nodes
-		cfg.Sinks = *sinks
-		cfg.OfferedLoadKbps = *load
-		cfg.DataBits = *bits
-		cfg.RegionSide = *side
-		cfg.MobileFraction = *mobile
-		cfg.SimTime = *simTime
-		cfg.Seed = *seed
-		cfg.Faults = scenario
-		cfg.Overload = overload
-		cfg.ClosedLoop = *closedLoop
-		cfg.PriorityEvery = *prioEvery
+		cfg := cfgFor(p)
 
 		// The run executes under the supervisor: panics surface as a
 		// quarantined record with a stack, budget aborts retry with a

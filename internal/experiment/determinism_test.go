@@ -184,13 +184,12 @@ func goldenFaultConfig(t *testing.T, p Protocol) Config {
 	cfg.Seed = 3
 	cfg.Faults = sc
 	cfg.Overload = mac.OverloadConfig{
-		Policy:      mac.DropDeadline,
-		PacketTTL:   30 * time.Second,
-		HighWater:   0.2,
-		Priority:    true,
-		RetryBudget: mac.RetryBudgetConfig{Burst: 2, RatePerSec: 0.05},
+		Policy:        mac.DropDeadline,
+		PacketTTL:     30 * time.Second,
+		HighWater:     0.2,
+		PriorityEvery: 4,
+		RetryBudget:   mac.RetryBudgetConfig{Burst: 2, RatePerSec: 0.05},
 	}
-	cfg.PriorityEvery = 4
 	return cfg
 }
 

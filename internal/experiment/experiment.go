@@ -110,16 +110,10 @@ type Config struct {
 	EW ewmac.Options
 	// Faults enables deterministic fault injection (node churn, clock
 	// drift, delay shifts, outages, interference); nil runs the
-	// fault-free baseline bit-identically. When faults are active the
-	// MACs are hardened automatically: probing is enabled, EW-MAC
-	// gets a stale-delay-table bound unless one was set explicitly,
-	// and the recovery layer (liveness + watchdog) is armed.
+	// fault-free baseline bit-identically. When faults are active every
+	// MAC is hardened (mac.Config.Hardened): delay probes, per-peer
+	// liveness, the stuck-state watchdog and EW-MAC's stale-delay rule.
 	Faults *fault.Scenario
-	// Recovery overrides the MAC recovery layer explicitly: nil (the
-	// default) arms it with defaults exactly when faults are active,
-	// keeping fault-free runs bit-identical; a non-nil value is used
-	// as-is (tests use it to force the layer on or off).
-	Recovery *mac.RecoveryConfig
 	// Overload configures queue drop policies, admission control, and
 	// retry budgets on every MAC. The zero value keeps the historical
 	// tail-drop/unbudgeted behaviour bit-identically.
@@ -130,9 +124,6 @@ type Config struct {
 	// is untouched, so RNG streams are identical either way. Off by
 	// default.
 	ClosedLoop bool
-	// PriorityEvery marks every Nth generated packet high-priority
-	// (0 = never). Only meaningful with Overload.Priority.
-	PriorityEvery int
 	// Budget bounds the run: wall-clock deadline, executed-event cap,
 	// and the livelock watchdog window (sim time frozen across that
 	// many events aborts the run). The zero Budget runs unbounded and
@@ -190,6 +181,9 @@ func (c Config) Validate() error {
 	if c.DataBits <= 0 {
 		bad("%d data bits", c.DataBits)
 	}
+	if c.Warmup < 0 {
+		bad("warmup %v", c.Warmup)
+	}
 	if c.SimTime <= c.Warmup {
 		bad("sim time %v within warmup %v", c.SimTime, c.Warmup)
 	}
@@ -216,8 +210,11 @@ func (c Config) Validate() error {
 	default:
 		bad("unknown protocol %q", c.Protocol)
 	}
-	if c.PriorityEvery < 0 {
-		bad("priority every %d", c.PriorityEvery)
+	if c.Overload.PriorityEvery < 0 {
+		bad("priority every %d", c.Overload.PriorityEvery)
+	}
+	if c.ClosedLoop && c.Overload.HighWater <= 0 {
+		bad("closed loop needs Overload.HighWater to produce a backpressure signal")
 	}
 	if err := c.Overload.Validate(c.QueueMax); err != nil {
 		errs = append(errs, err)
@@ -317,12 +314,6 @@ func Run(cfg Config) (*Result, error) {
 	var inj *fault.Injector
 	if cfg.Faults.Active() {
 		inj = fault.NewInjector(eng, cfg.Faults, net, ro.rec)
-		if cfg.EW.StaleAfter == 0 {
-			// Under faults, delay-table entries go bad between Hello
-			// refreshes; bound their trusted lifetime so EW-MAC falls
-			// back to denying extra grants instead of acting on them.
-			cfg.EW.StaleAfter = 30 * time.Second
-		}
 	}
 
 	modems := make([]*phy.Modem, 0, net.Len())
@@ -359,21 +350,14 @@ func Run(cfg Config) (*Result, error) {
 			HelloWindow: cfg.Warmup,
 			Recorder:    ro.rec,
 			Overload:    cfg.Overload,
+			// Fault-free runs leave hardening off, so every code path
+			// stays bit-identical to the paper's protocol.
+			Hardened: inj != nil,
 		}
 		if inj != nil {
-			mcfg.EnableProbe = true
 			if c := inj.ClockFor(n.ID); c != nil {
 				mcfg.Clock = c
 			}
-		}
-		switch {
-		case cfg.Recovery != nil:
-			mcfg.Recovery = *cfg.Recovery
-		case inj != nil:
-			// Under faults the recovery layer is part of the automatic
-			// hardening; fault-free runs leave it off so every code path
-			// stays bit-identical to the pre-recovery behaviour.
-			mcfg.Recovery = mac.RecoveryConfig{Enabled: true}
 		}
 		proto, err := buildProtocol(cfg, mcfg)
 		if err != nil {
@@ -416,7 +400,7 @@ func Run(cfg Config) (*Result, error) {
 				Bits:      cfg.DataBits,
 				Start:     warmupAt,
 				Stop:      endAt,
-				HighEvery: cfg.PriorityEvery,
+				HighEvery: cfg.Overload.PriorityEvery,
 			}
 			if cfg.ClosedLoop {
 				tc.Backpressure = protos[i].Backpressure

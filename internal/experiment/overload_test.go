@@ -330,7 +330,7 @@ func TestOverloadDefaultsInert(t *testing.T) {
 func TestOverloadConfigValidation(t *testing.T) {
 	cfg := Default(ProtocolEWMAC)
 	cfg.Overload.Policy = mac.DropDeadline // no TTL
-	cfg.PriorityEvery = -1
+	cfg.Overload.PriorityEvery = -1
 	err := cfg.Validate()
 	if err == nil {
 		t.Fatal("invalid overload config validated")

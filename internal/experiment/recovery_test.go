@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ewmac/internal/acoustic"
-	"ewmac/internal/mac"
 )
 
 // TestChaosRecoveryMetrics is the PR's acceptance check: under the
@@ -135,41 +134,20 @@ func TestRetryExhaustionDrops(t *testing.T) {
 	}
 }
 
-// TestRecoveryOverride: an explicit Recovery config wins over the
-// faults-derived default in both directions.
-func TestRecoveryOverride(t *testing.T) {
-	// Forced off under faults: no liveness, so a dead channel with a
-	// retry budget drops by retry exhaustion only, and no recovery
-	// counters move.
-	off := Default(ProtocolEWMAC)
-	off.SimTime = 60 * time.Second
-	off.MaxRetries = 2
-	off.PER = acoustic.UniformLossPER{LossProb: 1}
-	off.Faults = chaosScenario()
-	off.Recovery = &mac.RecoveryConfig{Enabled: false}
-	res, err := Run(off)
+// TestRecoveryDeadPeerPurge: on a dead channel a hardened (faulted)
+// run makes every peer suspect, then dead, and purges the pending
+// traffic rather than retrying it forever.
+func TestRecoveryDeadPeerPurge(t *testing.T) {
+	cfg := Default(ProtocolEWMAC)
+	cfg.SimTime = 60 * time.Second
+	cfg.OfferedLoadKbps = 0.3
+	cfg.PER = acoustic.UniformLossPER{LossProb: 1}
+	cfg.Faults = chaosScenario()
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := res.Summary.MAC
-	if m.SuspectMarks != 0 || m.DeadMarks != 0 || m.WatchdogResets != 0 || m.DroppedDeadPeer != 0 {
-		t.Errorf("recovery forced off but counters moved: suspects=%d deads=%d watchdogs=%d deadDrops=%d",
-			m.SuspectMarks, m.DeadMarks, m.WatchdogResets, m.DroppedDeadPeer)
-	}
-
-	// Forced on without faults: a dead channel makes every peer
-	// suspect, then dead, and the pending traffic is purged rather
-	// than retried forever.
-	on := Default(ProtocolEWMAC)
-	on.SimTime = 60 * time.Second
-	on.OfferedLoadKbps = 0.3
-	on.PER = acoustic.UniformLossPER{LossProb: 1}
-	on.Recovery = &mac.RecoveryConfig{Enabled: true}
-	res, err = Run(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m = res.Summary.MAC
 	if m.SuspectMarks == 0 || m.DeadMarks == 0 {
 		t.Errorf("dead channel with liveness armed marked no peers: suspects=%d deads=%d",
 			m.SuspectMarks, m.DeadMarks)

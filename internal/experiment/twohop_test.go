@@ -97,7 +97,7 @@ func checkTwoHop(t *testing.T, proto Protocol, maint, piggy int, doubled []packe
 				return
 			}
 			f := tx.Frame
-			full := protos[i].(tableHolder).Table().Snapshot(at, -1)
+			full := protos[i].(tableHolder).Table().Snapshot(-1)
 			switch {
 			case f.Kind == packet.KindNbrUpdate:
 				updates++
@@ -171,7 +171,7 @@ func checkTwoHop(t *testing.T, proto Protocol, maint, piggy int, doubled []packe
 			t.Errorf("node %d MaintenanceBits %d, want %d (Hello + NbrUpdate on air)", i+1, got, maintBits[i])
 		}
 		// Enough windows to cover the table once: every entry went out.
-		full := p.(tableHolder).Table().Snapshot(eng.Now(), -1)
+		full := p.(tableHolder).Table().Snapshot(-1)
 		if len(full) <= maint || sent[i] < (len(full)+maint-1)/maint {
 			continue
 		}

@@ -22,6 +22,7 @@ func TestValidateEveryField(t *testing.T) {
 		{"sinks", func(c *Config) { c.Sinks = -1 }, "-1 sinks"},
 		{"data bits", func(c *Config) { c.DataBits = -8 }, "-8 data bits"},
 		{"sim time", func(c *Config) { c.SimTime = c.Warmup }, "within warmup"},
+		{"warmup", func(c *Config) { c.Warmup = -time.Second; c.SimTime = 5 * time.Second }, "warmup -1s"},
 		{"region side", func(c *Config) { c.RegionSide = 0 }, "region side 0"},
 		{"mobile fraction", func(c *Config) { c.MobileFraction = 1.5 }, "mobile fraction 1.5 outside [0, 1]"},
 		{"offered load", func(c *Config) { c.OfferedLoadKbps = -0.1 }, "offered load -0.1"},
@@ -29,6 +30,7 @@ func TestValidateEveryField(t *testing.T) {
 		{"max retries", func(c *Config) { c.MaxRetries = -2 }, "max retries -2"},
 		{"budget deadline", func(c *Config) { c.Budget.Deadline = -time.Second }, "budget deadline -1s"},
 		{"protocol", func(c *Config) { c.Protocol = "bogus" }, `unknown protocol "bogus"`},
+		{"closed loop", func(c *Config) { c.ClosedLoop = true }, "closed loop needs Overload.HighWater"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -33,9 +33,12 @@ type Options struct {
 	// they happen, so those lines are not order-deterministic.
 	Progress func(string)
 	// Workers bounds how many (x-value × protocol) points of one sweep
-	// are in flight at once (0 = GOMAXPROCS, 1 = serial). Results are
-	// identical for any value: each point owns an independent engine and
-	// the table is assembled in a fixed order after all points finish.
+	// are in flight at once (0 = GOMAXPROCS). It does not make a sweep
+	// serial: each point still runs its seeds concurrently, and every
+	// simulation in the process passes one GOMAXPROCS-sized run gate.
+	// Results are identical for any value: each run owns an independent
+	// engine and the table is assembled in a fixed order after all
+	// points finish.
 	Workers int
 	// Manifest, when non-nil, checkpoints every finished point and
 	// serves already-completed points on resume. One manifest may span

@@ -99,7 +99,7 @@ func TestBusyPartiesZeroAlloc(t *testing.T) {
 }
 
 func TestNeighborTableZeroAlloc(t *testing.T) {
-	tab := NewNeighborTable(time.Minute, 0)
+	tab := NewNeighborTable(0)
 	f := &packet.Frame{Kind: packet.KindRTS, Src: 7, Dst: 1}
 	now := sim.At(time.Second)
 	tab.Observe(f, now, time.Millisecond)
@@ -107,7 +107,7 @@ func TestNeighborTableZeroAlloc(t *testing.T) {
 		now = now.Add(time.Second)
 		f.Timestamp = now.Duration() - 300*time.Millisecond
 		tab.Observe(f, now, time.Millisecond)
-		if d, ok := tab.Delay(7, now); !ok || d != 299*time.Millisecond {
+		if d, ok := tab.Delay(7); !ok || d != 299*time.Millisecond {
 			t.Fatalf("Delay = %v, %v", d, ok)
 		}
 	})
@@ -121,7 +121,7 @@ func TestNeighborTableZeroAlloc(t *testing.T) {
 			hello.Timestamp = now.Duration()
 			tab.Observe(hello, now.Add(time.Duration(id)*time.Millisecond), 0)
 		}
-		if _, ok := tab.Delay(64, now.Add(time.Second)); !ok || tab.Len() != 64 {
+		if _, ok := tab.Delay(64); !ok || tab.Len() != 64 {
 			t.Fatalf("re-learned %d peers, want 64", tab.Len())
 		}
 	})

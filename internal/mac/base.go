@@ -104,8 +104,6 @@ type Config struct {
 	// HelloWindow so neighbors learn pairwise delays (paper §4.3).
 	EnableHello bool
 	HelloWindow time.Duration
-	// TableTTL ages out delay estimates (0 = never).
-	TableTTL time.Duration
 	// LenientGrant lets a receiver answer an RTS addressed to it even
 	// when it overheard other (unconfirmed) RTS attempts in the same
 	// contention slot. Slotted-FAMA-derived protocols defer on any
@@ -119,13 +117,15 @@ type Config struct {
 	// (local time == simulation time). A drifting clock shifts this
 	// node's slot boundaries and frame timestamps.
 	Clock Clock
-	// EnableProbe lets the node send unicast Hello probes to refresh
-	// individual delay-table entries on demand (stale-table recovery),
-	// and answer probes addressed to it.
-	EnableProbe bool
-	// Recovery arms per-peer liveness tracking and the stuck-state
-	// watchdog; disabled by default (see RecoveryConfig).
-	Recovery RecoveryConfig
+	// Hardened arms the fault extension the paper does without (it
+	// assumes synchronized sensors and a trustworthy delay table):
+	// unicast Hello probes that refresh single delay-table entries, and
+	// answers to them; per-peer liveness (suspect after suspectAfter
+	// consecutive failures, dead after deadAfter, a dead peer's traffic
+	// purged); the stuck-state watchdog; and EW-MAC's stale-delay
+	// admission rule. Off by default, so every hardening path is a
+	// no-op and the node runs the paper's protocol.
+	Hardened bool
 	// Overload configures queue drop policies, admission control, and
 	// retry budgets; the zero value disables all of them and keeps the
 	// pre-overload behaviour bit-identical (see OverloadConfig).
@@ -155,9 +155,6 @@ const (
 func (c *Config) applyDefaults() {
 	if c.HelloWindow <= 0 {
 		c.HelloWindow = 10 * time.Second
-	}
-	if c.Recovery.Enabled {
-		c.Recovery.applyDefaults()
 	}
 	c.Overload.applyDefaults()
 }
@@ -227,7 +224,7 @@ type Base struct {
 // (S-FAMA) hooks until SetHooks replaces them.
 func NewBase(cfg Config) (*Base, error) {
 	b := &Base{
-		table:     NewNeighborTable(cfg.TableTTL, cfg.MaxID),
+		table:     NewNeighborTable(cfg.MaxID),
 		ledger:    NewLedger(cfg.Slots),
 		role:      RoleIdle,
 		rtsCands:  make(map[int64][]*packet.Frame),
@@ -353,7 +350,7 @@ func (b *Base) sendHello() {
 // probeMinGap and reported in Counters.Probes. Returns whether a probe
 // went on air.
 func (b *Base) Probe(peer packet.NodeID) bool {
-	if !b.cfg.EnableProbe || peer == packet.Nobody || peer == packet.Broadcast {
+	if !b.cfg.Hardened || peer == packet.Nobody || peer == packet.Broadcast {
 		return false
 	}
 	now := b.cfg.Engine.Now()
@@ -462,7 +459,7 @@ func (b *Base) SendAt(t sim.Time, f *packet.Frame, onErr func(error)) {
 func (b *Base) onSlotStart(s int64) {
 	b.ledger.Prune(s)
 
-	// 0. Stuck-state watchdog (no-op unless recovery is enabled).
+	// 0. Stuck-state watchdog (no-op unless the node is hardened).
 	b.watchdogCheck(s)
 
 	// 1. Receiver: answer last slot's RTS contention.
@@ -540,8 +537,7 @@ func (b *Base) receiverGrant(s int64) {
 	if winner == nil {
 		return
 	}
-	now := b.cfg.Engine.Now()
-	tau, ok := b.table.Delay(winner.Src, now)
+	tau, ok := b.table.Delay(winner.Src)
 	if !ok {
 		tau = b.cfg.Slots.TauMax
 	}
@@ -593,8 +589,7 @@ func (b *Base) maybeContend(s int64) {
 	if b.HoldOff(s) {
 		return
 	}
-	now := b.cfg.Engine.Now()
-	tau, known := b.table.Delay(head.Dst, now)
+	tau, known := b.table.Delay(head.Dst)
 	if !known {
 		tau = b.cfg.Slots.TauMax
 	}
@@ -776,12 +771,11 @@ func (b *Base) NextBusyAt() (sim.Time, bool) {
 // excluded (its window is checked explicitly). A party whose delay is
 // unknown fails the check: the paper requires certainty.
 func (b *Base) ClearAtNeighbors(sendT sim.Time, dur time.Duration, target packet.NodeID) bool {
-	now := b.cfg.Engine.Now()
 	for _, n := range b.ledger.BusyParties() {
 		if n == target || n == b.cfg.ID {
 			continue
 		}
-		tau, known := b.table.Delay(n, now)
+		tau, known := b.table.Delay(n)
 		if !known {
 			return false
 		}
@@ -840,7 +834,7 @@ func (b *Base) OnFrameReceived(f *packet.Frame) {
 
 	switch f.Kind {
 	case packet.KindHello, packet.KindNbrUpdate:
-		if f.Kind == packet.KindHello && f.Dst == b.cfg.ID && b.cfg.EnableProbe {
+		if f.Kind == packet.KindHello && f.Dst == b.cfg.ID && b.cfg.Hardened {
 			b.replyProbe(f.Src)
 		}
 		b.hooks.OnOverheard(f)
@@ -888,7 +882,7 @@ func (b *Base) onCTS(f *packet.Frame, now sim.Time) {
 	if f.Dst == b.cfg.ID {
 		if b.role == RoleWaitCTS && f.Src == b.cur.Dst {
 			// Negotiated: data goes out at the next slot boundary.
-			if tau, ok := b.table.Delay(f.Src, now); ok {
+			if tau, ok := b.table.Delay(f.Src); ok {
 				b.curTau = tau
 			}
 			if b.Observing() {

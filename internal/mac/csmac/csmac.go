@@ -99,7 +99,7 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 		return
 	}
 	now := m.Engine().Now()
-	tau, known := m.Table().Delay(j, now)
+	tau, known := m.Table().Delay(j)
 	if !known {
 		return
 	}

@@ -38,16 +38,16 @@ type Options struct {
 	// this zeroes the candidate ordering advantage instead of the
 	// generation.
 	UniformPriority bool
-	// StaleAfter distrusts delay-table entries older than this for
-	// extra-communication admission: attempts and grants against a
-	// stale entry are denied (reason "stale-delay") and a unicast probe
-	// is sent to refresh it, while entries merely aging toward the
-	// limit inflate the scheduling margin mac.Guard up to 2×. Zero (the
-	// default) disables staleness handling entirely — extra scheduling
-	// trusts the table as long as the base TTL does, the paper's
-	// behaviour.
-	StaleAfter time.Duration
 }
+
+// staleAfter is how long a hardened node (mac.Config.Hardened) trusts a
+// delay-table entry for extra-communication admission: attempts and
+// grants against an older entry are denied (reason "stale-delay") and a
+// unicast probe is sent to refresh it, while entries merely aging
+// toward the limit inflate the scheduling margin mac.Guard up to 2×.
+// An unhardened node trusts the table as long as it holds an entry, the
+// paper's behaviour.
+const staleAfter = 30 * time.Second
 
 type extraPhase uint8
 
@@ -133,10 +133,10 @@ func (m *MAC) Piggyback(f *packet.Frame) {
 // staleEntry reports whether peer's delay estimate is too old to base
 // extra-communication timing on. Extra exchanges are scheduled to
 // land inside windows a few guard-margins wide; a table entry that has
-// not been refreshed for StaleAfter (mobility may have moved the peer
+// not been refreshed for staleAfter (mobility may have moved the peer
 // hundreds of meters since) makes those windows fiction.
 func (m *MAC) staleEntry(peer packet.NodeID, now sim.Time) bool {
-	if m.opts.StaleAfter <= 0 {
+	if !m.Hardened() {
 		return false
 	}
 	if m.Table().Suspect(peer) {
@@ -146,16 +146,16 @@ func (m *MAC) staleEntry(peer packet.NodeID, now sim.Time) bool {
 		return true
 	}
 	age, ok := m.Table().Age(peer, now)
-	return ok && age > m.opts.StaleAfter
+	return ok && age > staleAfter
 }
 
 // guardFor returns the scheduling margin to use against peer:
 // mac.Guard, inflated linearly up to 2× as the peer's delay estimate
-// ages toward StaleAfter. Fresh entries (or StaleAfter zero) keep the
-// exact base margin.
+// ages toward staleAfter. Fresh entries (or an unhardened node) keep
+// the exact base margin.
 func (m *MAC) guardFor(peer packet.NodeID, now sim.Time) time.Duration {
 	g := mac.Guard
-	if m.opts.StaleAfter <= 0 {
+	if !m.Hardened() {
 		return g
 	}
 	if m.Table().Suspect(peer) {
@@ -165,7 +165,7 @@ func (m *MAC) guardFor(peer packet.NodeID, now sim.Time) time.Duration {
 	if !ok || age <= 0 {
 		return g
 	}
-	scale := float64(age) / float64(m.opts.StaleAfter)
+	scale := float64(age) / float64(staleAfter)
 	if scale > 1 {
 		scale = 1
 	}
@@ -187,7 +187,7 @@ func (m *MAC) OnContentionLost(cause *packet.Frame) {
 		return
 	}
 	now := m.Engine().Now()
-	tau, known := m.Table().Delay(cause.Src, now)
+	tau, known := m.Table().Delay(cause.Src)
 	if !known {
 		m.RecordExtra(cause.Src, obs.ExtraDeny, "unknown-delay", 0, 0)
 		return
@@ -351,7 +351,7 @@ func (m *MAC) onEXC(f *packet.Frame) {
 	m.CountersRef().ExtraGrants++
 	now := m.Engine().Now()
 	guard := m.guardFor(att.target, now)
-	tau, known := m.Table().Delay(att.target, now)
+	tau, known := m.Table().Delay(att.target)
 	grantAt := sim.At(f.GrantAt)
 	sendT := grantAt.Add(-tau)
 	dataDur := m.DataTx(att.pkt.Bits)

@@ -228,7 +228,7 @@ func TestClearAtNeighborsGuard(t *testing.T) {
 	slots := m.Slots()
 	now := r.eng.Now()
 	curSlot := slots.SlotAt(now)
-	tau31, ok := m.Table().Delay(3, now)
+	tau31, ok := m.Table().Delay(3)
 	if !ok {
 		t.Fatal("hello phase did not populate the delay table")
 	}
@@ -238,7 +238,7 @@ func TestClearAtNeighborsGuard(t *testing.T) {
 	// Node 1 (the exchange receiver) will be receiving data during
 	// [StartOf(curSlot+2)+τ31, +dataTx). A transmission by node 2
 	// timed to arrive at node 1 inside that window must be refused.
-	tau21, _ := m.Table().Delay(1, now)
+	tau21, _ := m.Table().Delay(1)
 	dataWindowStart := slots.StartOf(curSlot + 2).Add(tau31)
 	sendT := dataWindowStart.Add(50 * time.Millisecond).Add(-tau21)
 	if m.clearAtNeighbors(sendT, 20*time.Millisecond, 3) {

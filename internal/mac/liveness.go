@@ -6,44 +6,24 @@ import (
 	"ewmac/internal/packet"
 )
 
-// RecoveryConfig controls the MAC's graceful-degradation layer:
-// per-peer liveness tracking (consecutive failed handshakes mark a
-// neighbor suspect, then dead) and the stuck-state watchdog. Disabled
-// by default — the experiment layer switches it on only when fault
-// injection is active, so fault-free runs stay bit-identical to the
-// pre-recovery behaviour.
-type RecoveryConfig struct {
-	// Enabled arms liveness tracking and the watchdog. When false every
-	// recovery path is a no-op.
-	Enabled bool
-	// SuspectAfter is the consecutive-failure count at which a peer is
-	// marked suspect (default 3). A suspect peer's delay-table entry is
-	// flagged so confidence-aware admission (EW-MAC's stale-delay rule)
-	// stops trusting it.
-	SuspectAfter int
-	// DeadAfter is the consecutive-failure count at which a peer is
-	// declared dead (default 2×SuspectAfter). Pending traffic to a dead
-	// peer is purged with a typed drop and new contention toward it is
-	// suppressed until a frame from the peer is overheard.
-	DeadAfter int
-	// WatchdogFactor scales the stuck-state bound: a node staying in
-	// any non-idle handshake role longer than WatchdogFactor worst-case
-	// exchanges is force-reset through the cold-restart path
-	// (default 4).
-	WatchdogFactor int64
-}
-
-func (r *RecoveryConfig) applyDefaults() {
-	if r.SuspectAfter <= 0 {
-		r.SuspectAfter = 3
-	}
-	if r.DeadAfter <= r.SuspectAfter {
-		r.DeadAfter = 2 * r.SuspectAfter
-	}
-	if r.WatchdogFactor <= 0 {
-		r.WatchdogFactor = 4
-	}
-}
+// Thresholds of the fault-hardening layer (Config.Hardened): per-peer
+// liveness and the stuck-state watchdog.
+const (
+	// suspectAfter is the consecutive-failure count at which a peer is
+	// marked suspect. A suspect peer's delay-table entry is flagged so
+	// confidence-aware admission (EW-MAC's stale-delay rule) stops
+	// trusting it.
+	suspectAfter = 3
+	// deadAfter is the consecutive-failure count at which a peer is
+	// declared dead. Pending traffic to a dead peer is purged with a
+	// typed drop and new contention toward it is suppressed until a
+	// frame from the peer is overheard.
+	deadAfter = 2 * suspectAfter
+	// watchdogFactor scales the stuck-state bound: a node staying in any
+	// non-idle handshake role longer than watchdogFactor worst-case
+	// exchanges is force-reset through the cold-restart path.
+	watchdogFactor = 4
+)
 
 // PeerState is the liveness verdict for one neighbor.
 type PeerState uint8
@@ -100,12 +80,12 @@ func (b *Base) peerVerdict(peer packet.NodeID, st PeerState) {
 }
 
 // watchdogCheck force-resets a MAC stuck in a non-idle role for
-// WatchdogFactor worst-case four-way exchanges (RTS, CTS, the data
+// watchdogFactor worst-case four-way exchanges (RTS, CTS, the data
 // occupancy of Equation (5), and the Ack slot), derived from the delay
 // budget of the exchange actually in flight. Runs at every slot
-// boundary; a no-op unless recovery is enabled.
+// boundary; a no-op unless the node is hardened.
 func (b *Base) watchdogCheck(s int64) {
-	if !b.cfg.Recovery.Enabled || b.role == RoleIdle {
+	if !b.cfg.Hardened || b.role == RoleIdle {
 		return
 	}
 	dataTx := b.cfg.Slots.Len()

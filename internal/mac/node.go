@@ -106,6 +106,10 @@ func (n *Node) BitRate() float64 { return n.cfg.BitRate }
 // IsSink reports whether the node is a pure receiver.
 func (n *Node) IsSink() bool { return n.cfg.IsSink }
 
+// Hardened reports whether the fault-hardening layer is armed (see
+// Config.Hardened).
+func (n *Node) Hardened() bool { return n.cfg.Hardened }
+
 // Queue returns the transmit queue.
 func (n *Node) Queue() *Queue { return &n.queue }
 
@@ -243,7 +247,7 @@ func (n *Node) Enqueue(p AppPacket) {
 	// Every offered packet counts as generated — it is real demand —
 	// whether it queues or is refused with a typed drop below.
 	n.counters.Generated++
-	if n.cfg.Recovery.Enabled && n.peerState[p.Dst] == PeerDead {
+	if n.cfg.Hardened && n.peerState[p.Dst] == PeerDead {
 		// Never queue up behind a corpse.
 		n.dropPacket(p, obs.DropDeadPeer)
 		return
@@ -251,7 +255,7 @@ func (n *Node) Enqueue(p AppPacket) {
 	if ttl := n.cfg.Overload.PacketTTL; ttl > 0 && p.Deadline == 0 {
 		p.Deadline = p.GeneratedAt + ttl
 	}
-	if n.gate.Enabled() && !(n.cfg.Overload.Priority && p.High) {
+	if n.gate.Enabled() && !(n.cfg.Overload.twoClass() && p.High) {
 		if n.gateClosed() {
 			n.dropPacket(p, obs.DropShed)
 			return
@@ -335,13 +339,13 @@ func (n *Node) NextHead() (head AppPacket, ok, fresh bool) {
 	if !ok {
 		return head, false, true
 	}
-	if n.cfg.Recovery.Enabled && n.peerState[head.Dst] == PeerDead {
+	if n.cfg.Hardened && n.peerState[head.Dst] == PeerDead {
 		n.queue.Pop()
 		n.dropPacket(head, obs.DropDeadPeer)
 		return head, false, true
 	}
 	if n.attempts > 0 &&
-		(n.cfg.Overload.Priority || n.cfg.Overload.Policy == DropDeadline) &&
+		(n.cfg.Overload.twoClass() || n.cfg.Overload.Policy == DropDeadline) &&
 		(head.Origin != n.cur.Origin || head.Seq != n.cur.Seq) {
 		n.attempts = 0
 		return head, true, true
@@ -454,7 +458,7 @@ func (n *Node) PeerState(peer packet.NodeID) PeerState {
 // nor dropped with a typed reason. A correctly closing recovery loop
 // keeps this at zero.
 func (n *Node) Stranded() int {
-	if !n.cfg.Recovery.Enabled {
+	if !n.cfg.Hardened {
 		return 0
 	}
 	c := 0
@@ -471,21 +475,20 @@ func (n *Node) Stranded() int {
 // peer — every packet queued to it, the caller's head included, was
 // dropped with a typed dead-peer reason.
 func (n *Node) noteFailure(peer packet.NodeID) bool {
-	rc := &n.cfg.Recovery
-	if !rc.Enabled || peer == packet.Nobody || peer == packet.Broadcast {
+	if !n.cfg.Hardened || peer == packet.Nobody || peer == packet.Broadcast {
 		return false
 	}
 	c := n.peerFails[peer] + 1
 	n.peerFails[peer] = c
 	st := n.peerState[peer]
-	if st == PeerAlive && c >= rc.SuspectAfter {
+	if st == PeerAlive && c >= suspectAfter {
 		st = PeerSuspect
 		n.peerState[peer] = st
 		n.counters.SuspectMarks++
 		n.emitVerdict(peer, obs.RecoverySuspect, c)
 		n.verdict(peer, st)
 	}
-	if st != PeerDead && c >= rc.DeadAfter {
+	if st != PeerDead && c >= deadAfter {
 		n.peerState[peer] = PeerDead
 		n.counters.DeadMarks++
 		n.emitVerdict(peer, obs.RecoveryDead, c)
@@ -507,7 +510,7 @@ func (n *Node) noteFailure(peer packet.NodeID) bool {
 // NoteAlive clears the failure history for peer on any decoded frame
 // from it, resurrecting a suspect/dead peer.
 func (n *Node) NoteAlive(peer packet.NodeID) {
-	if !n.cfg.Recovery.Enabled {
+	if !n.cfg.Hardened {
 		return
 	}
 	st := n.peerState[peer]
@@ -548,16 +551,16 @@ func (n *Node) emitVerdict(peer packet.NodeID, action string, fails int) {
 }
 
 // WatchdogTripped is the stuck-state watchdog: a node that has spent
-// stuck slots in state, past WatchdogFactor exchanges of exchange slots
+// stuck slots in state, past watchdogFactor exchanges of exchange slots
 // each, is counted and recorded as a watchdog reset and the caller must
-// cold-restart it. Always false unless recovery is enabled; the normal
+// cold-restart it. Always false unless the node is hardened; the normal
 // timeout paths should fire first, so this is the backstop against
 // scheduling pathologies under injected drift.
 func (n *Node) WatchdogTripped(state string, stuck, exchange int64) bool {
-	if !n.cfg.Recovery.Enabled {
+	if !n.cfg.Hardened {
 		return false
 	}
-	bound := n.cfg.Recovery.WatchdogFactor * exchange
+	bound := watchdogFactor * exchange
 	if stuck <= bound {
 		return false
 	}

@@ -90,33 +90,34 @@ type OverloadConfig struct {
 	// it). Required when Policy is DropDeadline; with other policies the
 	// stamp is carried but never enforced.
 	PacketTTL time.Duration
-	// Priority enables the two-class scheme: packets marked High are
-	// queued ahead of every normal packet (FIFO within the class),
-	// bypass admission shedding, and are never shed first on overflow.
-	// A high-priority insert never displaces the in-flight head.
-	Priority bool
+	// PriorityEvery marks every Nth generated packet high-priority and
+	// enables the two-class scheme; zero leaves it off.
+	// High packets are queued ahead of every normal packet (FIFO within
+	// the class), bypass admission shedding, and are never shed first on
+	// overflow. A high-priority insert never displaces the in-flight
+	// head.
+	PriorityEvery int
 	// HighWater arms the admission gate: when queue occupancy reaches
 	// HighWater × QueueMax, Enqueue sheds normal-priority packets with
 	// the typed "load-shed" reason until occupancy falls back to
-	// LowWater × QueueMax. Fractions of a bounded queue; zero disables.
+	// HighWater/2 × QueueMax; the hysteresis keeps the gate from
+	// flapping at the boundary. A fraction of a bounded queue; zero
+	// disables.
 	HighWater float64
-	// LowWater is the reopen threshold (default HighWater/2). The
-	// hysteresis prevents the gate from flapping at the boundary.
-	LowWater float64
 	// RetryBudget bounds handshake retries per node.
 	RetryBudget RetryBudgetConfig
 }
 
 // Armed reports whether any overload mechanism is enabled.
 func (o OverloadConfig) Armed() bool {
-	return o.Policy != DropTail || o.PacketTTL > 0 || o.Priority ||
+	return o.Policy != DropTail || o.PacketTTL > 0 || o.twoClass() ||
 		o.HighWater > 0 || o.RetryBudget.Enabled()
 }
 
+// twoClass reports whether the two-class priority scheme is on.
+func (o OverloadConfig) twoClass() bool { return o.PriorityEvery > 0 }
+
 func (o *OverloadConfig) applyDefaults() {
-	if o.HighWater > 0 && o.LowWater <= 0 {
-		o.LowWater = o.HighWater / 2
-	}
 	if o.RetryBudget.Burst > 0 && o.RetryBudget.RatePerSec <= 0 {
 		o.RetryBudget.RatePerSec = 0.5
 	}
@@ -142,12 +143,6 @@ func (o OverloadConfig) Validate(queueMax int) error {
 	if o.HighWater > 0 && queueMax <= 0 {
 		return fmt.Errorf("mac: admission gate needs a bounded queue (QueueMax > 0)")
 	}
-	if o.LowWater < 0 || (o.LowWater > 0 && o.HighWater == 0) {
-		return fmt.Errorf("mac: low water %v without a high water mark", o.LowWater)
-	}
-	if o.LowWater > 0 && o.LowWater >= o.HighWater {
-		return fmt.Errorf("mac: low water %v not below high water %v", o.LowWater, o.HighWater)
-	}
 	if o.RetryBudget.Burst < 0 {
 		return fmt.Errorf("mac: negative retry budget burst %d", o.RetryBudget.Burst)
 	}
@@ -159,7 +154,8 @@ func (o OverloadConfig) Validate(queueMax int) error {
 
 // AdmissionGate is the hysteresis load-shedding gate: it closes when
 // queue occupancy reaches the high-water mark and reopens only once
-// occupancy drains to the low-water mark. The zero value is disabled.
+// occupancy drains to the low-water mark, half the high one. The zero
+// value is disabled.
 type AdmissionGate struct {
 	high, low int
 	closed    bool
@@ -176,7 +172,7 @@ func NewAdmissionGate(cfg Config) AdmissionGate {
 	if high < 1 {
 		high = 1
 	}
-	low := int(o.LowWater * float64(cfg.QueueMax))
+	low := int(o.HighWater / 2 * float64(cfg.QueueMax))
 	if low >= high {
 		low = high - 1
 	}

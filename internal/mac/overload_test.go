@@ -42,7 +42,6 @@ func TestOverloadConfigValidate(t *testing.T) {
 		{Policy: DropOldest},
 		{Policy: DropDeadline, PacketTTL: time.Second},
 		{HighWater: 0.9},
-		{HighWater: 0.9, LowWater: 0.5},
 		{RetryBudget: RetryBudgetConfig{Burst: 4, RatePerSec: 1}},
 	}
 	for i, o := range good {
@@ -56,8 +55,6 @@ func TestOverloadConfigValidate(t *testing.T) {
 		{Policy: DropDeadline}, // deadline policy without TTL
 		{HighWater: 1.5},
 		{HighWater: -0.1},
-		{LowWater: 0.5}, // low water without high water
-		{HighWater: 0.5, LowWater: 0.5},
 		{RetryBudget: RetryBudgetConfig{Burst: -1}},
 		{RetryBudget: RetryBudgetConfig{Burst: 1, RatePerSec: -1}},
 	}
@@ -79,7 +76,7 @@ func TestOverloadConfigArmedAndDefaults(t *testing.T) {
 	armed := []OverloadConfig{
 		{Policy: DropOldest},
 		{PacketTTL: time.Second},
-		{Priority: true},
+		{PriorityEvery: 4},
 		{HighWater: 0.9},
 		{RetryBudget: RetryBudgetConfig{Burst: 1}},
 	}
@@ -88,11 +85,8 @@ func TestOverloadConfigArmedAndDefaults(t *testing.T) {
 			t.Errorf("armed[%d] not armed", i)
 		}
 	}
-	d := OverloadConfig{HighWater: 0.8, RetryBudget: RetryBudgetConfig{Burst: 4}}
+	d := OverloadConfig{RetryBudget: RetryBudgetConfig{Burst: 4}}
 	d.applyDefaults()
-	if d.LowWater != 0.4 {
-		t.Errorf("default low water = %v", d.LowWater)
-	}
 	if d.RetryBudget.RatePerSec != 0.5 {
 		t.Errorf("default retry rate = %v", d.RetryBudget.RatePerSec)
 	}
@@ -101,7 +95,7 @@ func TestOverloadConfigArmedAndDefaults(t *testing.T) {
 func TestAdmissionGateHysteresis(t *testing.T) {
 	g := NewAdmissionGate(Config{
 		QueueMax: 10,
-		Overload: OverloadConfig{HighWater: 0.8, LowWater: 0.4},
+		Overload: OverloadConfig{HighWater: 0.8},
 	})
 	if !g.Enabled() {
 		t.Fatal("gate not enabled")

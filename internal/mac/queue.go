@@ -54,7 +54,7 @@ func NewQueue(cfg Config, now func() time.Duration, onDrop func(AppPacket, strin
 	return Queue{
 		MaxLen:   cfg.QueueMax,
 		Policy:   cfg.Overload.Policy,
-		Priority: cfg.Overload.Priority,
+		Priority: cfg.Overload.twoClass(),
 		Now:      now,
 		OnDrop:   onDrop,
 		OnEvent:  onEvent,

@@ -137,7 +137,7 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 		return
 	}
 	now := m.Engine().Now()
-	tau, known := m.Table().Delay(f.Src, now)
+	tau, known := m.Table().Delay(f.Src)
 	if !known {
 		return
 	}
@@ -227,7 +227,7 @@ func (m *MAC) onGrant(f *packet.Frame) {
 	}
 	m.CountersRef().ExtraGrants++
 	now := m.Engine().Now()
-	tau, known := m.Table().Delay(st.target, now)
+	tau, known := m.Table().Delay(st.target)
 	sendT := sim.At(f.GrantAt).Add(-tau)
 	if !known || sendT.Before(now.Add(mac.Guard)) {
 		m.abort(st)

@@ -11,8 +11,10 @@ import (
 // NeighborTable maintains measured one-hop propagation delays, per the
 // paper's §4.3: every frame carries its sender's transmission
 // timestamp, and a receiver derives the pairwise delay as
-// (arrival end − timestamp − transmission time). Entries age out so
-// stale estimates for drifted neighbors are not trusted forever.
+// (arrival end − timestamp − transmission time). An estimate holds
+// until a newer measurement replaces it; Age reports how old it is, so
+// admission rules that distrust old entries (EW-MAC's stale-delay rule)
+// can decide for themselves.
 //
 // NodeIDs are dense small integers, so the table is a slice indexed by
 // ID, sized once to the deployment's largest ID (and grown should a
@@ -20,10 +22,8 @@ import (
 // reallocates, and iteration is already in ID order.
 type NeighborTable struct {
 	entries []tableEntry
-	// n counts known entries, live or stale.
+	// n counts known entries.
 	n int
-	// TTL is how long an estimate stays trusted; zero disables aging.
-	TTL time.Duration
 }
 
 type tableEntry struct {
@@ -38,10 +38,9 @@ type tableEntry struct {
 	suspect bool
 }
 
-// NewNeighborTable returns an empty table with the given TTL, sized
-// for IDs up to maxID.
-func NewNeighborTable(ttl time.Duration, maxID packet.NodeID) *NeighborTable {
-	return &NeighborTable{TTL: ttl, entries: make([]tableEntry, int(maxID)+1)}
+// NewNeighborTable returns an empty table sized for IDs up to maxID.
+func NewNeighborTable(maxID packet.NodeID) *NeighborTable {
+	return &NeighborTable{entries: make([]tableEntry, int(maxID)+1)}
 }
 
 // entry returns the slot for id, or nil when id is beyond the table.
@@ -93,24 +92,19 @@ func (t *NeighborTable) ObservePair(id packet.NodeID, delay time.Duration, now s
 	t.set(id, delay, now)
 }
 
-// Delay returns the current estimate for a neighbor and whether a live
-// estimate exists.
-func (t *NeighborTable) Delay(id packet.NodeID, now sim.Time) (time.Duration, bool) {
+// Delay returns the current estimate for a neighbor and whether one
+// exists.
+func (t *NeighborTable) Delay(id packet.NodeID) (time.Duration, bool) {
 	e := t.entry(id)
-	if e == nil || !t.live(e, now) {
+	if e == nil || !e.known {
 		return 0, false
 	}
 	return e.delay, true
 }
 
-// live reports whether e holds an estimate that has not aged out.
-func (t *NeighborTable) live(e *tableEntry, now sim.Time) bool {
-	return e.known && (t.TTL <= 0 || now.Sub(e.heard) <= t.TTL)
-}
-
 // Age returns how long ago the estimate for a neighbor was refreshed,
-// and whether any estimate (live or stale) exists. Staleness-aware
-// admission rules use it to distrust old entries before TTL expiry.
+// and whether an estimate exists. Staleness-aware admission rules use
+// it to distrust old entries.
 func (t *NeighborTable) Age(id packet.NodeID, now sim.Time) (time.Duration, bool) {
 	e := t.entry(id)
 	if e == nil || !e.known {
@@ -141,20 +135,14 @@ func (t *NeighborTable) Clear() {
 	t.n = 0
 }
 
-// Len reports the number of entries (live or stale).
+// Len reports the number of entries.
 func (t *NeighborTable) Len() int { return t.n }
 
-// Snapshot returns up to max live entries as piggybackable
-// NeighborInfo, sorted by ID. CS-MAC and ROPA use this to distribute
-// two-hop state; EW-MAC only ever piggybacks the single pair under
-// negotiation.
-func (t *NeighborTable) Snapshot(now sim.Time, max int) []packet.NeighborInfo {
-	n := 0
-	for i := range t.entries {
-		if t.live(&t.entries[i], now) {
-			n++
-		}
-	}
+// Snapshot returns up to max entries as piggybackable NeighborInfo,
+// sorted by ID. CS-MAC and ROPA use this to distribute two-hop state;
+// EW-MAC only ever piggybacks the single pair under negotiation.
+func (t *NeighborTable) Snapshot(max int) []packet.NeighborInfo {
+	n := t.n
 	if max >= 0 && n > max {
 		n = max
 	}
@@ -163,7 +151,7 @@ func (t *NeighborTable) Snapshot(now sim.Time, max int) []packet.NeighborInfo {
 		if len(out) == n {
 			break
 		}
-		if e := &t.entries[i]; t.live(e, now) {
+		if e := &t.entries[i]; e.known {
 			out = append(out, packet.NeighborInfo{ID: packet.NodeID(i), Delay: e.delay})
 		}
 	}

@@ -11,11 +11,11 @@ import (
 	"ewmac/internal/sim"
 )
 
-// known returns the IDs t holds live estimates for, in ID order.
-func known(t *NeighborTable, now sim.Time) []packet.NodeID {
+// known returns the IDs t holds estimates for, in ID order.
+func known(t *NeighborTable) []packet.NodeID {
 	out := make([]packet.NodeID, 0, t.n)
 	for i := range t.entries {
-		if t.live(&t.entries[i], now) {
+		if t.entries[i].known {
 			out = append(out, packet.NodeID(i))
 		}
 	}
@@ -26,11 +26,10 @@ func known(t *NeighborTable, now sim.Time) []packet.NodeID {
 // replaced, kept as the reference its behaviour must match.
 type refTable struct {
 	entries map[packet.NodeID]tableEntry
-	ttl     time.Duration
 }
 
-func newRefTable(ttl time.Duration) *refTable {
-	return &refTable{entries: make(map[packet.NodeID]tableEntry), ttl: ttl}
+func newRefTable() *refTable {
+	return &refTable{entries: make(map[packet.NodeID]tableEntry)}
 }
 
 func (t *refTable) Observe(f *packet.Frame, arrivalEnd sim.Time, txDur time.Duration) {
@@ -51,12 +50,9 @@ func (t *refTable) ObservePair(id packet.NodeID, delay time.Duration, now sim.Ti
 	t.entries[id] = tableEntry{delay: delay, heard: now}
 }
 
-func (t *refTable) Delay(id packet.NodeID, now sim.Time) (time.Duration, bool) {
+func (t *refTable) Delay(id packet.NodeID) (time.Duration, bool) {
 	e, ok := t.entries[id]
-	if !ok || (t.ttl > 0 && now.Sub(e.heard) > t.ttl) {
-		return 0, false
-	}
-	return e.delay, true
+	return e.delay, ok
 }
 
 func (t *refTable) Age(id packet.NodeID, now sim.Time) (time.Duration, bool) {
@@ -78,25 +74,23 @@ func (t *refTable) Suspect(id packet.NodeID) bool { return t.entries[id].suspect
 
 func (t *refTable) Clear() { t.entries = make(map[packet.NodeID]tableEntry) }
 
-func (t *refTable) Known(now sim.Time) []packet.NodeID {
+func (t *refTable) Known() []packet.NodeID {
 	out := make([]packet.NodeID, 0, len(t.entries))
 	for id := range t.entries {
-		if _, ok := t.Delay(id, now); ok {
-			out = append(out, id)
-		}
+		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-func (t *refTable) Snapshot(now sim.Time, max int) []packet.NeighborInfo {
-	ids := t.Known(now)
+func (t *refTable) Snapshot(max int) []packet.NeighborInfo {
+	ids := t.Known()
 	if max >= 0 && len(ids) > max {
 		ids = ids[:max]
 	}
 	out := make([]packet.NeighborInfo, 0, len(ids))
 	for _, id := range ids {
-		d, _ := t.Delay(id, now)
+		d, _ := t.Delay(id)
 		out = append(out, packet.NeighborInfo{ID: id, Delay: d})
 	}
 	return out
@@ -104,73 +98,71 @@ func (t *refTable) Snapshot(now sim.Time, max int) []packet.NeighborInfo {
 
 // TestNeighborTableMatchesReference drives random operation sequences
 // through NeighborTable and the map-based reference and requires every
-// query to agree, including across Clear, reserved IDs and TTL expiry.
+// query to agree, including across Clear and reserved IDs.
 func TestNeighborTableMatchesReference(t *testing.T) {
 	// IDs span the reserved ones, a dense low range, and a sparse high
 	// one that forces the table to grow.
 	ids := []packet.NodeID{packet.Nobody, 1, 2, 3, 4, 5, 6, 7, 8, 40, 300, packet.Broadcast}
-	for _, ttl := range []time.Duration{0, 5 * time.Second} {
-		for seed := int64(1); seed <= 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			// Odd seeds presize the table to ID 8, as a deployment does;
-			// the sparse high IDs still make it grow.
-			got, want := NewNeighborTable(ttl, packet.NodeID(seed%2)*8), newRefTable(ttl)
-			now := sim.Time(0)
-			pick := func() packet.NodeID { return ids[rng.Intn(len(ids))] }
-			for step := 0; step < 400; step++ {
-				now = now.Add(time.Duration(rng.Intn(800)) * time.Millisecond)
-				var op string
-				switch r := rng.Intn(100); {
-				case r < 30:
-					op = "Observe"
-					src := pick()
-					if src == packet.Broadcast {
-						src = 2
-					}
-					f := &packet.Frame{
-						Kind: packet.KindRTS, Src: src, Dst: 1,
-						Timestamp: now.Duration() - time.Duration(rng.Intn(1500))*time.Millisecond,
-					}
-					tx := time.Duration(rng.Intn(300)) * time.Millisecond
-					got.Observe(f, now, tx)
-					want.Observe(f, now, tx)
-				case r < 55:
-					op = "ObservePair"
-					id, d := pick(), time.Duration(rng.Intn(1000))*time.Millisecond
-					got.ObservePair(id, d, now)
-					want.ObservePair(id, d, now)
-				case r < 70:
-					op = "MarkSuspect"
-					id := pick()
-					got.MarkSuspect(id)
-					want.MarkSuspect(id)
-				case r < 73:
-					op = "Clear"
-					got.Clear()
-					want.Clear()
-				default:
-					op = "query"
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Odd seeds presize the table to ID 8, as a deployment does;
+		// the sparse high IDs still make it grow.
+		got, want := NewNeighborTable(packet.NodeID(seed%2)*8), newRefTable()
+		now := sim.Time(0)
+		pick := func() packet.NodeID { return ids[rng.Intn(len(ids))] }
+		for step := 0; step < 400; step++ {
+			now = now.Add(time.Duration(rng.Intn(800)) * time.Millisecond)
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 30:
+				op = "Observe"
+				src := pick()
+				if src == packet.Broadcast {
+					src = 2
 				}
-				if g, w := got.Len(), len(want.entries); g != w {
-					t.Fatalf("ttl %v seed %d step %d after %s: Len = %d, want %d", ttl, seed, step, op, g, w)
+				f := &packet.Frame{
+					Kind: packet.KindRTS, Src: src, Dst: 1,
+					Timestamp: now.Duration() - time.Duration(rng.Intn(1500))*time.Millisecond,
 				}
-				for _, id := range ids {
-					gd, gok := got.Delay(id, now)
-					wd, wok := want.Delay(id, now)
-					ga, gaok := got.Age(id, now)
-					wa, waok := want.Age(id, now)
-					if gd != wd || gok != wok || ga != wa || gaok != waok || got.Suspect(id) != want.Suspect(id) {
-						t.Fatalf("ttl %v seed %d step %d after %s: id %v: Delay %v,%v Age %v,%v Suspect %v; want %v,%v %v,%v %v",
-							ttl, seed, step, op, id, gd, gok, ga, gaok, got.Suspect(id), wd, wok, wa, waok, want.Suspect(id))
-					}
+				tx := time.Duration(rng.Intn(300)) * time.Millisecond
+				got.Observe(f, now, tx)
+				want.Observe(f, now, tx)
+			case r < 55:
+				op = "ObservePair"
+				id, d := pick(), time.Duration(rng.Intn(1000))*time.Millisecond
+				got.ObservePair(id, d, now)
+				want.ObservePair(id, d, now)
+			case r < 70:
+				op = "MarkSuspect"
+				id := pick()
+				got.MarkSuspect(id)
+				want.MarkSuspect(id)
+			case r < 73:
+				op = "Clear"
+				got.Clear()
+				want.Clear()
+			default:
+				op = "query"
+			}
+			if g, w := got.Len(), len(want.entries); g != w {
+				t.Fatalf("seed %d step %d after %s: Len = %d, want %d", seed, step, op, g, w)
+			}
+			for _, id := range ids {
+				gd, gok := got.Delay(id)
+				wd, wok := want.Delay(id)
+				ga, gaok := got.Age(id, now)
+				wa, waok := want.Age(id, now)
+				if gd != wd || gok != wok || ga != wa || gaok != waok || got.Suspect(id) != want.Suspect(id) {
+					t.Fatalf("seed %d step %d after %s: id %v: Delay %v,%v Age %v,%v Suspect %v; want %v,%v %v,%v %v",
+						seed, step, op, id, gd, gok, ga, gaok, got.Suspect(id), wd, wok, wa, waok, want.Suspect(id))
 				}
-				if g, w := known(got, now), want.Known(now); !reflect.DeepEqual(g, w) {
-					t.Fatalf("ttl %v seed %d step %d after %s: Known = %v, want %v", ttl, seed, step, op, g, w)
-				}
-				max := rng.Intn(6) - 1
-				if g, w := got.Snapshot(now, max), want.Snapshot(now, max); !reflect.DeepEqual(g, w) {
-					t.Fatalf("ttl %v seed %d step %d after %s: Snapshot(%d) = %v, want %v", ttl, seed, step, op, max, g, w)
-				}
+			}
+			if g, w := known(got), want.Known(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d step %d after %s: Known = %v, want %v", seed, step, op, g, w)
+			}
+			max := rng.Intn(6) - 1
+			if g, w := got.Snapshot(max), want.Snapshot(max); !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d step %d after %s: Snapshot(%d) = %v, want %v", seed, step, op, max, g, w)
 			}
 		}
 	}

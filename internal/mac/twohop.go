@@ -44,7 +44,7 @@ func (t *TwoHop) Piggyback(f *packet.Frame) {
 	if f.Kind == packet.KindNbrUpdate {
 		return
 	}
-	f.Neighbors = append(f.Neighbors, t.table.Snapshot(t.cfg.Engine.Now(), t.piggy)...)
+	f.Neighbors = append(f.Neighbors, t.table.Snapshot(t.piggy)...)
 }
 
 // OnSlotStart implements Hooks: once a period has passed, an idle node
@@ -61,7 +61,7 @@ func (t *TwoHop) OnSlotStart(int64) {
 		return
 	}
 	upd := t.NewFrame(packet.KindNbrUpdate, packet.Broadcast)
-	upd.Neighbors = t.rotatingSnapshot(now)
+	upd.Neighbors = t.rotatingSnapshot()
 	if err := t.SendNow(upd); err != nil {
 		return
 	}
@@ -71,8 +71,8 @@ func (t *TwoHop) OnSlotStart(int64) {
 
 // rotatingSnapshot returns up to maint table entries, starting at a
 // cursor that advances with each broadcast.
-func (t *TwoHop) rotatingSnapshot(now sim.Time) []packet.NeighborInfo {
-	full := t.table.Snapshot(now, -1)
+func (t *TwoHop) rotatingSnapshot() []packet.NeighborInfo {
+	full := t.table.Snapshot(-1)
 	if len(full) == 0 {
 		return nil
 	}

@@ -42,7 +42,7 @@ type AppPacket struct {
 	GeneratedAt time.Duration
 	// High marks the packet for the two-class priority scheme: queued
 	// ahead of normal traffic, exempt from admission shedding, never
-	// shed first. Inert unless OverloadConfig.Priority is set.
+	// shed first. Inert unless OverloadConfig.PriorityEvery is set.
 	High bool
 	// Deadline is the absolute simulation instant after which delivery
 	// is worthless (0 = none). Enqueue stamps GeneratedAt + PacketTTL

@@ -31,6 +31,9 @@ import (
 	"ewmac/internal/metrics"
 )
 
+// maxShrink bounds the greedy shrinking steps.
+const maxShrink = 32
+
 // Invariant names for Finding.Invariant.
 const (
 	InvariantCollapse = "delivery-collapse"
@@ -52,8 +55,6 @@ type Options struct {
 	// CollapseFraction f flags a candidate when its delivery ratio is
 	// below f × the fault-free baseline's (default 0.25).
 	CollapseFraction float64
-	// MaxShrink bounds the greedy shrinking steps (default 32).
-	MaxShrink int
 	// Log, when non-nil, receives one-line progress messages.
 	Log func(string)
 }
@@ -127,9 +128,6 @@ func Search(o Options) (*Finding, error) {
 	if o.CollapseFraction <= 0 {
 		o.CollapseFraction = 0.25
 	}
-	if o.MaxShrink <= 0 {
-		o.MaxShrink = 32
-	}
 	if o.Base.Faults.Active() {
 		return nil, fmt.Errorf("adversary: Base.Faults must be nil; the search generates its own scenarios")
 	}
@@ -179,7 +177,7 @@ func Search(o Options) (*Finding, error) {
 func (s *searcher) shrink(sc *fault.Scenario, trial int) (*Finding, error) {
 	cur := clone(sc)
 	steps := 0
-	for steps < s.opts.MaxShrink {
+	for steps < maxShrink {
 		shrunk := false
 		for _, cand := range candidates(cur, s.opts.Base.SimTime) {
 			if !cand.Active() {
