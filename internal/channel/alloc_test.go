@@ -15,12 +15,12 @@ import (
 
 // TestBroadcastAllocsPerBroadcast pins the fan-out to zero allocations
 // per broadcast with every scheduled arrival drained: receivers share
-// the transmitted frame, and per-receiver deliveries and PHY arrivals
-// are recycled records with pre-bound handlers. It covers direct rays
-// and surface echoes, with the geometry cache on, on the uncached
-// reference path, and with half the sensors drifting between
-// broadcasts, where no source's geometry is ever reused and so none
-// may be kept.
+// the transmitted frame, each broadcast's wave and lanes are recycled
+// with their handlers bound, and PHY arrivals are recycled records with
+// pre-bound handlers. It covers direct rays and surface echoes, with
+// the geometry cache on, on the uncached reference path, and with half
+// the sensors drifting between broadcasts, where no source's geometry
+// is ever reused and so none may be kept.
 func TestBroadcastAllocsPerBroadcast(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

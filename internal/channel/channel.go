@@ -9,19 +9,20 @@
 // protocol's knowledge (a failure mode the paper discusses in §5) is
 // faithfully represented rather than assumed away.
 //
-// Each per-receiver delivery (direct ray or surface echo) is a pooled
-// record with a pre-bound handler, and every receiver gets the
-// transmitted frame itself, so a broadcast allocates nothing. Frames
-// are immutable from phy.Modem.Transmit on: the sender, every receiver
-// and every recorder share one *packet.Frame. Ownership rule, as for
-// obs's pooled records: a delivery is recycled when its handler runs,
-// before the modem sees the arrival; nothing may retain one past that
-// point.
+// Each broadcast in flight is one pooled wave whose two engine lanes
+// begin and end its rays' arrivals (direct ray or surface echo), so it
+// takes two heap entries and allocates nothing. Every receiver gets the
+// transmitted frame itself. Frames are immutable from
+// phy.Modem.Transmit on: the sender, every receiver and every recorder
+// share one *packet.Frame. Ownership rule, as for obs's pooled records:
+// a wave is recycled as its last end runs, before the modem sees that
+// end; nothing may retain one past that point.
 package channel
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ewmac/internal/acoustic"
@@ -47,38 +48,47 @@ type rxGeom struct {
 	dst       packet.NodeID
 	delay     time.Duration
 	levelDB   float64
-	surfDelay time.Duration
-	surfLevel float64
+	surfLevel float64 // the surface echo's level, if order holds one
 	syncable  bool
-	surf      bool
 }
 
 // srcGeoms is one source's geometry state, stamped with the topology
 // epoch and modem-registration generation of its latest build. A build
-// lives in the channel's scratch list; the source keeps its own copy
-// in list only once a second build comes under the same stamp, so
-// geometry that drift invalidates before it is reused costs no memory.
+// lives in the channel's scratch lists; the source keeps its own copy
+// only once a second build comes under the same stamp, so geometry
+// that drift invalidates before it is reused costs no memory.
 type srcGeoms struct {
 	epoch uint64
 	gen   uint64
 	built bool // a build happened under (epoch, gen)
-	kept  bool // list holds that build
+	kept  bool // list and order hold that build
 	list  []rxGeom
+	order []uint64 // the build's rays in arrival order (see rayKey)
 }
 
-// delivery is one scheduled per-receiver arrival (direct or surface
-// ray). Deliveries are recycled through the channel's free list: a
-// record returns to the pool as its handler runs, before it calls
-// BeginArrival, so nothing may retain a *delivery past that point.
-type delivery struct {
-	rx       *phy.Modem
+// wave is one broadcast in flight: its rays in arrival order, and a
+// lane each to begin and end their arrivals, which share the frame's
+// duration and so end in the order they began. Waves are recycled
+// through the channel's free list as their last end runs.
+type wave struct {
+	c        *Channel
 	frame    *packet.Frame
-	levelDB  float64
 	dur      time.Duration
+	rays     []ray
+	begun    int
+	arrivals *sim.Lane
+	ends     *sim.Lane
+	lastEnd  func() // the last ray's end handler, run by endFn
+	// arriveFn and endFn are bound once, so pushes allocate nothing.
+	arriveFn func()
+	endFn    func()
+}
+
+// ray is one receiver-side copy of a wave's frame.
+type ray struct {
+	rx       *phy.Modem
+	levelDB  float64
 	syncable bool
-	// fire runs the delivery. It is bound once when the record is first
-	// allocated and survives recycling, so scheduling allocates nothing.
-	fire func()
 }
 
 // Channel is the shared acoustic medium.
@@ -96,8 +106,8 @@ type Channel struct {
 	regGen   uint64 // bumped by Register; invalidates every cache entry
 	cacheOff bool
 	scratch  []rxGeom // target of every build
-	free     []*delivery
-	slab     []delivery // fresh records not yet handed out
+	order    []uint64 // the scratch build's ray order
+	waves    []*wave  // recycled waves
 
 	// cacheHits counts broadcasts served from the geometry cache.
 	cacheHits uint64
@@ -162,11 +172,12 @@ func (c *Channel) SetRecorder(r obs.Recorder) { c.rec = r }
 // Deliveries reports how many frame arrivals have been scheduled.
 func (c *Channel) Deliveries() uint64 { return c.deliveries }
 
-// buildGeoms computes the receiver list for srcNode into out (reused
-// between rebuilds), iterating in node-ID order — arrivals scheduled
-// for the same instant execute in scheduling order, so the list order
-// must be deterministic across runs.
-func (c *Channel) buildGeoms(srcNode *topology.Node, out []rxGeom) []rxGeom {
+// buildGeoms rebuilds c.scratch, the receiver list for srcNode, and
+// c.order, its rays in arrival order. It iterates in node-ID order —
+// arrivals scheduled for the same instant execute in scheduling order,
+// so the list order must be deterministic across runs.
+func (c *Channel) buildGeoms(srcNode *topology.Node) {
+	out, order := c.scratch[:0], c.order[:0]
 	model := c.net.Model
 	maxDist := model.MaxRangeM * InterferenceRangeFactor
 	sourceDB := acoustic.SourceLevelDB(model.TxPowerW)
@@ -193,44 +204,57 @@ func (c *Channel) buildGeoms(srcNode *topology.Node, out []rxGeom) []rxGeom {
 			// still interferes at full physical strength.
 			syncable: dist <= model.MaxRangeM,
 		}
+		order = append(order, rayKey(g.delay, 2*len(out)))
 		if model.SurfaceReflection {
 			// Two-ray extension: the surface-bounced copy arrives later
 			// and weaker, as pure interference (a real modem stays
 			// locked to the direct ray).
 			rDelay, rLevel := model.SurfacePath(srcNode.Pos, dstNode.Pos)
 			if rDelay > g.delay {
-				g.surf = true
-				g.surfDelay = rDelay
 				g.surfLevel = rLevel
+				order = append(order, rayKey(rDelay, 2*len(out)+1))
 			}
 		}
 		out = append(out, g)
 	}
-	return out
+	slices.Sort(order)
+	c.scratch, c.order = out, order
 }
 
-// geomsFor returns the receiver list for src: the source's kept copy
-// when the topology epoch and modem registrations are unchanged since
-// it was built, a fresh build otherwise. A second build under the same
-// stamp is kept; with the cache off nothing is. The returned slice is
-// owned by the channel and only valid until the next Broadcast.
-func (c *Channel) geomsFor(src packet.NodeID, srcNode *topology.Node) []rxGeom {
+// rayBits is the width of a ray in a sort key: a source has fewer than
+// 1<<16 receivers (NodeID is 16 bits), so fewer than 1<<17 rays.
+const rayBits = 17
+
+// rayKey packs a ray's delay above the ray: its receiver's index in
+// the geometry list <<1, plus 1 for the surface echo, which is also
+// its seq's offset in the broadcast's reserved block. So keys sort by
+// delay, then seq; 47 bits hold the delay of any path under 200,000 km.
+func rayKey(d time.Duration, ray int) uint64 { return uint64(d)<<rayBits | uint64(ray) }
+
+// geomsFor returns the receiver list for src and its ray order: the
+// source's kept copy when the topology epoch and modem registrations
+// are unchanged since it was built, a fresh build otherwise. A second
+// build under the same stamp is kept; with the cache off nothing is.
+// The returned slices are owned by the channel and only valid until
+// the next Broadcast.
+func (c *Channel) geomsFor(src packet.NodeID, srcNode *topology.Node) ([]rxGeom, []uint64) {
 	sg := &c.geo[int(src)-1]
 	epoch := c.net.Epoch()
 	same := !c.cacheOff && sg.built && sg.epoch == epoch && sg.gen == c.regGen
 	if same && sg.kept {
 		c.cacheHits++
-		return sg.list
+		return sg.list, sg.order
 	}
-	c.scratch = c.buildGeoms(srcNode, c.scratch[:0])
+	c.buildGeoms(srcNode)
 	switch {
 	case same:
 		sg.list = append(sg.list[:0], c.scratch...)
+		sg.order = append(sg.order[:0], c.order...)
 		sg.kept = true
 	case !c.cacheOff:
 		sg.epoch, sg.gen, sg.built, sg.kept = epoch, c.regGen, true, false
 	}
-	return c.scratch
+	return c.scratch, c.order
 }
 
 // Broadcast implements phy.Medium: it fans f out to every other modem
@@ -248,7 +272,7 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 		}.Emit(c.rec, c.eng.Now())
 		return fmt.Errorf("%w: %v", ErrUnknownSource, src)
 	}
-	geoms := c.geomsFor(src, srcNode)
+	geoms, order := c.geomsFor(src, srcNode)
 	if len(geoms) == 0 {
 		return nil
 	}
@@ -261,41 +285,63 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 			}.Emit(c.rec, now)
 		}
 		c.deliveries++
-		// The delivery copies out of the cache entry: the cache slice
-		// may be rebuilt in place before the scheduled arrivals run.
-		c.deliver(g.delay, g.rx, f, g.levelDB, dur, g.syncable)
-		if g.surf {
-			c.deliver(g.surfDelay, g.rx, f, g.surfLevel, dur, false)
+	}
+	// Seqs follow geometry order, the order scheduling one ray at a time
+	// would draw them in; rays are pushed in arrival order. The wave
+	// copies out of the geometry, which may be rebuilt before they run.
+	base := c.eng.Reserve(2 * len(geoms))
+	w := c.newWave(f, dur, len(order))
+	for _, k := range order {
+		i := k & (1<<rayBits - 1)
+		g := &geoms[i>>1]
+		r := ray{rx: g.rx, levelDB: g.levelDB, syncable: g.syncable}
+		if i&1 != 0 {
+			r.levelDB, r.syncable = g.surfLevel, false
 		}
+		w.rays = append(w.rays, r)
+		w.arrivals.Push(now.Add(time.Duration(k>>rayBits)), base+i, w.arriveFn)
 	}
 	return nil
 }
 
-// deliverySlab is how many records deliver carves from one allocation
-// when the free list is empty.
-const deliverySlab = 64
-
-// deliver schedules f's arrival at rx after delay, on a pooled record.
-func (c *Channel) deliver(delay time.Duration, rx *phy.Modem, f *packet.Frame, levelDB float64, dur time.Duration, syncable bool) {
-	var d *delivery
-	if n := len(c.free); n > 0 {
-		d = c.free[n-1]
-		c.free = c.free[:n-1]
+// newWave takes a wave for f's n rays from the free list, or allocates
+// one.
+func (c *Channel) newWave(f *packet.Frame, dur time.Duration, n int) *wave {
+	var w *wave
+	if k := len(c.waves); k > 0 {
+		w = c.waves[k-1]
+		c.waves = c.waves[:k-1]
 	} else {
-		if len(c.slab) == 0 {
-			c.slab = make([]delivery, deliverySlab)
-		}
-		d = &c.slab[0]
-		c.slab = c.slab[1:]
-		d.fire = func() {
-			rx, f, levelDB, dur, syncable := d.rx, d.frame, d.levelDB, d.dur, d.syncable
-			*d = delivery{fire: d.fire}
-			c.free = append(c.free, d)
-			rx.BeginArrival(f, levelDB, dur, syncable)
-		}
+		w = &wave{c: c, arrivals: c.eng.NewLane(sim.PriorityPHY), ends: c.eng.NewLane(sim.PriorityPHY)}
+		w.arriveFn, w.endFn = w.arrive, w.end
 	}
-	d.rx, d.frame, d.levelDB, d.dur, d.syncable = rx, f, levelDB, dur, syncable
-	c.eng.ScheduleIn(delay, sim.PriorityPHY, d.fire)
+	w.frame, w.dur, w.rays = f, dur, slices.Grow(w.rays, n)
+	w.arrivals.Grow(n)
+	w.ends.Grow(n)
+	return w
+}
+
+// arrive begins the next ray's arrival and queues its end, under the
+// seq BeginArrival would have drawn. The last end goes through endFn,
+// which recycles the wave.
+func (w *wave) arrive() {
+	r := &w.rays[w.begun]
+	w.begun++
+	end := r.rx.Arrive(w.frame, r.levelDB, r.syncable)
+	if w.begun == len(w.rays) {
+		w.lastEnd, end = end, w.endFn
+	}
+	eng := w.c.eng
+	w.ends.Push(eng.Now().Add(w.dur), eng.Reserve(1), end)
+}
+
+// end runs the last ray's end, recycling the wave first: the handler
+// may transmit and so reuse it.
+func (w *wave) end() {
+	end := w.lastEnd
+	w.frame, w.rays, w.begun, w.lastEnd = nil, w.rays[:0], 0, nil
+	w.c.waves = append(w.c.waves, w)
+	end()
 }
 
 // Modem returns the registered modem for id, or nil.

@@ -15,7 +15,8 @@ import (
 // and tables presized, 1,409,608 B while every drawn stream still
 // built math/rand's 607-word state, and 736,936 B while the channel
 // kept every source's first geometry build and gave each broadcast
-// its own frame view.
+// its own frame view. Event lanes took it to 440,056 B; the ceiling
+// stays.
 const setupBytesCeiling = 492_000
 
 func TestHeadlineSetupBytes(t *testing.T) {
@@ -37,5 +38,38 @@ func TestHeadlineSetupBytes(t *testing.T) {
 	t.Logf("set-up allocated %d B in %d objects", got, after.Mallocs-before.Mallocs)
 	if got > setupBytesCeiling {
 		t.Errorf("set-up allocated %d B, ceiling %d B", got, setupBytesCeiling)
+	}
+}
+
+// denseAllocsCeiling bounds the allocations of one 200-sensor, 1.0 kbps
+// EW-MAC run of 75 s (the Figure 10b regime the dense benchmark
+// workload runs): 9,507 measured with Go 1.24 on linux/amd64, plus 5%.
+// Each broadcast in flight is one pooled wave with two engine lanes, so
+// the count follows the peak number of broadcasts in flight, not of
+// arrivals; with a pooled record and an engine entry per arrival it
+// was 12,540.
+const denseAllocsCeiling = 9_982
+
+func TestDenseRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	cfg := Default(ProtocolEWMAC)
+	cfg.Nodes = 200
+	cfg.OfferedLoadKbps = 1.0
+	cfg.SimTime = 75 * time.Second
+	if _, err := Run(cfg); err != nil { // warm package-level state
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.Mallocs - before.Mallocs
+	t.Logf("dense run allocated %d objects, %d B", got, after.TotalAlloc-before.TotalAlloc)
+	if got > denseAllocsCeiling {
+		t.Errorf("dense run allocated %d objects, ceiling %d", got, denseAllocsCeiling)
 	}
 }

@@ -318,6 +318,7 @@ func Run(cfg Config) (*Result, error) {
 
 	modems := make([]*phy.Modem, 0, net.Len())
 	protos := make([]mac.Protocol, 0, net.Len())
+	slotLane := eng.NewLane(sim.PriorityMAC)
 	for _, n := range net.Nodes() {
 		modem, err := phy.NewModem(phy.Config{
 			ID:     n.ID,
@@ -349,6 +350,7 @@ func Run(cfg Config) (*Result, error) {
 			EnableHello: true,
 			HelloWindow: cfg.Warmup,
 			Recorder:    ro.rec,
+			SlotLane:    slotLane,
 			Overload:    cfg.Overload,
 			// Fault-free runs leave hardening off, so every code path
 			// stays bit-identical to the paper's protocol.

@@ -117,6 +117,9 @@ type Config struct {
 	// (local time == simulation time). A drifting clock shifts this
 	// node's slot boundaries and frame timestamps.
 	Clock Clock
+	// SlotLane carries the slot ticks of nodes with a perfect clock (nil:
+	// a lane of the node's own); a node with a Clock ticks on its own.
+	SlotLane *sim.Lane
 	// Hardened arms the fault extension the paper does without (it
 	// assumes synchronized sensors and a trustworthy delay table):
 	// unicast Hello probes that refresh single delay-table entries, and
@@ -155,6 +158,9 @@ const (
 func (c *Config) applyDefaults() {
 	if c.HelloWindow <= 0 {
 		c.HelloWindow = 10 * time.Second
+	}
+	if c.SlotLane == nil && c.Clock == nil {
+		c.SlotLane = c.Engine.NewLane(sim.PriorityMAC)
 	}
 	c.Overload.applyDefaults()
 }

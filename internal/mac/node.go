@@ -203,15 +203,17 @@ func (n *Node) tick() {
 // scheduleSlot arms the tick for nextSlot's boundary.
 func (n *Node) scheduleSlot() {
 	at := n.cfg.Slots.StartOf(n.nextSlot)
-	if n.cfg.Clock != nil {
-		// The node fires the boundary where its *local* clock claims
-		// slot start is; drift shifts it relative to the true grid. A
-		// clock corrected backwards can map the boundary into the past —
-		// the node is simply late, not entitled to time travel.
-		at = n.cfg.Clock.TrueTime(at.Duration())
-		if now := n.cfg.Engine.Now(); at.Before(now) {
-			at = now
-		}
+	if n.cfg.Clock == nil {
+		n.cfg.SlotLane.Push(at, n.cfg.Engine.Reserve(1), n.tickFn)
+		return
+	}
+	// The node fires the boundary where its *local* clock claims slot
+	// start is; drift shifts it relative to the true grid. A clock
+	// corrected backwards can map the boundary into the past — the node
+	// is simply late, not entitled to time travel.
+	at = n.cfg.Clock.TrueTime(at.Duration())
+	if now := n.cfg.Engine.Now(); at.Before(now) {
+		at = now
 	}
 	n.cfg.Engine.MustScheduleAt(at, sim.PriorityMAC, n.tickFn)
 }

@@ -341,11 +341,18 @@ func (m *Modem) accountTx(f *packet.Frame) {
 // interference but are never decoded). The modem schedules its own
 // end-of-arrival processing.
 func (m *Modem) BeginArrival(f *packet.Frame, levelDB float64, dur time.Duration, syncable bool) {
+	m.eng.ScheduleIn(dur, sim.PriorityPHY, m.Arrive(f, levelDB, syncable))
+}
+
+// Arrive is BeginArrival for a medium that schedules the end itself:
+// it returns the end handler, to run once at sim.PriorityPHY when the
+// frame's on-air duration has elapsed.
+func (m *Modem) Arrive(f *packet.Frame, levelDB float64, syncable bool) func() {
 	a := m.newArrival(levelDB)
 	a.frame = f
 	a.corruptTx = m.transmitting
 	a.decodable = syncable && !m.down && m.model.Decodable(m.sinrDB(levelDB, 0))
-	m.startArrival(a, dur)
+	return m.startArrival(a)
 }
 
 // InjectInterference adds raw noise energy at this modem for dur: an
@@ -355,7 +362,7 @@ func (m *Modem) BeginArrival(f *packet.Frame, levelDB float64, dur time.Duration
 // up on carrier sense, so backoff logic reacts to it like any other
 // busy-channel episode.
 func (m *Modem) InjectInterference(levelDB float64, dur time.Duration) {
-	m.startArrival(m.newArrival(levelDB), dur)
+	m.eng.ScheduleIn(dur, sim.PriorityPHY, m.startArrival(m.newArrival(levelDB)))
 }
 
 // arrivalSlab is how many records newArrival carves from one
@@ -382,11 +389,11 @@ func (m *Modem) newArrival(levelDB float64) *arrival {
 	return a
 }
 
-func (m *Modem) startArrival(a *arrival, dur time.Duration) {
+func (m *Modem) startArrival(a *arrival) func() {
 	m.arrivals = append(m.arrivals, a)
 	m.refreshInterference()
 	m.updateEnergyState()
-	m.eng.ScheduleIn(dur, sim.PriorityPHY, a.fire)
+	return a.fire
 }
 
 // refreshInterference recomputes, for every active arrival, the total

@@ -28,8 +28,8 @@ func TestBudgetMaxEvents(t *testing.T) {
 	if be.Events != 10 {
 		t.Errorf("Events = %d, want 10", be.Events)
 	}
-	// The 40 unexecuted events stay pending (the aborting event was
-	// pushed back), and further Run calls refuse to continue.
+	// The 40 unexecuted events stay pending (the aborting event never
+	// left the heap), and further Run calls refuse to continue.
 	if got := e.Pending(); got != 40 {
 		t.Errorf("Pending = %d, want 40", got)
 	}
@@ -137,5 +137,34 @@ func TestSetBudgetClearsAbort(t *testing.T) {
 	}
 	if n := e.Run(); n != 1 {
 		t.Fatalf("drain after reset executed %d events, want 1", n)
+	}
+}
+
+// A budget abort with a lane's entry on top must leave the lane intact:
+// Pending counts every item still queued, and none has run.
+func TestBudgetAbortLeavesLaneItemsPending(t *testing.T) {
+	e := NewEngine(1)
+	e.SetBudget(Budget{MaxEvents: 3})
+	l := e.NewLane(PriorityPHY)
+	ran := 0
+	base := e.Reserve(8)
+	for i := 0; i < 8; i++ {
+		l.Push(At(time.Duration(i)*time.Millisecond), base+uint64(i), func() { ran++ })
+	}
+	e.ScheduleIn(time.Second, PriorityMAC, func() { ran++ })
+	if n := e.Run(); n != 3 || ran != 3 {
+		t.Fatalf("Run executed %d (ran %d), want 3", n, ran)
+	}
+	if e.BudgetErr() == nil {
+		t.Fatal("no budget abort")
+	}
+	if got := e.Pending(); got != 6 {
+		t.Errorf("Pending = %d, want 6 (5 lane items and the timer)", got)
+	}
+	if got := e.PendingRaw(); got != 2 {
+		t.Errorf("PendingRaw = %d, want 2 heap entries", got)
+	}
+	if e.Now() != At(2*time.Millisecond) {
+		t.Errorf("Now = %v, want the last executed item's instant", e.Now())
 	}
 }

@@ -50,6 +50,7 @@ func (h Handle) Cancel() bool {
 	ev.fn = nil
 	e := ev.eng
 	e.live--
+	e.cancelled++
 	e.maybeCompact()
 	return true
 }
@@ -59,15 +60,16 @@ func (h Handle) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && !h.ev.cancelled
 }
 
-// event is a pooled queue entry. gen is bumped every time the entry is
-// recycled, invalidating outstanding Handles.
+// event is a heap entry, pooled or a Lane's. gen is bumped every time
+// a pooled entry is recycled, invalidating outstanding Handles.
 type event struct {
 	at        Time
-	prio      Priority
 	seq       uint64
 	gen       uint64
 	fn        func()
 	eng       *Engine
+	lane      *Lane // non-nil for a lane's entry, which is never pooled
+	prio      Priority
 	cancelled bool
 }
 
@@ -99,14 +101,16 @@ type Engine struct {
 	events []*event // binary min-heap ordered by eventLess
 	free   []*event // recycled entries; schedule pops from here first
 	slab   []event  // fresh entries not yet handed out
-	// live counts queued events that are neither cancelled nor executed.
-	live     int
-	seq      uint64
-	executed uint64
-	stopped  bool
-	seed     int64
-	streams  map[streamKey]*RNG
-	horizon  Time // 0 means unbounded
+	// live counts queued events, lane items included, that are neither
+	// cancelled nor executed.
+	live      int
+	cancelled int // cancelled heap entries not yet discarded
+	seq       uint64
+	executed  uint64
+	stopped   bool
+	seed      int64
+	streams   map[streamKey]*RNG
+	horizon   Time // 0 means unbounded
 	// wallAccum / runStart track wall-clock time spent inside Run for
 	// LoopStats. They are touched only at Run entry/exit, never in the
 	// per-event loop, so instrumentation costs the hot path nothing.
@@ -132,11 +136,11 @@ type LoopStats struct {
 	// Executed counts events run since engine construction.
 	Executed uint64
 	// Pending is the number of live (not cancelled, not yet executed)
-	// events in the queue.
+	// events in the queue, counting every lane item.
 	Pending int
-	// PendingRaw is the raw queue depth including cancelled entries not
-	// yet discarded; PendingRaw - Pending is the reclaimable slack the
-	// lazy compactor watches.
+	// PendingRaw is the number of heap entries, cancelled ones not yet
+	// discarded included; a lane takes one entry however many items it
+	// holds.
 	PendingRaw int
 	// Wall is cumulative wall-clock time spent inside Run.
 	Wall time.Duration
@@ -175,14 +179,22 @@ func (e *Engine) Seed() int64 { return e.seed }
 // Executed reports how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending reports how many live events are waiting to run. Cancelled
-// entries still occupying queue slots are not counted; PendingRaw
-// reports the raw depth.
+// Pending reports how many live events are waiting to run, counting
+// every lane item. Cancelled entries still occupying heap slots are not
+// counted; PendingRaw reports the heap size.
 func (e *Engine) Pending() int { return e.live }
 
-// PendingRaw reports the raw queue depth, including cancelled entries
-// that have not yet been discarded or compacted away.
+// PendingRaw reports the number of heap entries, including cancelled
+// entries that have not yet been discarded or compacted away. A lane
+// is one entry however many items it holds.
 func (e *Engine) PendingRaw() int { return len(e.events) }
+
+// Reserve hands out n consecutive sequence numbers, for Lane items,
+// and returns the first.
+func (e *Engine) Reserve(n int) uint64 {
+	e.seq += uint64(n)
+	return e.seq - uint64(n)
+}
 
 // alloc takes an entry from the free list, or mints one from the slab.
 func (e *Engine) alloc() *event {
@@ -259,14 +271,15 @@ func (e *Engine) siftDown(i int) {
 }
 
 // maybeCompact rebuilds the heap without its cancelled entries once
-// they outnumber live ones. Compaction is invisible to execution order:
-// events are totally ordered by (at, prio, seq), so the pop sequence
-// after a rebuild is identical to the sequence without one.
+// they are more than half of it. Compaction is invisible to execution
+// order: events are totally ordered by (at, prio, seq), so the pop
+// sequence after a rebuild is identical to the sequence without one.
 func (e *Engine) maybeCompact() {
 	n := len(e.events)
-	if n < compactMin || 2*(n-e.live) <= n {
+	if n < compactMin || 2*e.cancelled <= n {
 		return
 	}
+	e.cancelled = 0
 	h := e.events
 	out := h[:0]
 	for _, ev := range h {
@@ -354,15 +367,18 @@ func (e *Engine) Run() uint64 {
 	}
 	var n uint64
 	for len(e.events) > 0 && !e.stopped {
-		ev := e.pop()
+		// The top entry leaves the heap only once it runs, so a stop at
+		// the horizon or a budget abort leaves the queue as it was.
+		ev := e.events[0]
 		if ev.cancelled {
+			e.pop()
+			e.cancelled--
 			e.recycle(ev)
 			continue
 		}
 		if e.horizon != 0 && ev.at > e.horizon {
-			// Past the horizon: put the event back and stop so a later
-			// Run/RunUntil call can resume from here.
-			e.push(ev)
+			// Past the horizon: stop so a later Run/RunUntil call can
+			// resume from here.
 			e.now = e.horizon
 			break
 		}
@@ -371,19 +387,21 @@ func (e *Engine) Run() uint64 {
 		}
 		if e.budgetOn {
 			if berr := e.checkBudget(ev.at); berr != nil {
-				// Abort before touching state: the event goes back on the
-				// queue so Pending stays truthful for post-mortems.
 				e.budgetErr = berr
-				e.push(ev)
 				break
 			}
 		}
 		e.now = ev.at
 		fn := ev.fn
-		// Recycle before running: the heap no longer references the
-		// entry, outstanding Handles are invalidated by the gen bump,
-		// and fn may immediately reuse the slot for a new event.
-		e.recycle(ev)
+		if ev.lane != nil {
+			fn = ev.lane.advance()
+		} else {
+			// Recycle before running: outstanding Handles are invalidated
+			// by the gen bump, and fn may immediately reuse the slot for
+			// a new event.
+			e.pop()
+			e.recycle(ev)
+		}
 		e.live--
 		e.executed++
 		n++
