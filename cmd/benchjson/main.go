@@ -314,7 +314,7 @@ func benchEngine() result {
 
 // benchChannel mirrors internal/channel's BenchmarkChannelBroadcast:
 // one op broadcasts a control frame to a static n-node deployment and
-// drains the scheduled arrivals — the geometry-cache + wave/lane hot
+// drains the scheduled arrivals — the geometry build + wave/lane hot
 // path. The 40-node shape is the historical baseline; 200 nodes
 // exercises the same path at a receiver fan-out where per-receiver
 // costs dominate setup. Setup failures are reported as errors, not

@@ -141,14 +141,13 @@ func walkNonTestGo(t *testing.T, fn func(path string, fset *token.FileSet, f *as
 // but that stay on purpose, one reason each. Keys are
 // "pkg.Type.Field".
 var optionsAllowed = map[string]string{
-	"ewmac.Options.DisableNeighborGuard":     "ablation arm of BenchmarkAblationNoGuard, whose §4.2 breaches the oracle must count",
-	"ewmac.Options.UniformPriority":          "ablation arm of BenchmarkAblationUniformPriority (the rp wait-time boost)",
-	"experiment.Config.EW":                   "carries the EW-MAC ablation options above into a run",
-	"experiment.Config.DisableGeometryCache": "determinism tests pin cached and uncached geometry to the same output",
-	"experiment.Config.MaxRetries":           "retry-exhaustion tests; Table 2 sets no retry limit",
-	"experiment.Config.PER":                  "failure tests inject UniformLossPER; runs use the threshold receiver",
-	"experiment.Config.Warmup":               "Table 2's Hello phase, set by Default; validation tests vary it",
-	"phy.Config.Listener":                    "a callback, not a setting: runs install the MAC with SetListener once it exists",
+	"ewmac.Options.DisableNeighborGuard": "ablation arm of BenchmarkAblationNoGuard, whose §4.2 breaches the oracle must count",
+	"ewmac.Options.UniformPriority":      "ablation arm of BenchmarkAblationUniformPriority (the rp wait-time boost)",
+	"experiment.Config.EW":               "carries the EW-MAC ablation options above into a run",
+	"experiment.Config.MaxRetries":       "retry-exhaustion tests; Table 2 sets no retry limit",
+	"experiment.Config.PER":              "failure tests inject UniformLossPER; runs use the threshold receiver",
+	"experiment.Config.Warmup":           "Table 2's Hello phase, set by Default; validation tests vary it",
+	"phy.Config.Listener":                "a callback, not a setting: runs install the MAC with SetListener once it exists",
 }
 
 // TestNoTestOnlyOptions fails when an exported field of an exported

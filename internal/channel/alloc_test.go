@@ -17,21 +17,17 @@ import (
 // per broadcast with every scheduled arrival drained: receivers share
 // the transmitted frame, each broadcast's wave and lanes are recycled
 // with their handlers bound, and PHY arrivals are recycled records with
-// pre-bound handlers. It covers direct rays and surface echoes, with
-// the geometry cache on, on the uncached reference path, and with half
-// the sensors drifting between broadcasts, where no source's geometry
-// is ever reused and so none may be kept.
+// pre-bound handlers. It covers direct rays and surface echoes, and
+// half the sensors drifting between broadcasts.
 func TestBroadcastAllocsPerBroadcast(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		surface bool
-		cache   bool
 		drift   bool
 	}{
-		{"direct", false, true, false},
-		{"surface", true, true, false},
-		{"direct/cache-off", false, false, false},
-		{"direct/drifting", false, true, true},
+		{"direct", false, false},
+		{"surface", true, false},
+		{"direct/drifting", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
@@ -49,7 +45,6 @@ func TestBroadcastAllocsPerBroadcast(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch.SetCacheEnabled(tc.cache)
 			for _, n := range net.Nodes() {
 				m, err := phy.NewModem(phy.Config{
 					ID: n.ID, Engine: eng, Model: model, Medium: ch, Energy: energy.DefaultProfile(),
@@ -68,15 +63,11 @@ func TestBroadcastAllocsPerBroadcast(t *testing.T) {
 			}
 			dur := packet.Duration(packet.ControlBits, model.BitRate())
 			// One round broadcasts once from every node, so every modem's
-			// arrival pool and every source's geometry entry is exercised.
+			// arrival pool is exercised.
 			round := func() {
 				for _, f := range frames {
 					if tc.drift {
-						epoch := net.Epoch()
 						net.Step(time.Second)
-						if net.Epoch() == epoch {
-							t.Fatal("drifting Step bumped no epoch")
-						}
 					}
 					if err := ch.Broadcast(f.Src, f, dur); err != nil {
 						t.Fatal(err)
@@ -97,13 +88,6 @@ func TestBroadcastAllocsPerBroadcast(t *testing.T) {
 			t.Logf("%.2f allocs per broadcast at fan-out %.1f", per, fanout)
 			if per > 0 {
 				t.Errorf("%.2f allocs per broadcast, want 0", per)
-			}
-			if tc.drift {
-				for i, sg := range ch.geo {
-					if sg.list != nil {
-						t.Errorf("source n%d kept geometry that drift invalidated before reuse", i+1)
-					}
-				}
 			}
 		})
 	}

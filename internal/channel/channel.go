@@ -40,9 +40,8 @@ import (
 // beyond it but large enough to matter within.
 const InterferenceRangeFactor = 2.0
 
-// rxGeom is one precomputed receiver entry of a source's geometry list:
-// everything Broadcast needs per in-interference-range neighbor, so the
-// hot path does zero trigonometry while the topology is static.
+// rxGeom is one receiver entry of a source's geometry list: everything
+// Broadcast needs per in-interference-range neighbor.
 type rxGeom struct {
 	rx        *phy.Modem
 	dst       packet.NodeID
@@ -50,20 +49,6 @@ type rxGeom struct {
 	levelDB   float64
 	surfLevel float64 // the surface echo's level, if order holds one
 	syncable  bool
-}
-
-// srcGeoms is one source's geometry state, stamped with the topology
-// epoch and modem-registration generation of its latest build. A build
-// lives in the channel's scratch lists; the source keeps its own copy
-// only once a second build comes under the same stamp, so geometry
-// that drift invalidates before it is reused costs no memory.
-type srcGeoms struct {
-	epoch uint64
-	gen   uint64
-	built bool // a build happened under (epoch, gen)
-	kept  bool // list and order hold that build
-	list  []rxGeom
-	order []uint64 // the build's rays in arrival order (see rayKey)
 }
 
 // wave is one broadcast in flight: its rays in arrival order, and a
@@ -99,18 +84,9 @@ type Channel struct {
 	modems []*phy.Modem
 	rec    obs.Recorder
 
-	// geo caches per-source receiver geometry, indexed by NodeID-1. A
-	// kept list is valid while the topology epoch and registration
-	// generation it was built under are both current.
-	geo      []srcGeoms
-	regGen   uint64 // bumped by Register; invalidates every cache entry
-	cacheOff bool
-	scratch  []rxGeom // target of every build
-	order    []uint64 // the scratch build's ray order
-	waves    []*wave  // recycled waves
-
-	// cacheHits counts broadcasts served from the geometry cache.
-	cacheHits uint64
+	scratch []rxGeom // the latest geometry build, reused by every Broadcast
+	order   []uint64 // its rays in arrival order (see rayKey)
+	waves   []*wave  // recycled waves
 
 	// Deliveries counts scheduled frame arrivals (per receiver).
 	deliveries uint64
@@ -137,7 +113,6 @@ func New(eng *sim.Engine, net *topology.Network) (*Channel, error) {
 		eng:    eng,
 		net:    net,
 		modems: make([]*phy.Modem, net.Len()),
-		geo:    make([]srcGeoms, net.Len()),
 	}, nil
 }
 
@@ -155,14 +130,8 @@ func (c *Channel) Register(m *phy.Modem) error {
 		return fmt.Errorf("channel: duplicate modem for %v", m.ID())
 	}
 	c.modems[i] = m
-	c.regGen++
 	return nil
 }
-
-// SetCacheEnabled force-disables (or re-enables) the geometry cache.
-// With the cache off every broadcast recomputes pairwise geometry from
-// scratch — the reference path the determinism tests compare against.
-func (c *Channel) SetCacheEnabled(on bool) { c.cacheOff = !on }
 
 // SetRecorder installs the observability event sink (nil to disable).
 // Every scheduled delivery is recorded as an obs.FrameEmit at emission
@@ -231,37 +200,10 @@ const rayBits = 17
 // delay, then seq; 47 bits hold the delay of any path under 200,000 km.
 func rayKey(d time.Duration, ray int) uint64 { return uint64(d)<<rayBits | uint64(ray) }
 
-// geomsFor returns the receiver list for src and its ray order: the
-// source's kept copy when the topology epoch and modem registrations
-// are unchanged since it was built, a fresh build otherwise. A second
-// build under the same stamp is kept; with the cache off nothing is.
-// The returned slices are owned by the channel and only valid until
-// the next Broadcast.
-func (c *Channel) geomsFor(src packet.NodeID, srcNode *topology.Node) ([]rxGeom, []uint64) {
-	sg := &c.geo[int(src)-1]
-	epoch := c.net.Epoch()
-	same := !c.cacheOff && sg.built && sg.epoch == epoch && sg.gen == c.regGen
-	if same && sg.kept {
-		c.cacheHits++
-		return sg.list, sg.order
-	}
-	c.buildGeoms(srcNode)
-	switch {
-	case same:
-		sg.list = append(sg.list[:0], c.scratch...)
-		sg.order = append(sg.order[:0], c.order...)
-		sg.kept = true
-	case !c.cacheOff:
-		sg.epoch, sg.gen, sg.built, sg.kept = epoch, c.regGen, true, false
-	}
-	return c.scratch, c.order
-}
-
 // Broadcast implements phy.Medium: it fans f out to every other modem
 // within interference range, with per-pair delay and received level
-// computed from the current node positions (cached while the topology
-// is static). Every receiver gets f itself: a frame is immutable once
-// transmitted.
+// computed from the current node positions. Every receiver gets f
+// itself: a frame is immutable once transmitted.
 func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duration) error {
 	srcNode := c.net.Node(src)
 	if srcNode == nil {
@@ -272,7 +214,8 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 		}.Emit(c.rec, c.eng.Now())
 		return fmt.Errorf("%w: %v", ErrUnknownSource, src)
 	}
-	geoms, order := c.geomsFor(src, srcNode)
+	c.buildGeoms(srcNode)
+	geoms, order := c.scratch, c.order
 	if len(geoms) == 0 {
 		return nil
 	}
@@ -288,7 +231,7 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 	}
 	// Seqs follow geometry order, the order scheduling one ray at a time
 	// would draw them in; rays are pushed in arrival order. The wave
-	// copies out of the geometry, which may be rebuilt before they run.
+	// copies out of the geometry, which the next Broadcast rebuilds.
 	base := c.eng.Reserve(2 * len(geoms))
 	w := c.newWave(f, dur, len(order))
 	for _, k := range order {

@@ -405,3 +405,149 @@ func TestBroadcastUnknownSourceDrops(t *testing.T) {
 		t.Error("valid broadcast scheduled no deliveries")
 	}
 }
+
+// TestGeometryCacheInvalidatedByStep: no geometry outlives a move.
+// Repeated static broadcasts all see the same delay, and once mobility
+// moves a node (Step) the next broadcast computes its delay from the
+// new positions.
+func TestGeometryCacheInvalidatedByStep(t *testing.T) {
+	eng, ch, modems, _ := lineNetwork(t, 0, 750)
+	net := ch.net
+	// Give node 2 a drift so Step actually moves it.
+	net.Node(2).Mobility = topology.MobilityHorizontal
+	net.Node(2).Vel = vec.V3{X: 100}
+	var traced []time.Duration
+	onEmit(ch, func(e obs.FrameEmit) { traced = append(traced, e.Delay) })
+	f := &packet.Frame{Kind: packet.KindRTS, Src: 1, Dst: 2}
+	for i := 0; i < 3; i++ {
+		if err := modems[0].Transmit(f); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}
+	if len(traced) != 3 {
+		t.Fatalf("traced %d deliveries, want 3", len(traced))
+	}
+	before := traced[0]
+	for i, got := range traced[1:] {
+		if got != before {
+			t.Fatalf("static rebroadcast %d delay %v != %v", i+1, got, before)
+		}
+	}
+
+	net.Step(2 * time.Second) // node 2 drifts 200 m further out
+	if err := modems[0].Transmit(f); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	want := net.Model.Delay(net.Node(1).Pos, net.Node(2).Pos)
+	if got := traced[3]; got != want {
+		t.Fatalf("post-move delay = %v, want fresh %v (pre-move %v)", got, want, before)
+	}
+	if traced[3] == before {
+		t.Fatal("post-move broadcast served the pre-move delay")
+	}
+}
+
+// TestGeometryCacheInvalidatedByDirectMove: a position set directly (the
+// fault injector's delay-shift path) is seen by the next broadcast just
+// as a Step is.
+func TestGeometryCacheInvalidatedByDirectMove(t *testing.T) {
+	eng, ch, modems, _ := lineNetwork(t, 0, 750)
+	net := ch.net
+	var traced []time.Duration
+	onEmit(ch, func(e obs.FrameEmit) { traced = append(traced, e.Delay) })
+	f := &packet.Frame{Kind: packet.KindRTS, Src: 1, Dst: 2}
+	if err := modems[0].Transmit(f); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+
+	net.Node(2).Pos.X = 1200
+	if err := modems[0].Transmit(f); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if len(traced) != 2 {
+		t.Fatalf("traced %d deliveries, want 2", len(traced))
+	}
+	want := net.Model.Delay(net.Node(1).Pos, net.Node(2).Pos)
+	if traced[1] != want || traced[1] == traced[0] {
+		t.Fatalf("post-jump delay = %v, want %v (pre-jump %v)", traced[1], want, traced[0])
+	}
+}
+
+// TestLateRegisteredModemReceives: a modem registered after traffic
+// started receives the next broadcast.
+func TestLateRegisteredModemReceives(t *testing.T) {
+	eng, ch, modems, recs := lineNetwork(t, 0, 750, 400)
+	ch.modems[2] = nil // node 3's modem is not registered yet
+	f := &packet.Frame{Kind: packet.KindRTS, Src: 1, Dst: 2}
+	if err := modems[0].Transmit(f); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if len(recs[2].received) != 0 {
+		t.Fatal("unregistered modem received a frame")
+	}
+	if err := ch.Register(modems[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := modems[0].Transmit(f); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if len(recs[2].received) != 1 {
+		t.Fatalf("late-registered modem received %d frames, want 1", len(recs[2].received))
+	}
+}
+
+// BenchmarkChannelBroadcast measures one broadcast fanning out to a
+// static 40-node deployment plus draining the scheduled arrivals: the
+// geometry build and the wave/lane path.
+func BenchmarkChannelBroadcast(b *testing.B) {
+	eng := sim.NewEngine(1)
+	model := acoustic.DefaultModel()
+	const n = 40
+	nodes := make([]*topology.Node, n)
+	for i := range nodes {
+		// 8×5 grid, 300 m pitch: everything within interference range of
+		// everything, as in the dense Table 2 deployments.
+		nodes[i] = &topology.Node{
+			ID:  packet.NodeID(i + 1),
+			Pos: vec.V3{X: float64(i%8) * 300, Y: float64(i/8) * 300, Z: 100},
+		}
+	}
+	region := vec.Box{Min: vec.V3{X: -1e4, Y: -1e4, Z: 0}, Max: vec.V3{X: 1e4, Y: 1e4, Z: 1e4}}
+	net, err := topology.NewNetwork(region, model, nodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch, err := New(eng, net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range nodes {
+		m, err := phy.NewModem(phy.Config{
+			ID: packet.NodeID(i + 1), Engine: eng, Model: model,
+			Medium: ch, Energy: energy.DefaultProfile(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ch.Register(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	f := &packet.Frame{
+		Kind: packet.KindRTS, Src: 1, Dst: 2,
+		Neighbors: []packet.NeighborInfo{{ID: 2, Delay: time.Second}},
+	}
+	dur := 10 * time.Millisecond
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.Broadcast(1, f, dur)
+		eng.Run()
+	}
+}

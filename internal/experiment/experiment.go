@@ -132,12 +132,6 @@ type Config struct {
 	// exhausted budget surfaces as an error wrapping
 	// sim.ErrBudgetExceeded.
 	Budget sim.Budget
-	// DisableGeometryCache forces the channel to recompute pairwise
-	// geometry on every broadcast instead of serving the epoch-validated
-	// cache. Outputs are bit-identical either way (the determinism tests
-	// assert it); the knob exists for those tests and for isolating the
-	// cache when profiling.
-	DisableGeometryCache bool
 	// Observe configures the unified observability layer (structured
 	// event tracing, time-series sampling, run reports); nil disables.
 	Observe *Observe
@@ -287,9 +281,6 @@ func Run(cfg Config) (*Result, error) {
 	ch, err := channel.New(eng, net)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.DisableGeometryCache {
-		ch.SetCacheEnabled(false)
 	}
 	slots := mac.SlotConfig{
 		Omega:  packet.Duration(packet.ControlBits, model.BitRate()),
@@ -481,6 +472,11 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var conf *oracle.Stats
+	if ro.verifier != nil {
+		st := ro.verifier.Stats()
+		conf = &st
+	}
 	var resil *obs.ResilienceStats
 	if tracker != nil {
 		stranded := 0
@@ -488,14 +484,16 @@ func Run(cfg Config) (*Result, error) {
 			stranded += p.Stranded()
 		}
 		resil = tracker.Summary(eng.Now(), stranded)
+		c := sum.MAC
+		resil.SuspectMarks, resil.DeadMarks = c.SuspectMarks, c.DeadMarks
+		resil.Resurrections, resil.WatchdogResets = c.Resurrections, c.WatchdogResets
+		resil.RetryDeferrals, resil.ShedPackets = c.RetryDeferrals, c.DroppedShed
+		if conf != nil {
+			resil.OracleViolations = conf.Violations
+		}
 		if rep != nil {
 			rep.Resilience = resil
 		}
-	}
-	var conf *oracle.Stats
-	if ro.verifier != nil {
-		st := ro.verifier.Stats()
-		conf = &st
 	}
 	return &Result{
 		Config:       cfg,

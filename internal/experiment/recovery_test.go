@@ -5,6 +5,9 @@ import (
 	"time"
 
 	"ewmac/internal/acoustic"
+	"ewmac/internal/mac"
+	"ewmac/internal/obs"
+	"ewmac/internal/sim"
 )
 
 // TestChaosRecoveryMetrics is the PR's acceptance check: under the
@@ -155,4 +158,95 @@ func TestRecoveryDeadPeerPurge(t *testing.T) {
 	if m.DroppedDeadPeer == 0 {
 		t.Error("dead peers never shed their pending traffic")
 	}
+}
+
+// resilienceTally counts, straight from the event stream, the
+// ResilienceStats tallies whose owners are the MAC counters and the
+// oracle.
+type resilienceTally struct {
+	suspects, deads, resurrections, watchdogs uint64
+	deferrals, sheds, violations              uint64
+}
+
+func (c *resilienceTally) Record(_ sim.Time, e obs.Event) {
+	switch ev := e.(type) {
+	case *obs.Recovery:
+		switch ev.Action {
+		case obs.RecoverySuspect:
+			c.suspects++
+		case obs.RecoveryDead:
+			c.deads++
+		case obs.RecoveryResurrect:
+			c.resurrections++
+		case obs.RecoveryWatchdog:
+			c.watchdogs++
+		}
+	case *obs.Overload:
+		if ev.Action == obs.OverloadRetryDefer {
+			c.deferrals++
+		}
+	case *obs.PacketDrop:
+		if ev.Reason == obs.DropShed {
+			c.sheds++
+		}
+	case *obs.OracleViolation:
+		c.violations++
+	}
+}
+
+// TestResilienceCountsMatchEvents: every tally in the resilience
+// summary equals the count of its events in the run's stream, on the
+// golden fault config of every MAC and on an overload-only run.
+func TestResilienceCountsMatchEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	overload := Default(ProtocolEWMAC)
+	overload.Nodes = 12
+	overload.Sinks = 2
+	overload.OfferedLoadKbps = 2
+	overload.SimTime = 120 * time.Second
+	overload.QueueMax = 4
+	overload.Overload = mac.OverloadConfig{
+		HighWater:   0.75,
+		RetryBudget: mac.RetryBudgetConfig{Burst: 1, RatePerSec: 0.02},
+	}
+	cfgs := map[string]Config{"overload": overload}
+	for _, p := range allProtocols {
+		cfgs["fault/"+string(p)] = goldenFaultConfig(t, p)
+	}
+	var total resilienceTally
+	for name, cfg := range cfgs {
+		var c resilienceTally
+		cfg.Observe = &Observe{Recorder: &c, Verify: true}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r := res.Resilience
+		if r == nil {
+			t.Fatalf("%s: no resilience stats", name)
+		}
+		got := resilienceTally{
+			r.SuspectMarks, r.DeadMarks, r.Resurrections, r.WatchdogResets,
+			r.RetryDeferrals, r.ShedPackets, r.OracleViolations,
+		}
+		if got != c {
+			t.Errorf("%s: resilience tallies %+v, events %+v", name, got, c)
+		}
+		total.suspects += c.suspects
+		total.deads += c.deads
+		total.resurrections += c.resurrections
+		total.watchdogs += c.watchdogs
+		total.deferrals += c.deferrals
+		total.sheds += c.sheds
+		total.violations += c.violations
+	}
+	// Each tally must be exercised somewhere, or equality proves little.
+	// Oracle violations are exempt: a conforming run has none.
+	if total.suspects == 0 || total.deads == 0 || total.resurrections == 0 ||
+		total.watchdogs == 0 || total.deferrals == 0 || total.sheds == 0 {
+		t.Errorf("some tally never fired: %+v", total)
+	}
+	t.Logf("event totals %+v", total)
 }

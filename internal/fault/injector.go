@@ -275,10 +275,6 @@ func (in *Injector) shiftLoop(m *member, from, until sim.Time) {
 		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
 			d := randUnit(rng).Scale(rng.Float64() * spec.MaxJumpM)
 			m.node.Pos = in.net.Region.Clamp(m.node.Pos.Add(d))
-			// Direct Pos mutation bypasses Network.Step, so the geometry
-			// epoch must be advanced by hand or the channel would keep
-			// serving pre-jump cached delays.
-			in.net.Invalidate()
 			in.emit(m.id, "delay-shift", obs.FaultInject, fmt.Sprintf("jump %.1fm", d.Norm()))
 			jump()
 		})

@@ -311,22 +311,22 @@ type ResilienceStats struct {
 	// at the end of the run — traffic the recovery layer failed to
 	// either deliver or account for with a typed drop.
 	StrandedPackets int `json:"stranded_packets"`
-	// Liveness/watchdog tallies from the mac.recovery stream.
+	// Liveness/watchdog tallies, summed from the nodes' mac.Counters.
 	SuspectMarks   uint64 `json:"suspect_marks"`
 	DeadMarks      uint64 `json:"dead_marks"`
 	Resurrections  uint64 `json:"resurrections"`
 	WatchdogResets uint64 `json:"watchdog_resets"`
-	// Overload tallies from the mac.overload stream: merged windows with
-	// at least one admission gate closed (episodes and total seconds),
-	// packets refused by a closed gate, and retries postponed by an
-	// empty retry budget. All zero — and omitted — when the overload
-	// layer never fired.
+	// Overload tallies: merged windows with at least one admission gate
+	// closed (episodes and total seconds, from the mac.overload stream),
+	// and, from mac.Counters, packets refused by a closed gate and
+	// retries postponed by an empty retry budget. All zero — and
+	// omitted — when the overload layer never fired.
 	OverloadEpisodes int     `json:"overload_episodes,omitempty"`
 	OverloadS        float64 `json:"overload_s,omitempty"`
 	ShedPackets      uint64  `json:"shed_packets,omitempty"`
 	RetryDeferrals   uint64  `json:"retry_deferrals,omitempty"`
-	// OracleViolations counts conformance-oracle violations observed
-	// during the run (zero — and omitted — on conforming runs). Folded
+	// OracleViolations is the oracle's violation count for the run
+	// (zero — and omitted — on conforming runs or without it). Folded
 	// here so the resilience summary answers "did the protocol stay
 	// safe under faults", not just "did it stay live".
 	OracleViolations uint64 `json:"oracle_violations,omitempty"`

@@ -61,22 +61,13 @@ type Tracker struct {
 	degradedDeliv uint64
 	cleanDeliv    uint64
 
-	suspects      uint64
-	deads         uint64
-	resurrections uint64
-	watchdogs     uint64
-
 	// Overload episodes: merged windows during which at least one node's
-	// admission gate is shedding, plus shed/defer tallies.
+	// admission gate is shedding.
 	shedNodes        map[packet.NodeID]bool
 	shedActive       int
 	overloadStart    sim.Time
 	overload         time.Duration
 	overloadEpisodes int
-	sheds            uint64
-	retryDeferrals   uint64
-
-	oracleViolations uint64
 }
 
 // NewTracker returns an empty tracker.
@@ -133,17 +124,6 @@ func (t *Tracker) Record(at sim.Time, e obs.Event) {
 		if ev.Outcome == obs.ContentionWon || ev.Outcome == obs.ContentionGrant {
 			t.progress(ev.Node, at)
 		}
-	case *obs.Recovery:
-		switch ev.Action {
-		case obs.RecoverySuspect:
-			t.suspects++
-		case obs.RecoveryDead:
-			t.deads++
-		case obs.RecoveryResurrect:
-			t.resurrections++
-		case obs.RecoveryWatchdog:
-			t.watchdogs++
-		}
 	case *obs.Overload:
 		switch ev.Action {
 		case obs.OverloadShedBegin:
@@ -165,15 +145,7 @@ func (t *Tracker) Record(at sim.Time, e obs.Event) {
 			if t.shedActive == 0 {
 				t.overload += at.Sub(t.overloadStart)
 			}
-		case obs.OverloadRetryDefer:
-			t.retryDeferrals++
 		}
-	case *obs.PacketDrop:
-		if ev.Reason == obs.DropShed {
-			t.sheds++
-		}
-	case *obs.OracleViolation:
-		t.oracleViolations++
 	}
 }
 
@@ -196,7 +168,9 @@ func (t *Tracker) progress(node packet.NodeID, at sim.Time) {
 
 // Summary reduces the tracked state to ResilienceStats. end is the
 // run's final instant; stranded is the count of packets still queued
-// to dead peers across all nodes at that instant.
+// to dead peers across all nodes at that instant. The recovery, shed,
+// deferral and oracle tallies are left for the caller to fill from
+// their owners, the MAC counters and the oracle.
 func (t *Tracker) Summary(end sim.Time, stranded int) *obs.ResilienceStats {
 	degraded := t.degraded
 	if t.activeCount > 0 && end.After(t.degradedStart) {
@@ -219,15 +193,8 @@ func (t *Tracker) Summary(end sim.Time, stranded int) *obs.ResilienceStats {
 		DegradedDeliveries: t.degradedDeliv,
 		CleanDeliveries:    t.cleanDeliv,
 		StrandedPackets:    stranded,
-		SuspectMarks:       t.suspects,
-		DeadMarks:          t.deads,
-		Resurrections:      t.resurrections,
-		WatchdogResets:     t.watchdogs,
 		OverloadEpisodes:   t.overloadEpisodes,
 		OverloadS:          overload.Seconds(),
-		ShedPackets:        t.sheds,
-		RetryDeferrals:     t.retryDeferrals,
-		OracleViolations:   t.oracleViolations,
 	}
 	if len(t.ttrs) > 0 {
 		var sum, max time.Duration

@@ -115,20 +115,6 @@ func TestTrackerOpenWindowExtendsToEnd(t *testing.T) {
 	}
 }
 
-// TestTrackerRecoveryCounters tallies the four recovery actions.
-func TestTrackerRecoveryCounters(t *testing.T) {
-	tr := NewTracker()
-	tr.Record(at(time.Second), &obs.Recovery{Node: 1, Peer: 2, Action: obs.RecoverySuspect})
-	tr.Record(at(2*time.Second), &obs.Recovery{Node: 1, Peer: 2, Action: obs.RecoveryDead})
-	tr.Record(at(3*time.Second), &obs.Recovery{Node: 1, Peer: 2, Action: obs.RecoveryResurrect})
-	tr.Record(at(4*time.Second), &obs.Recovery{Node: 1, Action: obs.RecoveryWatchdog})
-	tr.Record(at(5*time.Second), &obs.Recovery{Node: 1, Action: obs.RecoverySuspect})
-	st := tr.Summary(at(10*time.Second), 0)
-	if st.SuspectMarks != 2 || st.DeadMarks != 1 || st.Resurrections != 1 || st.WatchdogResets != 1 {
-		t.Fatalf("recovery counters %+v, want suspects=2 deads=1 resurrections=1 watchdogs=1", st)
-	}
-}
-
 // TestTrackerDegradedRatio: an unclamped ratio comes out as the
 // degraded delivery rate over the clean rate.
 func TestTrackerDegradedRatio(t *testing.T) {

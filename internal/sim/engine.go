@@ -39,8 +39,8 @@ type Handle struct {
 
 // Cancel prevents the event from running. Cancelling an already-executed
 // or already-cancelled event is a no-op. Cancel reports whether the event
-// was still pending. The event's slot stays in the queue until it is
-// popped or reclaimed by lazy compaction.
+// was still pending. The event's entry stays in the heap until Run
+// reaches it and discards it.
 func (h Handle) Cancel() bool {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen || ev.cancelled {
@@ -48,10 +48,7 @@ func (h Handle) Cancel() bool {
 	}
 	ev.cancelled = true
 	ev.fn = nil
-	e := ev.eng
-	e.live--
-	e.cancelled++
-	e.maybeCompact()
+	ev.eng.live--
 	return true
 }
 
@@ -75,7 +72,7 @@ type event struct {
 
 // eventLess is the total order events execute in: time, then priority,
 // then scheduling sequence. seq is unique, so the order is strict — the
-// execution sequence cannot depend on heap layout or compaction.
+// execution sequence cannot depend on heap layout.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -91,10 +88,6 @@ func eventLess(a, b *event) bool {
 // mark in a few allocations instead of one per entry.
 const eventSlab = 64
 
-// compactMin is the queue size below which cancelled entries are left
-// for Run to discard; compacting tiny queues costs more than it saves.
-const compactMin = 64
-
 // Engine is a deterministic discrete-event scheduler.
 type Engine struct {
 	now    Time
@@ -103,14 +96,13 @@ type Engine struct {
 	slab   []event  // fresh entries not yet handed out
 	// live counts queued events, lane items included, that are neither
 	// cancelled nor executed.
-	live      int
-	cancelled int // cancelled heap entries not yet discarded
-	seq       uint64
-	executed  uint64
-	stopped   bool
-	seed      int64
-	streams   map[streamKey]*RNG
-	horizon   Time // 0 means unbounded
+	live     int
+	seq      uint64
+	executed uint64
+	stopped  bool
+	seed     int64
+	streams  map[streamKey]*RNG
+	horizon  Time // 0 means unbounded
 	// wallAccum / runStart track wall-clock time spent inside Run for
 	// LoopStats. They are touched only at Run entry/exit, never in the
 	// per-event loop, so instrumentation costs the hot path nothing.
@@ -184,9 +176,9 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // counted; PendingRaw reports the heap size.
 func (e *Engine) Pending() int { return e.live }
 
-// PendingRaw reports the number of heap entries, including cancelled
-// entries that have not yet been discarded or compacted away. A lane
-// is one entry however many items it holds.
+// PendingRaw reports the number of heap entries, cancelled ones
+// included: a cancelled entry stays until Run reaches it. A lane is one
+// entry however many items it holds.
 func (e *Engine) PendingRaw() int { return len(e.events) }
 
 // Reserve hands out n consecutive sequence numbers, for Lane items,
@@ -270,34 +262,6 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-// maybeCompact rebuilds the heap without its cancelled entries once
-// they are more than half of it. Compaction is invisible to execution
-// order: events are totally ordered by (at, prio, seq), so the pop
-// sequence after a rebuild is identical to the sequence without one.
-func (e *Engine) maybeCompact() {
-	n := len(e.events)
-	if n < compactMin || 2*e.cancelled <= n {
-		return
-	}
-	e.cancelled = 0
-	h := e.events
-	out := h[:0]
-	for _, ev := range h {
-		if ev.cancelled {
-			e.recycle(ev)
-		} else {
-			out = append(out, ev)
-		}
-	}
-	for i := len(out); i < n; i++ {
-		h[i] = nil
-	}
-	e.events = out
-	for i := len(out)/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
 // ScheduleAt queues fn to run at instant at with the given priority and
 // returns a cancellable handle. It returns ErrScheduleInPast if at is
 // earlier than Now. Steady state (pool warm, queue capacity reached) it
@@ -372,7 +336,6 @@ func (e *Engine) Run() uint64 {
 		ev := e.events[0]
 		if ev.cancelled {
 			e.pop()
-			e.cancelled--
 			e.recycle(ev)
 			continue
 		}

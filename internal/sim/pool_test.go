@@ -70,77 +70,6 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	}
 }
 
-// Mass-cancelling above the compaction threshold must shrink the raw
-// queue without disturbing the surviving events or their order.
-func TestCompactionPreservesOrder(t *testing.T) {
-	e := NewEngine(1)
-	const n = 200
-	hs := make([]Handle, n)
-	for i := 0; i < n; i++ {
-		i := i
-		hs[i] = e.ScheduleIn(time.Duration(i+1)*time.Millisecond, PriorityMAC, func() {
-			_ = i
-		})
-	}
-	var order []int
-	for i := 0; i < n; i++ {
-		i := i
-		// Replace: cancel original and track execution order via fresh events.
-		hs[i].Cancel()
-	}
-	if e.PendingRaw() >= n {
-		t.Errorf("compaction never fired: raw depth %d", e.PendingRaw())
-	}
-	if e.Pending() != 0 {
-		t.Errorf("live count %d after cancelling all", e.Pending())
-	}
-	for i := n - 1; i >= 0; i-- {
-		i := i
-		e.ScheduleIn(time.Duration(i+1)*time.Millisecond, PriorityMAC, func() {
-			order = append(order, i)
-		})
-	}
-	e.Run()
-	if len(order) != n {
-		t.Fatalf("ran %d events, want %d", len(order), n)
-	}
-	for i := 1; i < n; i++ {
-		if order[i] < order[i-1] {
-			t.Fatalf("out of order at %d: %v then %v", i, order[i-1], order[i])
-		}
-	}
-}
-
-// A heap whose lanes hold more live items than it has entries must
-// still compact once cancelled timers are most of its entries.
-func TestCompactionWithLanes(t *testing.T) {
-	e := NewEngine(1)
-	const items, timers, cancel = 500, 100, 80
-	l := e.NewLane(PriorityPHY)
-	base := e.Reserve(items)
-	for i := 0; i < items; i++ {
-		l.Push(At(time.Duration(i)*time.Microsecond), base+uint64(i), func() {})
-	}
-	hs := make([]Handle, timers)
-	for i := range hs {
-		hs[i] = e.ScheduleIn(time.Duration(i+1)*time.Millisecond, PriorityMAC, func() {})
-	}
-	for _, h := range hs[:cancel] {
-		h.Cancel()
-	}
-	// The 51st cancel tips the 101-entry heap: compaction leaves the
-	// lane and 49 live timers, below the size where it runs again.
-	if got := e.PendingRaw(); got != 50 {
-		t.Errorf("PendingRaw = %d after cancelling %d of %d timers, want 50", got, cancel, timers)
-	}
-	if got, want := e.Pending(), items+timers-cancel; got != want {
-		t.Errorf("Pending = %d, want %d", got, want)
-	}
-	if n := e.Run(); n != items+timers-cancel {
-		t.Errorf("ran %d events, want %d", n, items+timers-cancel)
-	}
-}
-
 // The pool must reach zero steady-state allocations: after a warm-up
 // batch, scheduling+running the same batch size again allocates nothing.
 func TestScheduleSteadyStateAllocs(t *testing.T) {

@@ -71,22 +71,7 @@ type Network struct {
 	Model *acoustic.Model
 	// nodes is indexed by NodeID-1.
 	nodes []*Node
-	// epoch increments whenever any node position changes, so geometry
-	// consumers (the channel's per-pair cache) can validate cached
-	// delay/attenuation results with one integer compare.
-	epoch uint64
 }
-
-// Epoch returns the geometry epoch: a counter that advances every time
-// a node position changes. Cached pairwise geometry is valid exactly as
-// long as the epoch it was computed under is still current.
-func (n *Network) Epoch() uint64 { return n.epoch }
-
-// Invalidate advances the geometry epoch. Step calls it automatically
-// when mobility moves a node; code that mutates Node.Pos directly (the
-// fault injector's delay-shift) must call it so cached geometry is not
-// served stale.
-func (n *Network) Invalidate() { n.epoch++ }
 
 // NewNetwork wraps nodes (IDs must be dense, starting at 1) in the given
 // region and environment.
@@ -199,12 +184,10 @@ func (n *Network) MaxPairDelay() time.Duration {
 // region's depth bounds. Sinks never move.
 func (n *Network) Step(dt time.Duration) {
 	sec := dt.Seconds()
-	moved := false
 	for _, nd := range n.nodes {
 		if nd.Sink {
 			continue
 		}
-		was := nd.Pos
 		switch nd.Mobility {
 		case MobilityHorizontal:
 			nd.Pos = n.Region.WrapXY(nd.Pos.Add(vec.V3{X: nd.Vel.X * sec, Y: nd.Vel.Y * sec}))
@@ -223,15 +206,6 @@ func (n *Network) Step(dt time.Duration) {
 		case MobilityStatic:
 			// No movement.
 		}
-		if nd.Pos != was {
-			moved = true
-		}
-	}
-	if moved {
-		// One bump per step, and only when something actually moved: a
-		// fully static deployment keeps its geometry cache for the whole
-		// run.
-		n.Invalidate()
 	}
 }
 
