@@ -9,7 +9,7 @@
 //	                                               # exit nonzero past -threshold
 //	benchjson -o out.json -compare BENCH_16.json -alloc-threshold 10
 //	                                               # also gate allocs/op, and bytes/op
-//	                                               # on the obs-off scenario row
+//	                                               # on the two scenario rows
 //
 // There is no default output path, so a bare run cannot overwrite a
 // committed baseline; it prints usage and exits 2. The file holds the
@@ -117,7 +117,7 @@ func run() int {
 	quick := flag.Bool("quick", false, "run only the engine/channel micro-benchmarks")
 	compare := flag.String("compare", "", "baseline JSON to diff against (per-benchmark % deltas)")
 	threshold := flag.Float64("threshold", 5, "ns/op regression % beyond which -compare exits nonzero")
-	allocThreshold := flag.Float64("alloc-threshold", 0, "allocs/op regression %, and bytes/op on the obs-off scenario row, beyond which -compare exits nonzero (0 disables); any allocation on a zero-alloc baseline row fails")
+	allocThreshold := flag.Float64("alloc-threshold", 0, "allocs/op regression %, and bytes/op on the scenario rows, beyond which -compare exits nonzero (0 disables); any allocation on a zero-alloc baseline row fails")
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -o is required (usage: benchjson -o out.json [-benchtime D] [-quick] [-compare base.json])")
@@ -213,7 +213,7 @@ func readResults(path string) ([]result, error) {
 // compareResults prints per-benchmark deltas of the current run against
 // the baseline file and reports whether any benchmark's ns/op regressed
 // beyond threshold percent, or (when allocThreshold > 0) its allocs/op
-// — and, on the obs-off scenario row, its bytes/op — regressed beyond
+// — and, on the scenario rows, its bytes/op — regressed beyond
 // allocThreshold percent. A baseline row at zero allocs/op has no
 // percentage to regress by, so under the allocation gate any
 // allocation on it counts as a regression.
@@ -373,13 +373,12 @@ func benchChannel(n int) (result, error) {
 	return toResult(fmt.Sprintf("channel/broadcast-%d", n), br), nil
 }
 
-// bytesGated reports whether -compare gates a row's bytes/op. Only the
-// obs-off scenario's bytes repeat between runs (to within ~50 B): a
-// micro-benchmark's bytes/op carry warm-up costs amortized over however
-// many iterations it ran, and obs-on allocates a fresh trace buffer
-// whenever the writer goroutine has not yet handed one back, so its
-// bytes follow the scheduler (1.61–1.82 MB per run on one host).
-func bytesGated(name string) bool { return name == "ewmac/obs-off" }
+// bytesGated reports whether -compare gates a row's bytes/op: the two
+// scenario rows, whose runs allocate the same bytes from one run to the
+// next because every stream consumer buffers on the simulation
+// goroutine. A micro-benchmark's bytes/op carry warm-up costs amortized
+// over however many iterations it ran, so those rows stay ungated.
+func bytesGated(name string) bool { return name == "ewmac/obs-off" || name == "ewmac/obs-on" }
 
 // scenarioSeeds is the fixed seed list one scenario op runs, one 60 s
 // run per seed. Every op runs the same list, so the per-run figures do

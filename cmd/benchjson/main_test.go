@@ -82,10 +82,11 @@ func TestCompareGatesObsOffBytes(t *testing.T) {
 		allocThreshold           float64
 		want                     bool
 	}{
-		{"within threshold", 112, 1100, 1000, 10, false},
+		{"within threshold", 112, 1100, 1100, 10, false},
 		{"obs-off bytes grow", 112, 1101, 1000, 10, true},
-		{"other rows' bytes are not gated", 500, 1000, 5000, 10, false},
-		{"gate disabled", 112, 5000, 1000, 0, false},
+		{"obs-on bytes grow", 112, 1000, 1101, 10, true},
+		{"other rows' bytes are not gated", 500, 1000, 1000, 10, false},
+		{"gate disabled", 112, 5000, 5000, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cur := []result{

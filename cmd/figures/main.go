@@ -44,7 +44,7 @@ func run() int {
 		faults  = flag.String("faults", "", "fault-injection scenario JSON applied to every sweep point (see examples/faults/)")
 		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files (optional)")
 		quiet   = flag.Bool("q", false, "suppress progress lines")
-		workers = flag.Int("workers", 0, "max figures in flight, and max points in flight per figure (0 = GOMAXPROCS); each point still runs its seeds concurrently")
+		workers = flag.Int("workers", 0, "max figures in flight, and max points in flight per figure (0 = GOMAXPROCS); a point runs its seeds one after another")
 
 		httpAddr  = flag.String("http", "", "serve live sweep introspection (/metrics, /progress, /debug/pprof) on this address")
 		resume    = flag.String("resume", "", "checkpoint manifest path: journal finished points and skip them on re-run")
@@ -59,7 +59,6 @@ func run() int {
 		Workers: *workers,
 		Budget:  sim.Budget{Deadline: *deadline, MaxEvents: *maxEvents},
 		Retries: *retries,
-		Backoff: 100 * time.Millisecond,
 	}
 	// The scenario content (not the path) becomes part of the resume
 	// fingerprint below: pointing the same manifest at an edited
@@ -143,8 +142,8 @@ func run() int {
 	}
 
 	// Figures run concurrently too; the per-point worker pool inside each
-	// sweep and the global run gate in the experiment package keep total
-	// CPU use bounded regardless of how many figures are in flight.
+	// sweep and the process-wide run gate in the runner package keep
+	// total CPU use bounded regardless of how many figures are in flight.
 	// Output stays in selection order: each figure's results print as
 	// soon as it and all its predecessors are done.
 	type figRes struct {

@@ -29,7 +29,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -273,7 +272,6 @@ func run() int {
 				Manifest: manifest,
 				Budget:   sim.Budget{Deadline: *deadline, MaxEvents: *maxEvents},
 				Retries:  *retries,
-				Backoff:  100 * time.Millisecond,
 				OnEvent:  func(line string) { fmt.Fprintln(os.Stderr, "  "+line) },
 			})
 
@@ -461,7 +459,9 @@ func runAdversary(protos []ewmac.Protocol, scenario *fault.Scenario,
 // observeFor builds the run's Observe section from the output flags.
 // Output files are staged atomically: commit publishes them (fsync +
 // rename), abort discards the staged content and leaves any previous
-// files untouched. Both are safe to call when nothing was opened.
+// files untouched. Both are safe to call when nothing was opened. Each
+// stream consumer buffers its own output and drains it when the run
+// ends, so the staged files are handed over unbuffered.
 func observeFor(trace, spans, slotprof, timeseries, report string, sample time.Duration) (*experiment.Observe, func() error, func(), error) {
 	nop := func() error { return nil }
 	if trace == "" && spans == "" && slotprof == "" && timeseries == "" && report == "" {
@@ -469,13 +469,7 @@ func observeFor(trace, spans, slotprof, timeseries, report string, sample time.D
 	}
 	o := &experiment.Observe{SampleEvery: sample, Report: report != ""}
 	var staged []*obs.AtomicFile
-	var flushes []func() error
 	commit := func() error {
-		for _, fl := range flushes {
-			if err := fl(); err != nil {
-				return err
-			}
-		}
 		for _, a := range staged {
 			if err := a.Close(); err != nil {
 				return err
@@ -488,15 +482,13 @@ func observeFor(trace, spans, slotprof, timeseries, report string, sample time.D
 			a.Abort()
 		}
 	}
-	open := func(path string) (*bufio.Writer, error) {
+	open := func(path string) (*obs.AtomicFile, error) {
 		a, err := obs.CreateAtomic(path)
 		if err != nil {
 			return nil, err
 		}
 		staged = append(staged, a)
-		w := bufio.NewWriter(a)
-		flushes = append(flushes, w.Flush)
-		return w, nil
+		return a, nil
 	}
 	if trace != "" {
 		w, err := open(trace)

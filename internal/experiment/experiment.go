@@ -8,9 +8,6 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"ewmac/internal/acoustic"
@@ -508,32 +505,6 @@ func Run(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// PanicError is a panic recovered from a simulation run, converted to
-// an error so one corrupted (x, protocol, seed) point cannot kill a
-// whole sweep process. The supervision layer (internal/runner) treats
-// it as non-retriable and quarantines the point with its stack.
-type PanicError struct {
-	// Value is the panic value's string form.
-	Value string
-	// Stack is the goroutine stack at recovery.
-	Stack string
-}
-
-// Error implements error.
-func (e *PanicError) Error() string { return "experiment: run panicked: " + e.Value }
-
-// runRecovering is Run behind a recover boundary: RunMean fans seeds
-// out to goroutines, and a panic escaping one of them would end the
-// process no matter what callers higher up recover.
-func runRecovering(cfg Config) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
-		}
-	}()
-	return Run(cfg)
-}
-
 func buildProtocol(cfg Config, mcfg mac.Config) (mac.Protocol, error) {
 	switch cfg.Protocol {
 	case ProtocolEWMAC:
@@ -551,46 +522,24 @@ func buildProtocol(cfg Config, mcfg mac.Config) (mac.Protocol, error) {
 	}
 }
 
-// RunMean executes the scenario once per seed — in parallel, since
-// each run owns an independent engine — and averages the summaries.
-// The result is deterministic: per-seed outcomes do not depend on
-// scheduling, and the average is order-independent by construction
-// (summaries are collected in seed order).
-// runGate bounds the simulation runs executing at once across the whole
-// process. Concurrent sweeps (figures × x-values × protocols × seeds)
-// all funnel through this one GOMAXPROCS-sized gate, so nested parallel
-// layers fan out freely without oversubscribing the CPUs the way
-// stacked per-call semaphores would.
-var runGate = make(chan struct{}, runtime.GOMAXPROCS(0))
-
+// RunMean executes the scenario once per seed, one run after another
+// in seed order, and averages the summaries. Sweeps fan out above it,
+// one point per runner worker (internal/runner), so a point's seeds
+// need no goroutines of their own; a panic in a run propagates to the
+// caller exactly as from Run.
 func RunMean(cfg Config, seeds []int64) (metrics.Summary, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{cfg.Seed}
 	}
 	runs := make([]metrics.Summary, len(seeds))
-	errs := make([]error, len(seeds))
-	var wg sync.WaitGroup
-	for i, s := range seeds {
-		wg.Add(1)
-		go func(i int, seed int64) {
-			defer wg.Done()
-			runGate <- struct{}{}
-			defer func() { <-runGate }()
-			c := cfg
-			c.Seed = seed
-			r, err := runRecovering(c)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			runs[i] = r.Summary
-		}(i, s)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for i, seed := range seeds {
+		c := cfg
+		c.Seed = seed
+		r, err := Run(c)
 		if err != nil {
 			return metrics.Summary{}, err
 		}
+		runs[i] = r.Summary
 	}
 	return metrics.Mean(runs)
 }

@@ -33,9 +33,9 @@ type Options struct {
 	// they happen, so those lines are not order-deterministic.
 	Progress func(string)
 	// Workers bounds how many (x-value × protocol) points of one sweep
-	// are in flight at once (0 = GOMAXPROCS). It does not make a sweep
-	// serial: each point still runs its seeds concurrently, and every
-	// simulation in the process passes one GOMAXPROCS-sized run gate.
+	// are in flight at once (0 = GOMAXPROCS; 1 = serial). A point runs
+	// its seeds one after another, and every point attempt in the
+	// process passes the runner's one GOMAXPROCS-sized run gate.
 	// Results are identical for any value: each run owns an independent
 	// engine and the table is assembled in a fixed order after all
 	// points finish.
@@ -45,11 +45,10 @@ type Options struct {
 	// several figures: points are keyed by figure ID.
 	Manifest *runner.Manifest
 	// Budget bounds each point's run (zero = unbounded, livelock
-	// watchdog still armed); Retries/Backoff govern re-execution of
+	// watchdog still armed); Retries governs re-execution of
 	// budget-aborted points with an exponentially loosened budget.
 	Budget  sim.Budget
 	Retries int
-	Backoff time.Duration
 	// Live, when non-nil, receives every run's event stream plus the
 	// sweep's point-completion progress, feeding the -http
 	// introspection server. Live locks a mutex per event, so attach it
@@ -195,7 +194,6 @@ func sweep(id, title, xlabel, ylabel string, xs []float64, opts Options,
 		Manifest: opts.Manifest,
 		Budget:   opts.Budget,
 		Retries:  opts.Retries,
-		Backoff:  opts.Backoff,
 		OnEvent:  opts.Progress,
 	}
 	if opts.Live != nil {

@@ -19,15 +19,17 @@ import (
 // kind/seq/origin/bits; durations as fractional seconds).
 //
 // The encoders are hand-rolled (encode.go) and byte-identical to the
-// reflection-based encoding/json output the exporter used through
-// PR 7, so golden trace hashes and tracetool are unaffected; lines are
-// staged in pooled buffers and written by a background goroutine
-// (asyncwriter.go). Call Flush before reading the output mid-run and
-// Close when the stream is done — Close stops the writer goroutine.
+// reflection-based encoding/json output the exporter once used, so
+// golden trace hashes and tracetool are unaffected. Lines are
+// staged in one buffer on the recording goroutine and written to the
+// sink each time the buffer passes jsonlFlushAt, on Flush and on Close.
+// Call Flush before reading the output mid-run and Close when the
+// stream is done.
 type JSONL struct {
-	bw     *batchWriter
+	w      io.Writer
 	cur    []byte
-	err    error
+	err    error // first encode error; the offending line is dropped
+	werr   error // first write error; nothing more reaches w
 	closed bool
 
 	// atCache short-circuits formatting the "at" header when several
@@ -38,36 +40,53 @@ type JSONL struct {
 	atBuf  [24]byte
 }
 
-// NewJSONL returns a trace-v2 exporter writing to w. The caller must
-// Close it (closing flushes); an unclosed exporter leaks its writer
-// goroutine.
+// The staging buffer is written out once it crosses jsonlFlushAt; the
+// headroom above the threshold absorbs one worst-case trace line
+// without reallocating.
+const (
+	jsonlBufCap  = 1<<15 + 1024
+	jsonlFlushAt = 1 << 15
+)
+
+// NewJSONL returns a trace-v2 exporter writing to w. Close it when the
+// stream is done: lines staged since the last write reach w only on
+// Flush or Close.
 func NewJSONL(w io.Writer) *JSONL {
-	bw := newBatchWriter(w)
-	return &JSONL{bw: bw, cur: bw.grab()}
+	return &JSONL{w: w, cur: make([]byte, 0, jsonlBufCap)}
 }
 
-// Err returns the first write or encode error, if any.
+// Err returns the first encode error or, failing that, the first write
+// error, if any.
 func (j *JSONL) Err() error {
 	if j.err != nil {
 		return j.err
 	}
-	return j.bw.firstErr()
+	return j.werr
 }
 
-// Flush drains the staged lines through to the underlying writer.
+// write hands the staged lines to the sink and empties the buffer.
+func (j *JSONL) write() {
+	if len(j.cur) > 0 && j.werr == nil {
+		_, j.werr = j.w.Write(j.cur)
+	}
+	j.cur = j.cur[:0]
+}
+
+// Flush writes the staged lines through to the underlying writer.
 func (j *JSONL) Flush() error {
 	if !j.closed {
-		j.cur = j.bw.flush(j.cur)
+		j.write()
 	}
 	return j.Err()
 }
 
-// Close flushes and stops the writer goroutine. Records after Close
-// are dropped. Safe to call twice.
+// Close flushes and releases the staging buffer; it does not close the
+// underlying writer. Records after Close are dropped. Safe to call
+// twice.
 func (j *JSONL) Close() error {
 	if !j.closed {
+		j.write()
 		j.closed = true
-		j.bw.close(j.cur)
 		j.cur = nil
 	}
 	return j.Err()
@@ -138,7 +157,7 @@ func (j *JSONL) appendAt(b []byte, at sim.Time) []byte {
 
 // Record implements Recorder.
 func (j *JSONL) Record(at sim.Time, e Event) {
-	if j.err != nil || j.closed {
+	if j.err != nil || j.werr != nil || j.closed {
 		return
 	}
 	b := j.cur
@@ -344,7 +363,7 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 	}
 	b = append(b, '}', '\n')
 	j.cur = b
-	if len(j.cur) >= batchFlushAt {
-		j.cur = j.bw.submit(j.cur)
+	if len(j.cur) >= jsonlFlushAt {
+		j.write()
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -346,5 +347,66 @@ func TestJSONLBatchBoundary(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("async stream diverges from synchronous reference (len %d vs %d)",
 			got.Len(), want.Len())
+	}
+}
+
+// failingSink accepts the first limit bytes written to it and fails
+// every write from then on, keeping only the bytes it accepted.
+type failingSink struct {
+	limit int
+	got   bytes.Buffer
+}
+
+var errSinkFull = errors.New("sink full")
+
+func (s *failingSink) Write(p []byte) (int, error) {
+	room := s.limit - s.got.Len()
+	if room >= len(p) {
+		return s.got.Write(p)
+	}
+	if room > 0 {
+		s.got.Write(p[:room])
+	} else {
+		room = 0
+	}
+	return room, errSinkFull
+}
+
+// TestJSONLWriteErrorSticks: once the sink fails, Flush and Close both
+// report its error, nothing more reaches it, and what it did accept is
+// a prefix of the fault-free stream.
+func TestJSONLWriteErrorSticks(t *testing.T) {
+	const limit = 40000 // past the first staged write, inside the second
+	detail := strings.Repeat("y", 300)
+	record := func(j *JSONL, from, to int) {
+		for i := from; i < to; i++ {
+			j.Record(sim.At(time.Duration(i)*time.Millisecond),
+				&Invariant{Node: packet.NodeID(i), Check: "sink", Detail: detail})
+		}
+	}
+	var want bytes.Buffer
+	ref := NewJSONL(&want)
+	record(ref, 0, 1000)
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sink := &failingSink{limit: limit}
+	j := NewJSONL(sink)
+	record(j, 0, 500)
+	if err := j.Flush(); !errors.Is(err, errSinkFull) {
+		t.Fatalf("Flush = %v, want %v", err, errSinkFull)
+	}
+	atFlush := sink.got.Len()
+	record(j, 500, 1000)
+	if err := j.Close(); !errors.Is(err, errSinkFull) {
+		t.Fatalf("Close = %v, want %v", err, errSinkFull)
+	}
+	if sink.got.Len() != atFlush || atFlush != limit {
+		t.Errorf("sink holds %d bytes after Flush and %d after Close, want %d both",
+			atFlush, sink.got.Len(), limit)
+	}
+	if !bytes.HasPrefix(want.Bytes(), sink.got.Bytes()) {
+		t.Error("bytes written before the error are not a prefix of the fault-free stream")
 	}
 }

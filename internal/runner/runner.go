@@ -12,6 +12,8 @@
 //     spinning forever;
 //   - bounded retry — budget-aborted points are retried with an
 //     exponentially loosened budget and wall-clock backoff;
+//   - one run gate — every point attempt in the process, across all
+//     concurrent sweeps, holds one slot of a GOMAXPROCS-sized gate;
 //   - checkpoint/resume — finished points are journaled to a
 //     crash-safe manifest (fsync'd JSONL), and a re-run with the same
 //     configuration serves them from the journal. By the simulator's
@@ -27,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"ewmac/internal/experiment"
 	"ewmac/internal/metrics"
 	"ewmac/internal/sim"
 )
@@ -98,10 +99,8 @@ type Options struct {
 	Budget sim.Budget
 	// Retries is the maximum number of re-executions after a
 	// budget-aborted attempt (panics and other errors never retry).
+	// The first retry waits retryBackoff, doubling per attempt.
 	Retries int
-	// Backoff is the wall-clock pause before the first retry, doubling
-	// per attempt (0 = immediate).
-	Backoff time.Duration
 	// OnEvent, when non-nil, receives one human-readable line per
 	// supervision event (resume hit, retry, quarantine), serialized.
 	OnEvent func(string)
@@ -176,23 +175,13 @@ func Supervise(k Key, run PointFunc, opts Options) (Record, error) {
 			opts.emit(fmt.Sprintf("%s: QUARANTINED (panic): %v", k, pe.value))
 			break
 		}
-		var xe *experiment.PanicError
-		if errors.As(err, &xe) {
-			rec.Status = StatusFailed
-			rec.Panicked = true
-			rec.Stack = xe.Stack
-			opts.emit(fmt.Sprintf("%s: QUARANTINED (panic in run): %v", k, xe.Value))
-			break
-		}
 		if errors.Is(err, sim.ErrBudgetExceeded) {
 			rec.BudgetAborts++
 			if attempt < opts.Retries {
 				rec.Retries++
 				opts.emit(fmt.Sprintf("%s: budget aborted (attempt %d), retrying with ×%d budget: %v",
 					k, attempt+1, 2<<uint(attempt), err))
-				if opts.Backoff > 0 {
-					time.Sleep(opts.Backoff << uint(attempt))
-				}
+				time.Sleep(retryBackoff << uint(attempt))
 				continue
 			}
 		}
@@ -274,8 +263,7 @@ func (o *Options) emit(line string) {
 	o.OnEvent(line)
 }
 
-// panicError marks a panic recovered directly from a PointFunc (as
-// opposed to one already converted by experiment.RunMean).
+// panicError marks a panic recovered from a PointFunc.
 type panicError struct {
 	value string
 	stack string
@@ -283,8 +271,21 @@ type panicError struct {
 
 func (e *panicError) Error() string { return "runner: point panicked: " + e.value }
 
-// callPoint runs one attempt behind a recover boundary.
+// retryBackoff is the wall-clock pause before a point's first retry.
+const retryBackoff = 100 * time.Millisecond
+
+// runGate bounds the point attempts executing at once across the whole
+// process. Concurrent sweeps (cmd/figures runs several figures, each
+// with its own worker pool) all funnel through this one GOMAXPROCS-sized
+// gate, so nested parallel layers fan out freely without
+// oversubscribing the CPUs the way stacked per-call semaphores would.
+var runGate = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// callPoint runs one attempt behind a recover boundary, holding a slot
+// of the run gate; a retry's backoff sleep happens outside it.
 func callPoint(run PointFunc, k Key, b sim.Budget) (sum metrics.Summary, err error) {
+	runGate <- struct{}{}
+	defer func() { <-runGate }()
 	defer func() {
 		if p := recover(); p != nil {
 			err = &panicError{value: fmt.Sprint(p), stack: string(debug.Stack())}

@@ -3,15 +3,16 @@ package runner
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ewmac/internal/experiment"
 	"ewmac/internal/metrics"
+	"ewmac/internal/obs"
 	"ewmac/internal/sim"
 )
 
@@ -65,15 +66,19 @@ func TestSweepPanicQuarantine(t *testing.T) {
 	}
 }
 
-// TestSupervisePanicErrorFromExperiment: a panic already converted by
-// experiment.RunMean (inside a per-seed goroutine) is classified as a
-// quarantine with the original stack, not retried.
-func TestSupervisePanicErrorFromExperiment(t *testing.T) {
+// TestSupervisePanicInRunMean: a panic inside a simulation run reached
+// through experiment.RunMean is quarantined end to end, with a stack
+// naming the run, and never retried.
+func TestSupervisePanicInRunMean(t *testing.T) {
+	cfg := experiment.Default(experiment.ProtocolEWMAC)
+	cfg.SimTime = 20 * time.Second
+	cfg.Observe = &experiment.Observe{
+		Recorder: obs.RecorderFunc(func(sim.Time, obs.Event) { panic("recorder corrupted") }),
+	}
 	calls := 0
 	run := func(Key, sim.Budget) (metrics.Summary, error) {
 		calls++
-		return metrics.Summary{}, fmt.Errorf("seed 3: %w",
-			&experiment.PanicError{Value: "index out of range", Stack: "goroutine 7 [running]:\n..."})
+		return experiment.RunMean(cfg, []int64{1, 2})
 	}
 	rec, err := Supervise(Key{Sweep: "s", Protocol: "p"}, run, Options{Retries: 5})
 	if err != nil {
@@ -82,8 +87,14 @@ func TestSupervisePanicErrorFromExperiment(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("panicking point was called %d times, want 1 (no retry)", calls)
 	}
-	if rec.Status != StatusFailed || !rec.Panicked || !strings.Contains(rec.Stack, "goroutine 7") {
-		t.Errorf("record = %+v, want failed+panicked with original stack", rec)
+	if rec.Status != StatusFailed || !rec.Panicked {
+		t.Errorf("record = %+v, want failed+panicked", rec)
+	}
+	if !strings.Contains(rec.Error, "recorder corrupted") {
+		t.Errorf("quarantine error %q lacks panic value", rec.Error)
+	}
+	if !strings.Contains(rec.Stack, "experiment.Run(") {
+		t.Errorf("quarantine stack does not name experiment.Run:\n%s", rec.Stack)
 	}
 }
 
