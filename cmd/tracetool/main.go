@@ -404,89 +404,8 @@ func cmdDrops(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("drops: -in is required")
 	}
-
-	type nodeAgg struct {
-		node     int
-		total    int
-		byReason map[string]int
-	}
-	byReason := map[string]int{}
-	byNode := map[int]*nodeAgg{}
-	total := 0
-	err := scanLines(*in, func(_ int, line []byte) error {
-		var m struct {
-			Event  string `json:"event"`
-			Node   int    `json:"node"`
-			Reason string `json:"reason"`
-		}
-		if err := json.Unmarshal(line, &m); err != nil {
-			return err
-		}
-		if m.Event != "mac.drop" {
-			return nil
-		}
-		total++
-		byReason[m.Reason]++
-		a := byNode[m.Node]
-		if a == nil {
-			a = &nodeAgg{node: m.Node, byReason: map[string]int{}}
-			byNode[m.Node] = a
-		}
-		a.total++
-		a.byReason[m.Reason]++
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if total == 0 {
-		fmt.Println("no mac.drop events")
-		return nil
-	}
-
-	reasons := make([]string, 0, len(byReason))
-	for r := range byReason {
-		reasons = append(reasons, r)
-	}
-	sort.Slice(reasons, func(i, j int) bool {
-		if byReason[reasons[i]] != byReason[reasons[j]] {
-			return byReason[reasons[i]] > byReason[reasons[j]]
-		}
-		return reasons[i] < reasons[j]
-	})
-	fmt.Printf("%d drop(s) across %d node(s)\n", total, len(byNode))
-	for _, r := range reasons {
-		fmt.Printf("  %-18s %6d\n", r, byReason[r])
-	}
-
-	nodes := make([]*nodeAgg, 0, len(byNode))
-	for _, a := range byNode {
-		nodes = append(nodes, a)
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].total != nodes[j].total {
-			return nodes[i].total > nodes[j].total
-		}
-		return nodes[i].node < nodes[j].node
-	})
-	shown := len(nodes)
-	if *top > 0 && shown > *top {
-		shown = *top
-	}
-	fmt.Printf("%6s %7s  breakdown\n", "node", "drops")
-	for _, a := range nodes[:shown] {
-		parts := make([]string, 0, len(a.byReason))
-		for _, r := range reasons {
-			if n := a.byReason[r]; n > 0 {
-				parts = append(parts, fmt.Sprintf("%s=%d", r, n))
-			}
-		}
-		fmt.Printf("%6d %7d  %s\n", a.node, a.total, strings.Join(parts, " "))
-	}
-	if shown < len(nodes) {
-		fmt.Printf("# (%d more node(s) suppressed by -top)\n", len(nodes)-shown)
-	}
-	return nil
+	_, err := tallyByReason(*in, "mac.drop", "drop", *top, nil)
+	return err
 }
 
 // cmdViolations reduces the trace-v2 stream's oracle.violation events
@@ -502,7 +421,43 @@ func cmdViolations(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("violations: -in is required")
 	}
+	var details []string
+	counted, err := tallyByReason(*in, "oracle.violation", "violation", *top, func(m reasonEvent) {
+		if len(details) < *show {
+			d := m.Detail
+			if d == "" {
+				d = m.Reason
+			}
+			details = append(details, fmt.Sprintf("t=%.3fs node %d [%s] %s", m.At, m.Node, m.Reason, d))
+		}
+	})
+	if !counted || err != nil {
+		return err
+	}
+	for i, d := range details {
+		if i == 0 {
+			fmt.Println("first violations:")
+		}
+		fmt.Println("  " + d)
+	}
+	return nil
+}
 
+// reasonEvent is the part of a trace-v2 line tallyByReason reads.
+type reasonEvent struct {
+	At     float64 `json:"at"`
+	Event  string  `json:"event"`
+	Node   int     `json:"node"`
+	Reason string  `json:"reason"`
+	Detail string  `json:"detail"`
+}
+
+// tallyByReason counts the trace's events tagged event per reason and
+// per node, and prints a per-reason table and the top nodes'
+// breakdowns; noun names one event ("drop"). each, when non-nil, sees
+// every counted event in trace order. It reports whether any event was
+// counted.
+func tallyByReason(in, event, noun string, top int, each func(reasonEvent)) (bool, error) {
 	type nodeAgg struct {
 		node     int
 		total    int
@@ -510,20 +465,13 @@ func cmdViolations(args []string) error {
 	}
 	byReason := map[string]int{}
 	byNode := map[int]*nodeAgg{}
-	var details []string
 	total := 0
-	err := scanLines(*in, func(_ int, line []byte) error {
-		var m struct {
-			At     float64 `json:"at"`
-			Event  string  `json:"event"`
-			Node   int     `json:"node"`
-			Reason string  `json:"reason"`
-			Detail string  `json:"detail"`
-		}
+	err := scanLines(in, func(_ int, line []byte) error {
+		var m reasonEvent
 		if err := json.Unmarshal(line, &m); err != nil {
 			return err
 		}
-		if m.Event != "oracle.violation" {
+		if m.Event != event {
 			return nil
 		}
 		total++
@@ -535,21 +483,17 @@ func cmdViolations(args []string) error {
 		}
 		a.total++
 		a.byReason[m.Reason]++
-		if len(details) < *show {
-			d := m.Detail
-			if d == "" {
-				d = m.Reason
-			}
-			details = append(details, fmt.Sprintf("t=%.3fs node %d [%s] %s", m.At, m.Node, m.Reason, d))
+		if each != nil {
+			each(m)
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return false, err
 	}
 	if total == 0 {
-		fmt.Println("no oracle.violation events")
-		return nil
+		fmt.Printf("no %s events\n", event)
+		return false, nil
 	}
 
 	reasons := make([]string, 0, len(byReason))
@@ -562,7 +506,7 @@ func cmdViolations(args []string) error {
 		}
 		return reasons[i] < reasons[j]
 	})
-	fmt.Printf("%d violation(s) across %d node(s)\n", total, len(byNode))
+	fmt.Printf("%d %s(s) across %d node(s)\n", total, noun, len(byNode))
 	for _, r := range reasons {
 		fmt.Printf("  %-18s %6d\n", r, byReason[r])
 	}
@@ -578,10 +522,10 @@ func cmdViolations(args []string) error {
 		return nodes[i].node < nodes[j].node
 	})
 	shown := len(nodes)
-	if *top > 0 && shown > *top {
-		shown = *top
+	if top > 0 && shown > top {
+		shown = top
 	}
-	fmt.Printf("%6s %7s  breakdown\n", "node", "violations")
+	fmt.Printf("%6s %7s  breakdown\n", "node", noun+"s")
 	for _, a := range nodes[:shown] {
 		parts := make([]string, 0, len(a.byReason))
 		for _, r := range reasons {
@@ -594,13 +538,7 @@ func cmdViolations(args []string) error {
 	if shown < len(nodes) {
 		fmt.Printf("# (%d more node(s) suppressed by -top)\n", len(nodes)-shown)
 	}
-	for i, d := range details {
-		if i == 0 {
-			fmt.Println("first violations:")
-		}
-		fmt.Println("  " + d)
-	}
-	return nil
+	return true, nil
 }
 
 // lineMentions reports whether a trace line involves the node, checking

@@ -9,6 +9,47 @@ import (
 	"ewmac/internal/vec"
 )
 
+// LinearSpeed is a profile with constant gradient, a common fit for the
+// mixed surface layer: c(z) = Surface + Gradient*z.
+type LinearSpeed struct {
+	// Surface is the sound speed at depth 0, m/s.
+	Surface float64
+	// Gradient is the change per meter of depth, 1/s. Positive values
+	// mean speed grows with depth.
+	Gradient float64
+}
+
+var _ SpeedProfile = LinearSpeed{}
+
+// SpeedAt implements SpeedProfile.
+func (l LinearSpeed) SpeedAt(depth float64) float64 {
+	return l.Surface + l.Gradient*depth
+}
+
+// BPSKPER derives PER from the BPSK bit error rate over an AWGN
+// channel: BER = Q(sqrt(2·SINR)), PER = 1 − (1 − BER)^bits. It makes
+// marginal links lossy rather than binary, which matters for the
+// mobility experiments where ranges hover near the edge.
+type BPSKPER struct{}
+
+var _ PERModel = BPSKPER{}
+
+// PER implements PERModel.
+func (BPSKPER) PER(sinrDB float64, bits int) float64 {
+	if bits <= 0 {
+		return 0
+	}
+	sinr := math.Pow(10, sinrDB/10)
+	ber := qfunc(math.Sqrt(2 * sinr))
+	// log1p keeps precision when ber is tiny.
+	return -math.Expm1(float64(bits) * math.Log1p(-ber))
+}
+
+// qfunc is the Gaussian tail probability Q(x) = P(N(0,1) > x).
+func qfunc(x float64) float64 {
+	return 0.5 * math.Erfc(x/math.Sqrt2)
+}
+
 func TestThorpAbsorptionKnownValues(t *testing.T) {
 	// Thorp at 10 kHz is ≈ 1.1 dB/km; at low frequency it approaches
 	// the 0.003 constant.

@@ -1,7 +1,5 @@
 package acoustic
 
-import "math"
-
 // PERModel maps a frame's worst-case SINR during reception to a packet
 // error probability. The simulator's PHY draws against this probability
 // to decide whether a frame survives.
@@ -26,30 +24,6 @@ func (t ThresholdPER) PER(sinrDB float64, _ int) float64 {
 		return 0
 	}
 	return 1
-}
-
-// BPSKPER derives PER from the BPSK bit error rate over an AWGN
-// channel: BER = Q(sqrt(2·SINR)), PER = 1 − (1 − BER)^bits. It makes
-// marginal links lossy rather than binary, which matters for the
-// mobility experiments where ranges hover near the edge.
-type BPSKPER struct{}
-
-var _ PERModel = BPSKPER{}
-
-// PER implements PERModel.
-func (BPSKPER) PER(sinrDB float64, bits int) float64 {
-	if bits <= 0 {
-		return 0
-	}
-	sinr := math.Pow(10, sinrDB/10)
-	ber := qfunc(math.Sqrt(2 * sinr))
-	// log1p keeps precision when ber is tiny.
-	return -math.Expm1(float64(bits) * math.Log1p(-ber))
-}
-
-// qfunc is the Gaussian tail probability Q(x) = P(N(0,1) > x).
-func qfunc(x float64) float64 {
-	return 0.5 * math.Erfc(x/math.Sqrt2)
 }
 
 // UniformLossPER wraps another PER model with an additional independent

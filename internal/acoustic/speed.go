@@ -28,23 +28,6 @@ var _ SpeedProfile = UniformSpeed(0)
 // SpeedAt implements SpeedProfile.
 func (u UniformSpeed) SpeedAt(float64) float64 { return float64(u) }
 
-// LinearSpeed is a profile with constant gradient, a common fit for the
-// mixed surface layer: c(z) = Surface + Gradient*z.
-type LinearSpeed struct {
-	// Surface is the sound speed at depth 0, m/s.
-	Surface float64
-	// Gradient is the change per meter of depth, 1/s. Positive values
-	// mean speed grows with depth.
-	Gradient float64
-}
-
-var _ SpeedProfile = LinearSpeed{}
-
-// SpeedAt implements SpeedProfile.
-func (l LinearSpeed) SpeedAt(depth float64) float64 {
-	return l.Surface + l.Gradient*depth
-}
-
 // MunkProfile is the canonical deep-water sound channel used by Bellhop
 // test cases: c(z) = C1*(1 + eps*(eta + exp(-eta) - 1)) with
 // eta = 2*(z - Z1)/B.

@@ -76,11 +76,11 @@ func TestBroadcastAllocsPerBroadcast(t *testing.T) {
 				}
 			}
 			round()
-			before := ch.Deliveries()
+			before := ch.deliveries
 			const runs = 5
 			avg := testing.AllocsPerRun(runs, round)
 			// AllocsPerRun calls round once more to warm up.
-			fanout := float64(ch.Deliveries()-before) / float64((runs+1)*len(frames))
+			fanout := float64(ch.deliveries-before) / float64((runs+1)*len(frames))
 			if fanout < 10 {
 				t.Fatalf("fan-out %.1f receivers per broadcast: too sparse to pin", fanout)
 			}

@@ -138,9 +138,6 @@ func (c *Channel) Register(m *phy.Modem) error {
 // time.
 func (c *Channel) SetRecorder(r obs.Recorder) { c.rec = r }
 
-// Deliveries reports how many frame arrivals have been scheduled.
-func (c *Channel) Deliveries() uint64 { return c.deliveries }
-
 // buildGeoms rebuilds c.scratch, the receiver list for srcNode, and
 // c.order, its rays in arrival order. It iterates in node-ID order —
 // arrivals scheduled for the same instant execute in scheduling order,

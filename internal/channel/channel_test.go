@@ -120,8 +120,8 @@ func TestTraceSeesDeliveries(t *testing.T) {
 	if d := entries[0].delay; d < want-time.Millisecond || d > want+time.Millisecond {
 		t.Errorf("traced delay = %v, want ≈%v", d, want)
 	}
-	if ch.Deliveries() != 1 {
-		t.Errorf("Deliveries = %d", ch.Deliveries())
+	if ch.deliveries != 1 {
+		t.Errorf("Deliveries = %d", ch.deliveries)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestBeyondInterferenceRangeSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if ch.Deliveries() != 0 {
-		t.Errorf("Deliveries = %d, want 0 beyond interference range", ch.Deliveries())
+	if ch.deliveries != 0 {
+		t.Errorf("Deliveries = %d, want 0 beyond interference range", ch.deliveries)
 	}
 	if len(recs[1].received) != 0 {
 		t.Error("frame decoded at 5 km")
@@ -249,7 +249,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		for _, r := range recs {
 			total += len(r.received)
 		}
-		return ch.Deliveries(), total
+		return ch.deliveries, total
 	}
 	d1, r1 := run()
 	d2, r2 := run()
@@ -357,7 +357,7 @@ func TestSurfaceReflectionCanCorrupt(t *testing.T) {
 	if err := modems[0].Transmit(&packet.Frame{Kind: packet.KindData, Src: 1, Dst: 2, DataBits: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	eng.MustScheduleAt(sim.At(1150*time.Millisecond), sim.PriorityMAC, func() {
+	eng.ScheduleAt(sim.At(1150*time.Millisecond), sim.PriorityMAC, func() {
 		if err := modems[1].Transmit(&packet.Frame{Kind: packet.KindData, Src: 2, Dst: 3, DataBits: 2048}); err != nil {
 			t.Error(err)
 		}
@@ -386,7 +386,7 @@ func TestBroadcastUnknownSourceDrops(t *testing.T) {
 	if !errors.Is(err, ErrUnknownSource) {
 		t.Fatalf("Broadcast from unknown node returned %v, want ErrUnknownSource", err)
 	}
-	if got := ch.Deliveries(); got != 0 {
+	if got := ch.deliveries; got != 0 {
 		t.Errorf("dropped broadcast scheduled %d deliveries", got)
 	}
 	eng.RunUntil(sim.At(10 * time.Second))
@@ -401,7 +401,7 @@ func TestBroadcastUnknownSourceDrops(t *testing.T) {
 	if err := ch.Broadcast(1, ok, dur); err != nil {
 		t.Fatalf("valid broadcast failed after drop: %v", err)
 	}
-	if ch.Deliveries() == 0 {
+	if ch.deliveries == 0 {
 		t.Error("valid broadcast scheduled no deliveries")
 	}
 }

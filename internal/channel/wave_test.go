@@ -100,7 +100,7 @@ func TestWaveMatchesPerRayScheduling(t *testing.T) {
 			at := sim.At(time.Duration(r.Intn(20)) * 50 * time.Millisecond)
 			src := packet.NodeID(1 + r.Intn(len(nodes)))
 			f := &packet.Frame{Kind: packet.KindRTS, Src: src, Dst: packet.Broadcast}
-			eng.MustScheduleAt(at, sim.PriorityPHY, func() {
+			eng.ScheduleAt(at, sim.PriorityPHY, func() {
 				if waves {
 					if err := ch.Broadcast(src, f, dur); err != nil {
 						t.Error(err)
@@ -112,7 +112,7 @@ func TestWaveMatchesPerRayScheduling(t *testing.T) {
 			// A probe, and a second one it schedules mid-run, so probes
 			// draw seqs both before and between the rays' seqs.
 			k, d1, d2 := i+1, r.Intn(1500), r.Intn(1500)
-			eng.MustScheduleAt(at.Add(time.Duration(d1)*time.Millisecond), sim.PriorityPHY, func() {
+			eng.ScheduleAt(at.Add(time.Duration(d1)*time.Millisecond), sim.PriorityPHY, func() {
 				log = append(log, logEntry{at: eng.Now(), probe: k})
 				eng.ScheduleIn(time.Duration(d2)*time.Millisecond, sim.PriorityPHY, func() {
 					log = append(log, logEntry{at: eng.Now(), probe: -k})

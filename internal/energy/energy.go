@@ -90,13 +90,13 @@ type Breakdown struct {
 // Total returns the summed energy in joules.
 func (b Breakdown) Total() float64 { return b.IdleJ + b.RxJ + b.TxJ + b.SleepJ }
 
-// Add returns the component-wise sum of two breakdowns.
-func (b Breakdown) Add(o Breakdown) Breakdown {
+// Sub returns the component-wise difference b − o.
+func (b Breakdown) Sub(o Breakdown) Breakdown {
 	return Breakdown{
-		IdleJ:  b.IdleJ + o.IdleJ,
-		RxJ:    b.RxJ + o.RxJ,
-		TxJ:    b.TxJ + o.TxJ,
-		SleepJ: b.SleepJ + o.SleepJ,
+		IdleJ:  b.IdleJ - o.IdleJ,
+		RxJ:    b.RxJ - o.RxJ,
+		TxJ:    b.TxJ - o.TxJ,
+		SleepJ: b.SleepJ - o.SleepJ,
 	}
 }
 
@@ -112,9 +112,6 @@ type Meter struct {
 func NewMeter(profile Profile, now sim.Time) *Meter {
 	return &Meter{profile: profile, state: StateIdle, since: now}
 }
-
-// State reports the current radio state.
-func (m *Meter) State() State { return m.state }
 
 // SetState accrues energy for the interval spent in the old state and
 // switches to s. now must not precede the previous update.

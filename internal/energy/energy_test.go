@@ -66,12 +66,12 @@ func TestRepeatedSnapshotIdempotent(t *testing.T) {
 	}
 }
 
-func TestBreakdownAdd(t *testing.T) {
-	a := Breakdown{IdleJ: 1, RxJ: 2, TxJ: 3, SleepJ: 4}
+func TestBreakdownSub(t *testing.T) {
+	a := Breakdown{IdleJ: 11, RxJ: 22, TxJ: 33, SleepJ: 44}
 	b := Breakdown{IdleJ: 10, RxJ: 20, TxJ: 30, SleepJ: 40}
-	got := a.Add(b)
-	if got != (Breakdown{IdleJ: 11, RxJ: 22, TxJ: 33, SleepJ: 44}) {
-		t.Errorf("Add = %+v", got)
+	got := a.Sub(b)
+	if got != (Breakdown{IdleJ: 1, RxJ: 2, TxJ: 3, SleepJ: 4}) {
+		t.Errorf("Sub = %+v", got)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestMeterConservationProperty(t *testing.T) {
 		for _, s := range steps {
 			dt := time.Duration(s%100) * time.Millisecond
 			state := State(s%4) + 1
-			wantTotal += p.watts(m.State()) * dt.Seconds()
+			wantTotal += p.watts(m.state) * dt.Seconds()
 			now = now.Add(dt)
 			if err := m.SetState(now, state); err != nil {
 				return false

@@ -101,8 +101,6 @@ type Config struct {
 	// at the model's SINR cutoff). Use acoustic.UniformLossPER for
 	// failure injection.
 	PER acoustic.PERModel
-	// Energy overrides the modem power profile (zero = default).
-	Energy energy.Profile
 	// EW passes EW-MAC's options.
 	EW ewmac.Options
 	// Faults enables deterministic fault injection (node churn, clock
@@ -252,10 +250,7 @@ func Run(cfg Config) (*Result, error) {
 	if model == nil {
 		model = acoustic.DefaultModel()
 	}
-	prof := cfg.Energy
-	if prof == (energy.Profile{}) {
-		prof = energy.DefaultProfile()
-	}
+	prof := energy.DefaultProfile()
 
 	eng := sim.NewEngine(cfg.Seed)
 	if cfg.Budget.Enabled() {
@@ -422,7 +417,7 @@ func Run(cfg Config) (*Result, error) {
 	// Baseline energy snapshot at warmup so initialization cost does
 	// not skew the power comparison window.
 	baseline := make([]energy.Breakdown, len(modems))
-	eng.MustScheduleAt(warmupAt, sim.PriorityObserver, func() {
+	eng.ScheduleAt(warmupAt, sim.PriorityObserver, func() {
 		for i, m := range modems {
 			b, err := m.Energy()
 			if err == nil {
@@ -450,14 +445,9 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		samples = append(samples, metrics.NodeSample{
-			MAC: protos[i].Counters(),
-			PHY: m.Stats(),
-			Energy: energy.Breakdown{
-				IdleJ:  b.IdleJ - baseline[i].IdleJ,
-				RxJ:    b.RxJ - baseline[i].RxJ,
-				TxJ:    b.TxJ - baseline[i].TxJ,
-				SleepJ: b.SleepJ - baseline[i].SleepJ,
-			},
+			MAC:    protos[i].Counters(),
+			PHY:    m.Stats(),
+			Energy: b.Sub(baseline[i]),
 			IsSink: net.Nodes()[i].Sink,
 		})
 	}

@@ -159,7 +159,7 @@ func checkTwoHop(t *testing.T, proto Protocol, maint, piggy int, doubled []packe
 		to := (from + 1 + rng.Intn(nodes-1)) % nodes
 		at := sim.At(10*time.Second + time.Duration(rng.Int63n(int64(380*time.Second))))
 		p := protos[from]
-		eng.MustScheduleAt(at, sim.PriorityApp, func() {
+		eng.ScheduleAt(at, sim.PriorityApp, func() {
 			p.Enqueue(mac.AppPacket{Dst: packet.NodeID(to + 1), Bits: 1024})
 		})
 	}

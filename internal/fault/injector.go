@@ -177,39 +177,65 @@ func (in *Injector) Start(from, until sim.Time) {
 	}
 }
 
+// episodes runs an alternating renewal process from instant from: an
+// episode opens (open runs) after an Exp(meanUp) wait if that lands no
+// later than until, closes (shut runs) after an Exp(meanDown) wait,
+// and the next wait starts at the close. Each wait is drawn from rng
+// when it starts, so the draws follow the process's own timeline.
+func (in *Injector) episodes(from, until sim.Time, rng *sim.RNG, meanUp, meanDown Dur, open, shut func()) {
+	var wait func()
+	wait = func() {
+		at := in.eng.Now().Add(expAfter(rng, meanUp))
+		if at.After(until) {
+			return
+		}
+		in.eng.ScheduleAt(at, sim.PriorityObserver, func() {
+			open()
+			in.eng.ScheduleAt(in.eng.Now().Add(expAfter(rng, meanDown)), sim.PriorityObserver, func() {
+				shut()
+				wait()
+			})
+		})
+	}
+	in.eng.ScheduleAt(from, sim.PriorityObserver, wait)
+}
+
+// recur runs fire after each gap, the first counted from instant from
+// and each next one from the last firing, while the firing lands no
+// later than until. gap is called when the wait starts.
+func (in *Injector) recur(from, until sim.Time, gap func() time.Duration, fire func()) {
+	var wait func()
+	wait = func() {
+		at := in.eng.Now().Add(gap())
+		if at.After(until) {
+			return
+		}
+		in.eng.ScheduleAt(at, sim.PriorityObserver, func() {
+			fire()
+			wait()
+		})
+	}
+	in.eng.ScheduleAt(from, sim.PriorityObserver, wait)
+}
+
 // churnLoop alternates exponential up and down periods. A crash
 // silences the modem and, on recovery, cold-starts the protocol and
 // re-disciplines the clock (a rebooted node resynchronizes first).
 func (in *Injector) churnLoop(m *member, from, until sim.Time) {
 	spec := in.sc.Churn
-	rng := in.eng.Stream("fault/churn", int(m.id))
-	var crash, revive func()
-	crash = func() {
-		at := in.eng.Now().Add(expAfter(rng, spec.MeanUp))
-		if at.After(until) {
-			return
+	in.episodes(from, until, in.eng.Stream("fault/churn", int(m.id)), spec.MeanUp, spec.MeanDown, func() {
+		m.setDown(downChurn)
+		in.emit(m.id, "churn", obs.FaultInject, "crash")
+	}, func() {
+		m.clearDown(downChurn)
+		if m.clock != nil {
+			m.clock.Sync(in.eng.Now())
 		}
-		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
-			m.setDown(downChurn)
-			in.emit(m.id, "churn", obs.FaultInject, "crash")
-			revive()
-		})
-	}
-	revive = func() {
-		at := in.eng.Now().Add(expAfter(rng, spec.MeanDown))
-		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
-			m.clearDown(downChurn)
-			if m.clock != nil {
-				m.clock.Sync(in.eng.Now())
-			}
-			if m.restart != nil {
-				m.restart.Restart()
-			}
-			in.emit(m.id, "churn", obs.FaultClear, "recovered")
-			crash()
-		})
-	}
-	in.eng.MustScheduleAt(from, sim.PriorityObserver, crash)
+		if m.restart != nil {
+			m.restart.Restart()
+		}
+		in.emit(m.id, "churn", obs.FaultClear, "recovered")
+	})
 }
 
 // syncLoop re-disciplines the clock every SyncEvery (ignored while a
@@ -218,47 +244,23 @@ func (in *Injector) churnLoop(m *member, from, until sim.Time) {
 // the first sync epoch, one SyncEvery after faults begin.
 func (in *Injector) syncLoop(m *member, from, until sim.Time) {
 	every := in.sc.Drift.SyncEvery.D()
-	var tick func()
-	tick = func() {
-		at := in.eng.Now().Add(every)
-		if at.After(until) {
-			return
-		}
-		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
-			m.clock.Sync(in.eng.Now())
-			tick()
-		})
-	}
-	in.eng.MustScheduleAt(from, sim.PriorityObserver, tick)
+	in.recur(from, until, func() time.Duration { return every }, func() {
+		m.clock.Sync(in.eng.Now())
+	})
 }
 
 // syncLossLoop opens and closes sync-loss episodes during which the
 // clock's error accumulates unchecked.
 func (in *Injector) syncLossLoop(m *member, from, until sim.Time) {
 	spec := in.sc.Drift
-	rng := in.eng.Stream("fault/drift", int(m.id))
-	var open, shut func()
-	open = func() {
-		at := in.eng.Now().Add(expAfter(rng, spec.LossMeanEvery))
-		if at.After(until) {
-			return
-		}
-		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
-			m.clock.Desync(true)
-			in.emit(m.id, "sync-loss", obs.FaultInject, "")
-			shut()
-		})
-	}
-	shut = func() {
-		at := in.eng.Now().Add(expAfter(rng, spec.LossMeanDur))
-		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
-			m.clock.Desync(false)
-			err := m.clock.Err(in.eng.Now())
-			in.emit(m.id, "sync-loss", obs.FaultClear, fmt.Sprintf("accumulated err %v", err))
-			open()
-		})
-	}
-	in.eng.MustScheduleAt(from, sim.PriorityObserver, open)
+	in.episodes(from, until, in.eng.Stream("fault/drift", int(m.id)), spec.LossMeanEvery, spec.LossMeanDur, func() {
+		m.clock.Desync(true)
+		in.emit(m.id, "sync-loss", obs.FaultInject, "")
+	}, func() {
+		m.clock.Desync(false)
+		err := m.clock.Err(in.eng.Now())
+		in.emit(m.id, "sync-loss", obs.FaultClear, fmt.Sprintf("accumulated err %v", err))
+	})
 }
 
 // shiftLoop teleports the node a bounded random displacement at
@@ -266,20 +268,11 @@ func (in *Injector) syncLossLoop(m *member, from, until sim.Time) {
 func (in *Injector) shiftLoop(m *member, from, until sim.Time) {
 	spec := in.sc.DelayShift
 	rng := in.eng.Stream("fault/shift", int(m.id))
-	var jump func()
-	jump = func() {
-		at := in.eng.Now().Add(expAfter(rng, spec.MeanEvery))
-		if at.After(until) {
-			return
-		}
-		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
-			d := randUnit(rng).Scale(rng.Float64() * spec.MaxJumpM)
-			m.node.Pos = in.net.Region.Clamp(m.node.Pos.Add(d))
-			in.emit(m.id, "delay-shift", obs.FaultInject, fmt.Sprintf("jump %.1fm", d.Norm()))
-			jump()
-		})
-	}
-	in.eng.MustScheduleAt(from, sim.PriorityObserver, jump)
+	in.recur(from, until, func() time.Duration { return expAfter(rng, spec.MeanEvery) }, func() {
+		d := randUnit(rng).Scale(rng.Float64() * spec.MaxJumpM)
+		m.node.Pos = in.net.Region.Clamp(m.node.Pos.Add(d))
+		in.emit(m.id, "delay-shift", obs.FaultInject, fmt.Sprintf("jump %.1fm", d.Norm()))
+	})
 }
 
 // randUnit draws a direction uniformly enough for displacement noise
@@ -297,28 +290,13 @@ func randUnit(rng *sim.RNG) vec.V3 {
 // keeps its state and resumes where it left off.
 func (in *Injector) outageLoop(m *member, from, until sim.Time) {
 	spec := in.sc.Outage
-	rng := in.eng.Stream("fault/outage", int(m.id))
-	var begin, end func()
-	begin = func() {
-		at := in.eng.Now().Add(expAfter(rng, spec.MeanEvery))
-		if at.After(until) {
-			return
-		}
-		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
-			m.setDown(downOutage)
-			in.emit(m.id, "outage", obs.FaultInject, "")
-			end()
-		})
-	}
-	end = func() {
-		at := in.eng.Now().Add(expAfter(rng, spec.MeanDur))
-		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
-			m.clearDown(downOutage)
-			in.emit(m.id, "outage", obs.FaultClear, "")
-			begin()
-		})
-	}
-	in.eng.MustScheduleAt(from, sim.PriorityObserver, begin)
+	in.episodes(from, until, in.eng.Stream("fault/outage", int(m.id)), spec.MeanEvery, spec.MeanDur, func() {
+		m.setDown(downOutage)
+		in.emit(m.id, "outage", obs.FaultInject, "")
+	}, func() {
+		m.clearDown(downOutage)
+		in.emit(m.id, "outage", obs.FaultClear, "")
+	})
 }
 
 // interferenceLoop strikes a random point at exponential intervals,
@@ -327,35 +305,26 @@ func (in *Injector) outageLoop(m *member, from, until sim.Time) {
 func (in *Injector) interferenceLoop(from, until sim.Time) {
 	spec := in.sc.Interference
 	rng := in.eng.RNG("fault/interference")
-	var strike func()
-	strike = func() {
-		at := in.eng.Now().Add(expAfter(rng, spec.MeanEvery))
-		if at.After(until) {
-			return
-		}
-		in.eng.MustScheduleAt(at, sim.PriorityObserver, func() {
-			sz := in.net.Region.Size()
-			center := in.net.Region.Min.Add(vec.V3{
-				X: rng.Float64() * sz.X,
-				Y: rng.Float64() * sz.Y,
-				Z: rng.Float64() * sz.Z,
-			})
-			dur := expAfter(rng, spec.MeanDur)
-			hit := 0
-			for _, m := range in.members {
-				if m.modem == nil {
-					continue
-				}
-				if spec.RadiusM > 0 && m.node.Pos.Dist(center) > spec.RadiusM {
-					continue
-				}
-				m.modem.InjectInterference(spec.LevelDB, dur)
-				hit++
-			}
-			in.emit(packet.Nobody, "interference", obs.FaultInject,
-				fmt.Sprintf("burst %v at %v hit %d nodes", dur.Round(time.Millisecond), center, hit))
-			strike()
+	in.recur(from, until, func() time.Duration { return expAfter(rng, spec.MeanEvery) }, func() {
+		sz := in.net.Region.Size()
+		center := in.net.Region.Min.Add(vec.V3{
+			X: rng.Float64() * sz.X,
+			Y: rng.Float64() * sz.Y,
+			Z: rng.Float64() * sz.Z,
 		})
-	}
-	in.eng.MustScheduleAt(from, sim.PriorityObserver, strike)
+		dur := expAfter(rng, spec.MeanDur)
+		hit := 0
+		for _, m := range in.members {
+			if m.modem == nil {
+				continue
+			}
+			if spec.RadiusM > 0 && m.node.Pos.Dist(center) > spec.RadiusM {
+				continue
+			}
+			m.modem.InjectInterference(spec.LevelDB, dur)
+			hit++
+		}
+		in.emit(packet.Nobody, "interference", obs.FaultInject,
+			fmt.Sprintf("burst %v at %v hit %d nodes", dur.Round(time.Millisecond), center, hit))
+	})
 }

@@ -79,9 +79,9 @@ func TestLedgerCycleZeroAlloc(t *testing.T) {
 		slot += 20
 		l.Prune(slot)
 	})
-	if l.Len() != 4 || l.Lookup(2, 3) != nil {
+	if len(l.exchanges) != 4 || l.find(2, 3) != nil {
 		t.Fatalf("ledger holds %d exchanges (pair 2→3 tracked: %v), want the 4 long-running ones",
-			l.Len(), l.Lookup(2, 3) != nil)
+			len(l.exchanges), l.find(2, 3) != nil)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestNeighborTableZeroAlloc(t *testing.T) {
 			hello.Timestamp = now.Duration()
 			tab.Observe(hello, now.Add(time.Duration(id)*time.Millisecond), 0)
 		}
-		if _, ok := tab.Delay(64); !ok || tab.Len() != 64 {
-			t.Fatalf("re-learned %d peers, want 64", tab.Len())
+		if _, ok := tab.Delay(64); !ok || tab.n != 64 {
+			t.Fatalf("re-learned %d peers, want 64", tab.n)
 		}
 	})
 }

@@ -37,8 +37,7 @@ const (
 )
 
 type stealState struct {
-	pkt     mac.AppPacket
-	timeout sim.Handle
+	pkt mac.AppPacket
 	// xid is the steal's exchange lineage; parent is the primary
 	// handshake (the overheard CTS) whose gap it steals.
 	xid    uint64
@@ -64,9 +63,6 @@ func New(cfg mac.Config) (*MAC, error) {
 	m.SetHooks(m)
 	return m, nil
 }
-
-// Name implements mac.Protocol.
-func (m *MAC) Name() string { return "CS-MAC" }
 
 // OnOverheard implements mac.Hooks: an overheard CTS opens a stealing
 // opportunity. The CTS sender j is about to sit idle for the whole
@@ -134,7 +130,7 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 	m.SendAt(sendT, data, func(error) { m.abort(st, false) })
 	m.CountersRef().ExtraAttempts++
 	m.RecordExtra(j, obs.ExtraRequest, "", st.xid, st.parent)
-	st.timeout = m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
+	m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
 		if m.steal == st {
 			m.abort(st, true)
 		}
@@ -152,7 +148,6 @@ func (m *MAC) abort(st *stealState, failed bool) {
 		m.CountersRef().RetransmittedBits += uint64(st.pkt.Bits)
 		m.RecordExtra(st.pkt.Dst, obs.ExtraAbort, "steal-unacked", st.xid, st.parent)
 	}
-	st.timeout.Cancel()
 	m.steal = nil
 	m.SetHold(m.Engine().Now())
 }
@@ -187,8 +182,5 @@ func (m *MAC) OnExtraFrame(f *packet.Frame) {
 // OnRestart implements mac.Hooks: a crashed node forgets its in-flight
 // steal.
 func (m *MAC) OnRestart() {
-	if m.steal != nil {
-		m.steal.timeout.Cancel()
-		m.steal = nil
-	}
+	m.steal = nil
 }

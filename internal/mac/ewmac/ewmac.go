@@ -59,10 +59,9 @@ const (
 
 // extraAttempt is the sender-side state of one extra communication.
 type extraAttempt struct {
-	target  packet.NodeID
-	pkt     mac.AppPacket
-	phase   extraPhase
-	timeout sim.Handle
+	target packet.NodeID
+	pkt    mac.AppPacket
+	phase  extraPhase
 	// xid is the exchange lineage shared by every frame of this extra
 	// exchange; parent is the primary handshake it exploits.
 	xid    uint64
@@ -101,9 +100,6 @@ func New(cfg mac.Config, opts Options) (*MAC, error) {
 	base.SetHooks(m)
 	return m, nil
 }
-
-// Name implements mac.Protocol.
-func (m *MAC) Name() string { return "EW-MAC" }
 
 // PickWinner implements mac.Hooks: highest random priority wins
 // (paper §3.1). Ties break toward the earlier arrival.
@@ -241,7 +237,7 @@ func (m *MAC) OnContentionLost(cause *packet.Frame) {
 	m.SendAt(sendT, exr, func(error) { m.abortExtra(att) })
 	m.CountersRef().ExtraAttempts++
 	m.RecordExtra(cause.Src, obs.ExtraRequest, "", att.xid, att.parent)
-	att.timeout = m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
+	m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
 		if m.extra == att && att.phase == phaseRequested {
 			m.RecordExtra(att.target, obs.ExtraDeny, "exc-timeout", att.xid, att.parent)
 			m.abortExtra(att)
@@ -259,7 +255,6 @@ func (m *MAC) abortExtra(att *extraAttempt) {
 	if m.extra != att {
 		return
 	}
-	att.timeout.Cancel()
 	m.extra = nil
 	m.SetHold(m.Engine().Now()) // release the base engine
 }
@@ -361,7 +356,6 @@ func (m *MAC) onEXC(f *packet.Frame) {
 		m.abortExtra(att)
 		return
 	}
-	att.timeout.Cancel()
 	att.phase = phaseGranted
 
 	data := m.DataFrame(packet.KindEXData, att.pkt)
@@ -387,7 +381,7 @@ func (m *MAC) onEXC(f *packet.Frame) {
 		}
 		att.phase = phaseDataSent
 	})
-	att.timeout = m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
+	m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
 		if m.extra == att {
 			m.abortExtra(att)
 		}
@@ -416,7 +410,6 @@ func (m *MAC) onEXAck(f *packet.Frame) {
 	if !m.CompleteHead(att.pkt.Origin, att.pkt.Seq) {
 		m.CompleteBySeq(att.pkt.Origin, att.pkt.Seq)
 	}
-	att.timeout.Cancel()
 	m.extra = nil
 	m.SetHold(m.Engine().Now())
 }
@@ -424,10 +417,7 @@ func (m *MAC) onEXAck(f *packet.Frame) {
 // OnRestart implements mac.Hooks: a crashed node forgets its in-flight
 // extra attempt and any grant it issued.
 func (m *MAC) OnRestart() {
-	if m.extra != nil {
-		m.extra.timeout.Cancel()
-		m.extra = nil
-	}
+	m.extra = nil
 	m.granted = nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"ewmac/internal/channel"
 	"ewmac/internal/energy"
 	"ewmac/internal/mac"
+	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
@@ -26,6 +27,12 @@ type rig struct {
 // newRig places nodes at the given positions (IDs 1..n) and wires
 // EW-MAC instances with Hello enabled in the first 5 s.
 func newRig(t *testing.T, seed int64, opts Options, positions ...vec.V3) *rig {
+	t.Helper()
+	return newObservedRig(t, seed, opts, nil, positions...)
+}
+
+// newObservedRig is newRig with every node recording to rec.
+func newObservedRig(t *testing.T, seed int64, opts Options, rec obs.Recorder, positions ...vec.V3) *rig {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	model := acoustic.DefaultModel()
@@ -69,6 +76,7 @@ func newRig(t *testing.T, seed int64, opts Options, positions ...vec.V3) *rig {
 			BitRate:     model.BitRate(),
 			EnableHello: true,
 			HelloWindow: 5 * time.Second,
+			Recorder:    rec,
 		}, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +90,7 @@ func newRig(t *testing.T, seed int64, opts Options, positions ...vec.V3) *rig {
 
 func (r *rig) enqueueAt(at time.Duration, from int, dst packet.NodeID, bits int) {
 	m := r.macs[from-1]
-	r.eng.MustScheduleAt(sim.At(at), sim.PriorityApp, func() {
+	r.eng.ScheduleAt(sim.At(at), sim.PriorityApp, func() {
 		m.Enqueue(mac.AppPacket{Dst: dst, Bits: bits})
 	})
 }
@@ -272,5 +280,71 @@ func TestGuardRefusesUnknownDelays(t *testing.T) {
 	m.Ledger().ObserveCTS(cts, 2, m.DataTx(2048))
 	if m.clearAtNeighbors(sim.At(time.Second), 20*time.Millisecond, 99) {
 		t.Error("guard admitted a transmission with unknown neighbor delays")
+	}
+}
+
+// TestStaleDeadlineIsInert: an attempt that ends early leaves its EXC
+// deadline armed. When it fires with a younger attempt in flight it
+// must find its own attempt gone and do nothing: no deny, no abort,
+// the young attempt untouched.
+func TestStaleDeadlineIsInert(t *testing.T) {
+	var log []obs.Extra
+	r := newObservedRig(t, 1, Options{}, obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		if x, ok := e.(*obs.Extra); ok {
+			log = append(log, *x)
+		}
+	}), figure4Positions()...)
+	r.eng.RunUntil(sim.At(8 * time.Second)) // hello phase done: delays known
+	i, j := r.macs[1], r.macs[0]
+	j.Modem().SetDown(true) // j never answers: each attempt waits out its deadline
+	slots := i.Slots()
+	slot := slots.SlotAt(r.eng.Now()) + 1
+	t0 := slots.StartOf(slot).Add(10 * time.Millisecond)
+	r.eng.RunUntil(t0)
+
+	// j is the receiver of a negotiated exchange whose CTS i overheard.
+	tau, _ := i.Table().Delay(1)
+	cause := &packet.Frame{Kind: packet.KindCTS, Src: 1, Dst: 3, PairDelay: tau, Timestamp: slots.StartOf(slot).Duration()}
+	i.Enqueue(mac.AppPacket{Dst: 1, Bits: 2048})
+	i.OnContentionLost(cause)
+	a := i.extra
+	if a == nil {
+		t.Fatal("first extra attempt not started")
+	}
+	i.OnRestart() // a crash ends the first attempt; its deadline stays armed
+
+	// The second attempt starts gap later, so its deadline is gap after
+	// the first one's.
+	const gap = 300 * time.Millisecond
+	r.eng.RunUntil(t0.Add(gap))
+	i.OnContentionLost(cause)
+	b := i.extra
+	if b == nil || b == a {
+		t.Fatal("second extra attempt not started")
+	}
+	before := len(log)
+
+	// Halfway between the deadlines: the first has fired, the second
+	// not. An attempt's deadline is its EXR send (now + Guard) plus
+	// 2τ + EXR + ControlTx + 4·Guard; the EXR is within gap/2 of a
+	// control frame.
+	mid := t0.Add(gap/2 + 5*mac.Guard + 2*tau + 2*i.ControlTx())
+	r.eng.RunUntil(mid)
+	if i.extra != b || b.phase != phaseRequested {
+		t.Fatalf("at %v the second attempt is no longer waiting for its EXC", mid)
+	}
+	for _, e := range log[before:] {
+		if e.Action == obs.ExtraDeny || e.Action == obs.ExtraAbort {
+			t.Errorf("stale deadline recorded %s %q (xid %d)", e.Action, e.Reason, e.XID)
+		}
+	}
+
+	// The second attempt's own deadline still ends it.
+	r.eng.RunUntil(mid.Add(gap))
+	if i.extra != nil {
+		t.Error("second attempt outlived its own deadline")
+	}
+	if n := len(log); n == before || log[n-1].Reason != "exc-timeout" || log[n-1].XID != b.xid {
+		t.Errorf("second attempt's deadline recorded %+v, want its exc-timeout deny", log[before:])
 	}
 }

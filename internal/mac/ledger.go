@@ -182,11 +182,6 @@ func (l *Ledger) find(sender, receiver packet.NodeID) *Exchange {
 	return nil
 }
 
-// Lookup returns the tracked exchange between the pair, or nil.
-func (l *Ledger) Lookup(sender, receiver packet.NodeID) *Exchange {
-	return l.find(sender, receiver)
-}
-
 // Prune drops exchanges that ended before the current slot, compacting
 // the survivors in place.
 func (l *Ledger) Prune(currentSlot int64) {
@@ -198,9 +193,6 @@ func (l *Ledger) Prune(currentSlot int64) {
 	}
 	l.exchanges = kept
 }
-
-// Len reports tracked exchanges.
-func (l *Ledger) Len() int { return len(l.exchanges) }
 
 // QuietUntilSlot returns the first slot in which this node may contend
 // again: one past the end of every exchange it knows about. This is the

@@ -60,11 +60,11 @@ func TestLedgerRTSThenCTSLifecycle(t *testing.T) {
 	}
 
 	l.Prune(13)
-	if l.Len() != 1 {
+	if len(l.exchanges) != 1 {
 		t.Error("active exchange pruned")
 	}
 	l.Prune(14)
-	if l.Len() != 0 {
+	if len(l.exchanges) != 0 {
 		t.Error("finished exchange kept")
 	}
 }
@@ -75,7 +75,7 @@ func TestLedgerCTSWithoutRTS(t *testing.T) {
 	if !e.Confirmed || e.Sender != 2 || e.Receiver != 3 || e.RTSSlot != 4 {
 		t.Fatalf("exchange from bare CTS wrong: %+v", e)
 	}
-	if l.Lookup(2, 3) != e {
+	if l.find(2, 3) != e {
 		t.Error("Lookup failed")
 	}
 	if e.DataSlot() != 6 {
@@ -170,10 +170,10 @@ func TestLedgerReusedPairUpdates(t *testing.T) {
 	l, _ := ledgerFixture()
 	l.ObserveRTS(rtsFrame(2, 3, time.Millisecond, 1024), 10, 90*time.Millisecond)
 	l.ObserveRTS(rtsFrame(2, 3, time.Millisecond, 1024), 20, 90*time.Millisecond)
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (same pair reuses entry)", l.Len())
+	if len(l.exchanges) != 1 {
+		t.Fatalf("Len = %d, want 1 (same pair reuses entry)", len(l.exchanges))
 	}
-	if l.Lookup(2, 3).RTSSlot != 20 {
+	if l.find(2, 3).RTSSlot != 20 {
 		t.Error("retried RTS did not update slot")
 	}
 }

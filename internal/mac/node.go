@@ -100,9 +100,6 @@ func (n *Node) Modem() *phy.Modem { return n.cfg.Modem }
 // Slots returns the slot geometry.
 func (n *Node) Slots() SlotConfig { return n.cfg.Slots }
 
-// BitRate returns the modem bit rate.
-func (n *Node) BitRate() float64 { return n.cfg.BitRate }
-
 // IsSink reports whether the node is a pure receiver.
 func (n *Node) IsSink() bool { return n.cfg.IsSink }
 
@@ -112,9 +109,6 @@ func (n *Node) Hardened() bool { return n.cfg.Hardened }
 
 // Queue returns the transmit queue.
 func (n *Node) Queue() *Queue { return &n.queue }
-
-// RNG returns this node's deterministic random stream.
-func (n *Node) RNG() *sim.RNG { return n.rng }
 
 // Counters implements Protocol.
 func (n *Node) Counters() Counters { return n.counters }
@@ -164,15 +158,15 @@ func (n *Node) LocalNow() sim.Time {
 
 // ScheduleClamped schedules fn at t, clamped to now if t is already
 // past. Protocol timers computed from received frame timestamps must
-// use this instead of Engine.MustScheduleAt: under injected clock
+// use this instead of Engine.ScheduleAt: under injected clock
 // drift a peer's stamp can place a deadline behind the present, and
 // the graceful degradation is a timer that fires at once, not a
 // panicking engine.
-func (n *Node) ScheduleClamped(t sim.Time, prio sim.Priority, fn func()) sim.Handle {
+func (n *Node) ScheduleClamped(t sim.Time, prio sim.Priority, fn func()) {
 	if now := n.cfg.Engine.Now(); t.Before(now) {
 		t = now
 	}
-	return n.cfg.Engine.MustScheduleAt(t, prio, fn)
+	n.cfg.Engine.ScheduleAt(t, prio, fn)
 }
 
 // ---- Slot loop ----
@@ -215,7 +209,7 @@ func (n *Node) scheduleSlot() {
 	if now := n.cfg.Engine.Now(); at.Before(now) {
 		at = now
 	}
-	n.cfg.Engine.MustScheduleAt(at, sim.PriorityMAC, n.tickFn)
+	n.cfg.Engine.ScheduleAt(at, sim.PriorityMAC, n.tickFn)
 }
 
 // Restart cold-starts the node's shared soft state after a
@@ -449,11 +443,6 @@ func (n *Node) DeliverData(f *packet.Frame, extra bool) {
 }
 
 // ---- Liveness ----
-
-// PeerState returns the liveness verdict for peer.
-func (n *Node) PeerState(peer packet.NodeID) PeerState {
-	return n.peerState[peer]
-}
 
 // Stranded implements Protocol: it counts queued packets whose next hop
 // is currently dead — traffic the recovery layer has neither delivered

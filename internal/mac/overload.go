@@ -234,9 +234,6 @@ func NewRetryBucket(cfg Config) RetryBucket {
 	}
 }
 
-// Enabled reports whether the budget is armed.
-func (b *RetryBucket) Enabled() bool { return b.enabled }
-
 // Allow spends one retry token at slot s, refilling for the slots
 // elapsed since the last call. A false return means the retry must be
 // deferred — the caller waits a slot rather than dropping the packet.

@@ -135,7 +135,7 @@ func TestRetryBucketLazyRefill(t *testing.T) {
 		},
 	}
 	b := NewRetryBucket(cfg) // 1 s slots, 1 token/s, burst 2
-	if !b.Enabled() {
+	if !b.enabled {
 		t.Fatal("bucket not enabled")
 	}
 	if !b.Allow(0) || !b.Allow(0) {
@@ -159,7 +159,7 @@ func TestRetryBucketLazyRefill(t *testing.T) {
 	}
 
 	var off RetryBucket
-	if off.Enabled() {
+	if off.enabled {
 		t.Error("zero bucket enabled")
 	}
 	for i := 0; i < 10; i++ {

@@ -36,7 +36,6 @@ type rtaState struct {
 	target  packet.NodeID
 	pkt     mac.AppPacket
 	granted bool
-	timeout sim.Handle
 	// xid is the appended exchange's lineage; parent is the primary
 	// handshake (the overheard RTS) whose waiting window it exploits.
 	xid    uint64
@@ -71,9 +70,6 @@ func New(cfg mac.Config) (*MAC, error) {
 	m.SetHooks(m)
 	return m, nil
 }
-
-// Name implements mac.Protocol.
-func (m *MAC) Name() string { return "ROPA" }
 
 // OnSlotStart implements mac.Hooks: cleanup of append requests whose
 // primary negotiation died, then periodic two-hop maintenance.
@@ -177,7 +173,7 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 	m.SendAt(sendT, rta, func(error) { m.abort(st) })
 	m.CountersRef().ExtraAttempts++
 	m.RecordExtra(f.Src, obs.ExtraRequest, "", st.xid, st.parent)
-	st.timeout = m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
+	m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
 		if m.pending == st && !st.granted {
 			m.abort(st)
 		}
@@ -188,7 +184,6 @@ func (m *MAC) abort(st *rtaState) {
 	if m.pending != st {
 		return
 	}
-	st.timeout.Cancel()
 	m.pending = nil
 	m.SetHold(m.Engine().Now())
 }
@@ -239,7 +234,6 @@ func (m *MAC) onGrant(f *packet.Frame) {
 		return
 	}
 	st.granted = true
-	st.timeout.Cancel()
 	data := m.DataFrame(packet.KindEXData, st.pkt)
 	data.XID = st.xid
 	dur := m.DataTx(st.pkt.Bits)
@@ -259,7 +253,7 @@ func (m *MAC) onGrant(f *packet.Frame) {
 			m.abort(st)
 		}
 	})
-	st.timeout = m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
+	m.ScheduleClamped(deadline, sim.PriorityMAC, func() {
 		if m.pending == st {
 			m.abort(st)
 		}
@@ -269,9 +263,6 @@ func (m *MAC) onGrant(f *packet.Frame) {
 // OnRestart implements mac.Hooks: a crashed node forgets its in-flight
 // RTA attempt and any appended-request it promised to serve.
 func (m *MAC) OnRestart() {
-	if m.pending != nil {
-		m.pending.timeout.Cancel()
-		m.pending = nil
-	}
+	m.pending = nil
 	m.request = nil
 }

@@ -8,6 +8,7 @@ import (
 	"ewmac/internal/channel"
 	"ewmac/internal/energy"
 	"ewmac/internal/mac"
+	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
@@ -21,6 +22,12 @@ type rig struct {
 }
 
 func newRig(t *testing.T, seed int64, positions ...vec.V3) *rig {
+	t.Helper()
+	return newObservedRig(t, seed, nil, positions...)
+}
+
+// newObservedRig is newRig with every node recording to rec.
+func newObservedRig(t *testing.T, seed int64, rec obs.Recorder, positions ...vec.V3) *rig {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	model := acoustic.DefaultModel()
@@ -64,6 +71,7 @@ func newRig(t *testing.T, seed int64, positions ...vec.V3) *rig {
 			BitRate:     model.BitRate(),
 			EnableHello: true,
 			HelloWindow: 5 * time.Second,
+			Recorder:    rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +85,7 @@ func newRig(t *testing.T, seed int64, positions ...vec.V3) *rig {
 
 func (r *rig) enqueueAt(at time.Duration, from int, dst packet.NodeID, bits int) {
 	m := r.macs[from-1]
-	r.eng.MustScheduleAt(sim.At(at), sim.PriorityApp, func() {
+	r.eng.ScheduleAt(sim.At(at), sim.PriorityApp, func() {
 		m.Enqueue(mac.AppPacket{Dst: dst, Bits: bits})
 	})
 }
@@ -113,5 +121,65 @@ func TestAppendedTransmission(t *testing.T) {
 	}
 	if ok == 0 {
 		t.Fatal("appending attempted but never completed")
+	}
+}
+
+// TestStaleDeadlineIsInert: an RTA attempt that ends early leaves its
+// grant deadline armed. When it fires with a younger attempt in flight
+// it must find its own attempt gone and leave the young one untouched.
+func TestStaleDeadlineIsInert(t *testing.T) {
+	var extras []obs.Extra
+	r := newObservedRig(t, 1, obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		if x, ok := e.(*obs.Extra); ok {
+			extras = append(extras, *x)
+		}
+	}),
+		vec.V3{X: 0, Y: 0, Z: 100},     // 1 = r (receiver)
+		vec.V3{X: 600, Y: 0, Z: 300},   // 2 = s (primary sender)
+		vec.V3{X: 900, Y: 200, Z: 500}, // 3 = i (appender)
+	)
+	r.eng.RunUntil(sim.At(8 * time.Second)) // hello phase done: delays known
+	s, i := r.macs[1], r.macs[2]
+	s.Modem().SetDown(true) // s never grants: each attempt waits out its deadline
+	slots := i.Slots()
+	first := slots.SlotAt(r.eng.Now()) + 1
+	tau12, _ := s.Table().Delay(1)
+	rts := func(slot int64) *packet.Frame {
+		return &packet.Frame{Kind: packet.KindRTS, Src: 2, Dst: 1, PairDelay: tau12, Timestamp: slots.StartOf(slot).Duration()}
+	}
+
+	// An attempt appended to an RTS of slot n waits until the start of
+	// slot n+3; one slot later, the second attempt waits a slot longer.
+	r.eng.RunUntil(slots.StartOf(first).Add(10 * time.Millisecond))
+	i.Enqueue(mac.AppPacket{Dst: 2, Bits: 2048})
+	i.OnOverheard(rts(first))
+	a := i.pending
+	if a == nil {
+		t.Fatal("first RTA attempt not started")
+	}
+	r.eng.RunUntil(slots.StartOf(first + 1).Add(10 * time.Millisecond))
+	i.abort(a) // the first attempt ends; its deadline stays armed
+	i.OnOverheard(rts(first + 1))
+	b := i.pending
+	if b == nil || b == a {
+		t.Fatal("second RTA attempt not started")
+	}
+	before := len(extras)
+
+	mid := slots.StartOf(first + 3).Add(slots.Len() / 2)
+	r.eng.RunUntil(mid)
+	if i.pending != b || b.granted {
+		t.Fatalf("at %v the second attempt is no longer waiting for its grant", mid)
+	}
+	for _, e := range extras[before:] {
+		if e.Action == obs.ExtraDeny || e.Action == obs.ExtraAbort {
+			t.Errorf("stale deadline recorded %s %q (xid %d)", e.Action, e.Reason, e.XID)
+		}
+	}
+
+	// The second attempt's own deadline still ends it.
+	r.eng.RunUntil(slots.StartOf(first + 4).Add(time.Millisecond))
+	if i.pending != nil {
+		t.Error("second attempt outlived its own deadline")
 	}
 }

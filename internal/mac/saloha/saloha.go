@@ -46,9 +46,6 @@ func New(cfg mac.Config) (*MAC, error) {
 	return m, nil
 }
 
-// Name implements mac.Protocol.
-func (m *MAC) Name() string { return "S-ALOHA" }
-
 // Restart cold-starts the node after a crash/recovery cycle: on top of
 // mac.Node's reset, the in-flight ack wait is forgotten.
 func (m *MAC) Restart() {

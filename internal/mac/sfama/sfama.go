@@ -30,6 +30,3 @@ func New(cfg mac.Config) (*MAC, error) {
 	}
 	return &MAC{Base: base}, nil
 }
-
-// Name implements mac.Protocol.
-func (m *MAC) Name() string { return "S-FAMA" }

@@ -89,7 +89,7 @@ func newRig(t *testing.T, seed int64, positions ...vec.V3) *rig {
 
 func (r *rig) enqueueAt(at time.Duration, from int, dst packet.NodeID, bits int) {
 	m := r.macs[from-1]
-	r.eng.MustScheduleAt(sim.At(at), sim.PriorityApp, func() {
+	r.eng.ScheduleAt(sim.At(at), sim.PriorityApp, func() {
 		m.Enqueue(mac.AppPacket{Dst: dst, Bits: bits})
 	})
 }

@@ -135,9 +135,6 @@ func (t *NeighborTable) Clear() {
 	t.n = 0
 }
 
-// Len reports the number of entries.
-func (t *NeighborTable) Len() int { return t.n }
-
 // Snapshot returns up to max entries as piggybackable NeighborInfo,
 // sorted by ID. CS-MAC and ROPA use this to distribute two-hop state;
 // EW-MAC only ever piggybacks the single pair under negotiation.

@@ -144,7 +144,7 @@ func TestNeighborTableMatchesReference(t *testing.T) {
 			default:
 				op = "query"
 			}
-			if g, w := got.Len(), len(want.entries); g != w {
+			if g, w := got.n, len(want.entries); g != w {
 				t.Fatalf("seed %d step %d after %s: Len = %d, want %d", seed, step, op, g, w)
 			}
 			for _, id := range ids {

@@ -44,8 +44,8 @@ func TestObservePairDoesNotOverrideMeasurement(t *testing.T) {
 	}
 	tab.ObservePair(packet.Nobody, time.Second, sim.At(time.Second))
 	tab.ObservePair(packet.Broadcast, time.Second, sim.At(time.Second))
-	if tab.Len() != 2 {
-		t.Errorf("Len = %d after reserved-ID inserts, want 2", tab.Len())
+	if tab.n != 2 {
+		t.Errorf("Len = %d after reserved-ID inserts, want 2", tab.n)
 	}
 }
 

@@ -55,8 +55,6 @@ type AppPacket struct {
 // act as the modem's phy.Listener.
 type Protocol interface {
 	phy.Listener
-	// Name identifies the protocol in reports ("EW-MAC", "S-FAMA"...).
-	Name() string
 	// Start arms the slot loop and initialization (Hello) behaviour.
 	Start()
 	// Enqueue accepts an outbound packet from the traffic/routing layer.

@@ -72,14 +72,6 @@ func (j *JSONL) write() {
 	j.cur = j.cur[:0]
 }
 
-// Flush writes the staged lines through to the underlying writer.
-func (j *JSONL) Flush() error {
-	if !j.closed {
-		j.write()
-	}
-	return j.Err()
-}
-
 // Close flushes and releases the staging buffer; it does not close the
 // underlying writer. Records after Close are dropped. Safe to call
 // twice.

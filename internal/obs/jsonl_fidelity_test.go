@@ -372,7 +372,7 @@ func (s *failingSink) Write(p []byte) (int, error) {
 	return room, errSinkFull
 }
 
-// TestJSONLWriteErrorSticks: once the sink fails, Flush and Close both
+// TestJSONLWriteErrorSticks: once the sink fails, Err and Close both
 // report its error, nothing more reaches it, and what it did accept is
 // a prefix of the fault-free stream.
 func TestJSONLWriteErrorSticks(t *testing.T) {
@@ -394,17 +394,18 @@ func TestJSONLWriteErrorSticks(t *testing.T) {
 	sink := &failingSink{limit: limit}
 	j := NewJSONL(sink)
 	record(j, 0, 500)
-	if err := j.Flush(); !errors.Is(err, errSinkFull) {
-		t.Fatalf("Flush = %v, want %v", err, errSinkFull)
+	j.write()
+	if err := j.Err(); !errors.Is(err, errSinkFull) {
+		t.Fatalf("Err after a write = %v, want %v", err, errSinkFull)
 	}
-	atFlush := sink.got.Len()
+	atWrite := sink.got.Len()
 	record(j, 500, 1000)
 	if err := j.Close(); !errors.Is(err, errSinkFull) {
 		t.Fatalf("Close = %v, want %v", err, errSinkFull)
 	}
-	if sink.got.Len() != atFlush || atFlush != limit {
-		t.Errorf("sink holds %d bytes after Flush and %d after Close, want %d both",
-			atFlush, sink.got.Len(), limit)
+	if sink.got.Len() != atWrite || atWrite != limit {
+		t.Errorf("sink holds %d bytes after the write and %d after Close, want %d both",
+			atWrite, sink.got.Len(), limit)
 	}
 	if !bytes.HasPrefix(want.Bytes(), sink.got.Bytes()) {
 		t.Error("bytes written before the error are not a prefix of the fault-free stream")

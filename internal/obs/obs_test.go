@@ -44,7 +44,7 @@ func TestJSONLSchema(t *testing.T) {
 	})
 	j.Record(sim.At(2*time.Second), &Extra{Node: 5, Peer: 6, Action: ExtraDeny, Reason: "gap-too-small"})
 	j.Record(sim.At(3*time.Second), &Delivery{Node: 1, Origin: 2, Seq: 4, Bits: 2048, Latency: time.Second})
-	if err := j.Flush(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -86,7 +86,7 @@ func (s *Sampler) scheduleNext(until sim.Time) {
 	if next.After(until) {
 		return
 	}
-	s.eng.MustScheduleAt(next, sim.PriorityObserver, func() {
+	s.eng.ScheduleAt(next, sim.PriorityObserver, func() {
 		s.sample()
 		s.scheduleNext(until)
 	})

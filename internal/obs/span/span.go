@@ -183,12 +183,6 @@ func (a *Assembler) WriteMeta(protocol string, seed int64, nodes int) {
 	a.write(Meta{Span: "meta", Protocol: protocol, Seed: seed, Nodes: nodes})
 }
 
-// Err returns the first write error, if any.
-func (a *Assembler) Err() error { return a.err }
-
-// Stats returns the assembly counters collected so far.
-func (a *Assembler) Stats() Stats { return a.stats }
-
 func (a *Assembler) write(v any) {
 	if a.err != nil {
 		return

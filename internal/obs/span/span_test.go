@@ -95,7 +95,7 @@ func TestHandshakeSpan(t *testing.T) {
 		t.Errorf("contention = %+v, want complete won", ct)
 	}
 
-	st := a.Stats()
+	st := a.stats
 	if st.Deliveries != 1 || st.OrphanDeliveries != 0 {
 		t.Errorf("stats = %+v, want 1 covered delivery", st)
 	}
@@ -216,7 +216,7 @@ func TestOrphanDelivery(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := a.Stats()
+	st := a.stats
 	if st.Deliveries != 1 || st.OrphanDeliveries != 1 {
 		t.Errorf("stats = %+v, want one orphan delivery", st)
 	}

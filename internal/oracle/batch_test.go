@@ -14,6 +14,17 @@ import (
 // reference the streaming oracle is held to, in the fixtures here and
 // on real runs (see agreement_test.go).
 
+// Violation is one inconsistency the oracle found.
+type Violation struct {
+	Node   packet.NodeID
+	Key    fmt.Stringer
+	Reason string
+}
+
+func (v Violation) String() string {
+	return fmt.Sprintf("node %v: %s", v.Node, v.Reason)
+}
+
 type reception struct {
 	node packet.NodeID
 	key  frameKey

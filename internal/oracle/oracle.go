@@ -44,17 +44,6 @@ type arrival struct {
 	kind    packet.Kind
 }
 
-// Violation is one inconsistency the oracle found.
-type Violation struct {
-	Node   packet.NodeID
-	Key    fmt.Stringer
-	Reason string
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("node %v: %s", v.Node, v.Reason)
-}
-
 type keyString frameKey
 
 func (k keyString) String() string {

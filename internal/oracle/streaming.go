@@ -32,9 +32,8 @@ import (
 //
 // Streaming implements obs.Recorder, consuming the channel/PHY tap
 // events (chan.emit, phy.tx, phy.rx, phy.loss) directly from the
-// per-run recorder fan-out. Violations are tallied, a bounded sample
-// is kept for reporting, and — when a sink is attached with SetSink —
-// each one is re-emitted as a typed obs.OracleViolation event so it
+// per-run recorder fan-out. Violations are tallied and — when a sink
+// is attached with SetSink — each one is re-emitted as a typed obs.OracleViolation event so it
 // reaches the trace, the report collector, and the resilience tracker
 // like any other observation. The verifier must be the LAST recorder
 // in the fan-out: emitting from inside an earlier position would
@@ -65,7 +64,6 @@ type Streaming struct {
 	emissions  uint64
 	violations uint64
 	byReason   map[string]uint64
-	kept       []Violation
 
 	liveArrivals int
 	liveTx       int
@@ -73,10 +71,6 @@ type Streaming struct {
 	peakTx       int
 	evicted      uint64
 }
-
-// keptMax bounds the retained violation sample; tallies keep counting
-// past it.
-const keptMax = 32
 
 // compactEvery is how many inserts an index absorbs between eviction
 // sweeps; each sweep is O(live), so eviction cost is amortized O(1)
@@ -342,16 +336,12 @@ func (s *Streaming) compactTx(idx *txIndex, wm sim.Time) {
 	idx.spans = kept
 }
 
-// violate tallies one violation, keeps a bounded sample, and re-emits
-// it as a typed obs event through the sink (which may be the fan-out
+// violate tallies one violation and re-emits it as a typed obs event through the sink (which may be the fan-out
 // the verifier itself is part of; its own events are ignored by
 // Record's switch).
 func (s *Streaming) violate(now sim.Time, node packet.NodeID, f *packet.Frame, reason, detail string) {
 	s.violations++
 	s.byReason[reason]++
-	if len(s.kept) < keptMax {
-		s.kept = append(s.kept, Violation{Node: node, Key: keyString(keyOf(f)), Reason: detail})
-	}
 	if s.sink != nil {
 		obs.OracleViolation{Node: node, Frame: f, Reason: reason, Detail: detail}.Emit(s.sink, now)
 	}
@@ -402,7 +392,3 @@ func (s *Streaming) Stats() Stats {
 		Evicted:      s.evicted,
 	}
 }
-
-// Violations returns the retained violation sample (the first keptMax
-// found; the Stats tallies keep counting past that).
-func (s *Streaming) Violations() []Violation { return s.kept }

@@ -65,8 +65,8 @@ func violationsOf(v verifier) []string {
 	switch o := v.(type) {
 	case *Oracle:
 		vs = append(o.Verify(), o.VerifyExtraSafety()...)
-	case *Streaming:
-		vs = o.Violations()
+	case *keeping:
+		vs = o.vs
 	case *emissionTx:
 		return violationsOf(o.txVerifier)
 	default:
@@ -80,6 +80,23 @@ func violationsOf(v verifier) []string {
 	return out
 }
 
+// keeping is a streaming verifier whose violations a sink keeps, so
+// tests can compare them with the batch oracle's one by one.
+type keeping struct {
+	*Streaming
+	vs []Violation
+}
+
+func newKeeping(bitRate, captureDB float64, horizon time.Duration) *keeping {
+	k := &keeping{Streaming: NewStreaming(bitRate, captureDB, horizon)}
+	k.SetSink(obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		if v, ok := e.(*obs.OracleViolation); ok {
+			k.vs = append(k.vs, Violation{Node: v.Node, Key: keyString(keyOf(v.Frame)), Reason: v.Detail})
+		}
+	}))
+	return k
+}
+
 // eachOracle runs fn once with the batch oracle and once with the
 // streaming one, so a shared fixture pins both. Both verifiers take
 // transmission spans from the phy.tx tap in production; the fixtures
@@ -88,7 +105,7 @@ func eachOracle(t *testing.T, bitRate, captureDB float64, fn func(t *testing.T, 
 	t.Helper()
 	t.Run("batch", func(t *testing.T) { fn(t, &emissionTx{New(bitRate, captureDB), bitRate}) })
 	t.Run("streaming", func(t *testing.T) {
-		fn(t, &emissionTx{NewStreaming(bitRate, captureDB, 5*time.Second), bitRate})
+		fn(t, &emissionTx{newKeeping(bitRate, captureDB, 5*time.Second), bitRate})
 	})
 }
 
@@ -210,7 +227,7 @@ func TestDuplicateReceptionsVerifiedIndependently(t *testing.T) {
 func TestBatchStreamingAgreement(t *testing.T) {
 	const bitRate = 12000
 	const captureDB = 10
-	streaming := NewStreaming(bitRate, captureDB, 5*time.Second)
+	streaming := newKeeping(bitRate, captureDB, 5*time.Second)
 	batch := &emissionTx{New(bitRate, captureDB), bitRate}
 	stream := &emissionTx{streaming, bitRate}
 

@@ -437,7 +437,7 @@ func TestModemDownKillsInFlightArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash b while the frame is propagating/arriving.
-	eng.MustScheduleAt(sim.At(505*time.Millisecond), sim.PriorityMAC, func() {
+	eng.ScheduleAt(sim.At(505*time.Millisecond), sim.PriorityMAC, func() {
 		b.SetDown(true)
 	})
 	eng.Run()
@@ -474,7 +474,7 @@ func TestInjectInterference(t *testing.T) {
 	if err := a.Transmit(ctrlFrame(packet.KindRTS, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	eng.MustScheduleAt(eng.Now().Add(505*time.Millisecond), sim.PriorityPHY, func() {
+	eng.ScheduleAt(eng.Now().Add(505*time.Millisecond), sim.PriorityPHY, func() {
 		b.InjectInterference(med.level, 200*time.Millisecond)
 	})
 	eng.Run()

@@ -63,7 +63,7 @@ func TestReceptionMatchesBruteForceProperty(t *testing.T) {
 			spans = append(spans, span{start, start.Add(dur), level, seq})
 			fr := &packet.Frame{Kind: packet.KindRTS, Src: 2, Dst: 1, Seq: seq}
 			d := dur
-			eng.MustScheduleAt(start, sim.PriorityPHY, func() {
+			eng.ScheduleAt(start, sim.PriorityPHY, func() {
 				modem.BeginArrival(fr, level, d, true)
 			})
 		}

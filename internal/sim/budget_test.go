@@ -45,9 +45,9 @@ func TestBudgetLivelockDetector(t *testing.T) {
 	// the canonical livelock (a protocol spinning at one instant).
 	var spin func()
 	spin = func() {
-		e.MustScheduleAt(e.Now(), PriorityMAC, spin)
+		e.ScheduleAt(e.Now(), PriorityMAC, spin)
 	}
-	e.MustScheduleAt(At(time.Second), PriorityMAC, spin)
+	e.ScheduleAt(At(time.Second), PriorityMAC, spin)
 	e.Run()
 	var be *BudgetError
 	if err := e.BudgetErr(); !errors.As(err, &be) || be.Reason != BudgetLivelock {
@@ -64,8 +64,8 @@ func TestBudgetLivelockAllowsBusyInstants(t *testing.T) {
 	e := NewEngine(1)
 	e.SetBudget(Budget{LivelockEvents: 1000})
 	for i := 0; i < 500; i++ {
-		e.MustScheduleAt(At(time.Second), PriorityMAC, func() {})
-		e.MustScheduleAt(At(2*time.Second), PriorityMAC, func() {})
+		e.ScheduleAt(At(time.Second), PriorityMAC, func() {})
+		e.ScheduleAt(At(2*time.Second), PriorityMAC, func() {})
 	}
 	if n := e.Run(); n != 1000 {
 		t.Fatalf("executed %d, want 1000", n)
@@ -161,7 +161,7 @@ func TestBudgetAbortLeavesLaneItemsPending(t *testing.T) {
 	if got := e.Pending(); got != 6 {
 		t.Errorf("Pending = %d, want 6 (5 lane items and the timer)", got)
 	}
-	if got := e.PendingRaw(); got != 2 {
+	if got := e.LoopStats().PendingRaw; got != 2 {
 		t.Errorf("PendingRaw = %d, want 2 heap entries", got)
 	}
 	if e.Now() != At(2*time.Millisecond) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -22,52 +21,15 @@ const (
 	PriorityObserver Priority = 4
 )
 
-// ErrScheduleInPast is returned when an event is scheduled before the
-// engine's current time.
-var ErrScheduleInPast = errors.New("sim: event scheduled in the past")
-
-// Handle identifies a scheduled event and allows cancelling it. It is a
-// small value (copy freely); the zero Handle refers to no event, and
-// Cancel/Pending on it are safe no-ops. Events are pooled and recycled
-// after execution, so a Handle carries the generation it was issued
-// under — operations on a Handle whose event has since been recycled
-// are no-ops, never misfires against the event's new occupant.
-type Handle struct {
-	ev  *event
-	gen uint64
-}
-
-// Cancel prevents the event from running. Cancelling an already-executed
-// or already-cancelled event is a no-op. Cancel reports whether the event
-// was still pending. The event's entry stays in the heap until Run
-// reaches it and discards it.
-func (h Handle) Cancel() bool {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.cancelled {
-		return false
-	}
-	ev.cancelled = true
-	ev.fn = nil
-	ev.eng.live--
-	return true
-}
-
-// Pending reports whether the event is still waiting to run.
-func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.cancelled
-}
-
-// event is a heap entry, pooled or a Lane's. gen is bumped every time
-// a pooled entry is recycled, invalidating outstanding Handles.
+// event is a heap entry, pooled or a Lane's. Events cannot be
+// cancelled: a timer that may go stale checks, when it runs, that the
+// state it was armed for is still current.
 type event struct {
-	at        Time
-	seq       uint64
-	gen       uint64
-	fn        func()
-	eng       *Engine
-	lane      *Lane // non-nil for a lane's entry, which is never pooled
-	prio      Priority
-	cancelled bool
+	at   Time
+	seq  uint64
+	fn   func()
+	lane *Lane // non-nil for a lane's entry, which is never pooled
+	prio Priority
 }
 
 // eventLess is the total order events execute in: time, then priority,
@@ -94,12 +56,10 @@ type Engine struct {
 	events []*event // binary min-heap ordered by eventLess
 	free   []*event // recycled entries; schedule pops from here first
 	slab   []event  // fresh entries not yet handed out
-	// live counts queued events, lane items included, that are neither
-	// cancelled nor executed.
+	// live counts queued events not yet executed, lane items included.
 	live     int
 	seq      uint64
 	executed uint64
-	stopped  bool
 	seed     int64
 	streams  map[streamKey]*RNG
 	horizon  Time // 0 means unbounded
@@ -127,12 +87,11 @@ type LoopStats struct {
 	Now Time
 	// Executed counts events run since engine construction.
 	Executed uint64
-	// Pending is the number of live (not cancelled, not yet executed)
-	// events in the queue, counting every lane item.
+	// Pending is the number of events waiting to run, counting every
+	// lane item.
 	Pending int
-	// PendingRaw is the number of heap entries, cancelled ones not yet
-	// discarded included; a lane takes one entry however many items it
-	// holds.
+	// PendingRaw is the number of heap entries; a lane takes one entry
+	// however many items it holds.
 	PendingRaw int
 	// Wall is cumulative wall-clock time spent inside Run.
 	Wall time.Duration
@@ -165,21 +124,12 @@ func NewEngine(seed int64) *Engine {
 // Now reports the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Seed reports the seed all RNG streams derive from.
-func (e *Engine) Seed() int64 { return e.seed }
-
 // Executed reports how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending reports how many live events are waiting to run, counting
-// every lane item. Cancelled entries still occupying heap slots are not
-// counted; PendingRaw reports the heap size.
+// Pending reports how many events are waiting to run, counting every
+// lane item.
 func (e *Engine) Pending() int { return e.live }
-
-// PendingRaw reports the number of heap entries, cancelled ones
-// included: a cancelled entry stays until Run reaches it. A lane is one
-// entry however many items it holds.
-func (e *Engine) PendingRaw() int { return len(e.events) }
 
 // Reserve hands out n consecutive sequence numbers, for Lane items,
 // and returns the first.
@@ -201,16 +151,12 @@ func (e *Engine) alloc() *event {
 	}
 	ev := &e.slab[0]
 	e.slab = e.slab[1:]
-	ev.eng = e
 	return ev
 }
 
-// recycle invalidates outstanding handles and returns the entry to the
-// free list.
+// recycle returns the entry to the free list.
 func (e *Engine) recycle(ev *event) {
-	ev.gen++
 	ev.fn = nil
-	ev.cancelled = false
 	e.free = append(e.free, ev)
 }
 
@@ -262,13 +208,14 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-// ScheduleAt queues fn to run at instant at with the given priority and
-// returns a cancellable handle. It returns ErrScheduleInPast if at is
-// earlier than Now. Steady state (pool warm, queue capacity reached) it
-// performs no allocations.
-func (e *Engine) ScheduleAt(at Time, prio Priority, fn func()) (Handle, error) {
+// ScheduleAt queues fn to run at instant at with the given priority.
+// It panics if at is earlier than Now: every caller computes the
+// instant from the present, and one that lands in the past is a bug.
+// Steady state (pool warm, queue capacity reached) it performs no
+// allocations.
+func (e *Engine) ScheduleAt(at Time, prio Priority, fn func()) {
 	if at < e.now {
-		return Handle{}, fmt.Errorf("%w: at %v, now %v", ErrScheduleInPast, at, e.now)
+		panic(fmt.Sprintf("sim: event scheduled in the past: at %v, now %v", at, e.now))
 	}
 	ev := e.alloc()
 	ev.at = at
@@ -278,47 +225,27 @@ func (e *Engine) ScheduleAt(at Time, prio Priority, fn func()) (Handle, error) {
 	e.seq++
 	e.live++
 	e.push(ev)
-	return Handle{ev: ev, gen: ev.gen}, nil
 }
 
 // ScheduleIn queues fn to run d after Now. Negative d is clamped to zero
 // so callers computing residual delays do not have to special-case
-// rounding. It panics only if the internal invariant is violated.
-func (e *Engine) ScheduleIn(d time.Duration, prio Priority, fn func()) Handle {
+// rounding.
+func (e *Engine) ScheduleIn(d time.Duration, prio Priority, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	h, err := e.ScheduleAt(e.now.Add(d), prio, fn)
-	if err != nil {
-		// Unreachable: now+nonnegative >= now.
-		panic(err)
-	}
-	return h
+	e.ScheduleAt(e.now.Add(d), prio, fn)
 }
 
-// MustScheduleAt is ScheduleAt for callers that have already validated
-// the instant; it panics on ErrScheduleInPast.
-func (e *Engine) MustScheduleAt(at Time, prio Priority, fn func()) Handle {
-	h, err := e.ScheduleAt(at, prio, fn)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in order until the queue is empty, RunUntil's
-// horizon is reached, or Stop is called. It returns the number of
-// events executed during this call.
+// Run executes events in order until the queue is empty or RunUntil's
+// horizon is reached. It returns the number of events executed during
+// this call.
 func (e *Engine) Run() uint64 {
 	if e.budgetErr != nil {
 		// A budget abort is terminal for this engine: the stream was cut
 		// mid-flight and resuming would silently produce a half-run.
 		return 0
 	}
-	e.stopped = false
 	if !e.inRun {
 		// Runs can nest only via buggy reentrancy; guard anyway so the
 		// wall-clock accounting never double-counts.
@@ -330,15 +257,10 @@ func (e *Engine) Run() uint64 {
 		}()
 	}
 	var n uint64
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		// The top entry leaves the heap only once it runs, so a stop at
 		// the horizon or a budget abort leaves the queue as it was.
 		ev := e.events[0]
-		if ev.cancelled {
-			e.pop()
-			e.recycle(ev)
-			continue
-		}
 		if e.horizon != 0 && ev.at > e.horizon {
 			// Past the horizon: stop so a later Run/RunUntil call can
 			// resume from here.
@@ -359,9 +281,8 @@ func (e *Engine) Run() uint64 {
 		if ev.lane != nil {
 			fn = ev.lane.advance()
 		} else {
-			// Recycle before running: outstanding Handles are invalidated
-			// by the gen bump, and fn may immediately reuse the slot for
-			// a new event.
+			// Recycle before running: fn may immediately reuse the slot
+			// for a new event.
 			e.pop()
 			e.recycle(ev)
 		}

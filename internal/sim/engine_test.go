@@ -13,7 +13,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []time.Duration{5 * time.Second, time.Second, 3 * time.Second} {
 		at := Epoch.Add(d)
-		e.MustScheduleAt(at, PriorityMAC, func() { got = append(got, e.Now()) })
+		e.ScheduleAt(at, PriorityMAC, func() { got = append(got, e.Now()) })
 	}
 	e.Run()
 	want := []Time{At(time.Second), At(3 * time.Second), At(5 * time.Second)}
@@ -31,10 +31,10 @@ func TestEngineTieBreakByPriorityThenSeq(t *testing.T) {
 	e := NewEngine(1)
 	at := Epoch.Add(time.Second)
 	var order []string
-	e.MustScheduleAt(at, PriorityApp, func() { order = append(order, "app") })
-	e.MustScheduleAt(at, PriorityPHY, func() { order = append(order, "phy1") })
-	e.MustScheduleAt(at, PriorityMAC, func() { order = append(order, "mac") })
-	e.MustScheduleAt(at, PriorityPHY, func() { order = append(order, "phy2") })
+	e.ScheduleAt(at, PriorityApp, func() { order = append(order, "app") })
+	e.ScheduleAt(at, PriorityPHY, func() { order = append(order, "phy1") })
+	e.ScheduleAt(at, PriorityMAC, func() { order = append(order, "mac") })
+	e.ScheduleAt(at, PriorityPHY, func() { order = append(order, "phy2") })
 	e.Run()
 	want := []string{"phy1", "phy2", "mac", "app"}
 	for i := range want {
@@ -46,34 +46,15 @@ func TestEngineTieBreakByPriorityThenSeq(t *testing.T) {
 
 func TestSchedulePastRejected(t *testing.T) {
 	e := NewEngine(1)
-	e.MustScheduleAt(Epoch.Add(time.Second), PriorityMAC, func() {
-		if _, err := e.ScheduleAt(Epoch, PriorityMAC, func() {}); err == nil {
-			t.Error("scheduling in the past succeeded, want error")
-		}
+	e.ScheduleAt(Epoch.Add(time.Second), PriorityMAC, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("scheduling in the past succeeded, want a panic")
+			}
+		}()
+		e.ScheduleAt(Epoch, PriorityMAC, func() {})
 	})
 	e.Run()
-}
-
-func TestCancelPreventsExecution(t *testing.T) {
-	e := NewEngine(1)
-	ran := false
-	h := e.ScheduleIn(time.Second, PriorityMAC, func() { ran = true })
-	if !h.Pending() {
-		t.Fatal("handle not pending after schedule")
-	}
-	if !h.Cancel() {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if h.Cancel() {
-		t.Error("second Cancel returned true")
-	}
-	e.Run()
-	if ran {
-		t.Error("cancelled event ran")
-	}
-	if h.Pending() {
-		t.Error("cancelled handle still pending")
-	}
 }
 
 func TestRunUntilStopsAtHorizonAndResumes(t *testing.T) {
@@ -101,27 +82,6 @@ func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	e.RunUntil(At(10 * time.Second))
 	if e.Now() != At(10*time.Second) {
 		t.Fatalf("Now = %v, want 10s", e.Now())
-	}
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.ScheduleIn(time.Duration(i)*time.Millisecond, PriorityMAC, func() {
-			count++
-			if count == 4 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 4 {
-		t.Fatalf("count = %d after Stop, want 4", count)
-	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("count = %d after resume, want 10", count)
 	}
 }
 
@@ -207,7 +167,7 @@ func TestEngineOrderProperty(t *testing.T) {
 			d := time.Duration(r%1000) * time.Millisecond
 			prio := Priority(1 + int(r/1000)%4)
 			at := Epoch.Add(d)
-			e.MustScheduleAt(at, prio, func() {
+			e.ScheduleAt(at, prio, func() {
 				executed = append(executed, key{e.Now(), prio})
 			})
 		}
@@ -222,37 +182,6 @@ func TestEngineOrderProperty(t *testing.T) {
 			return executed[i].prio < executed[j].prio
 		})
 		return sorted
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: cancelling an arbitrary subset leaves exactly the complement
-// to execute.
-func TestCancelSubsetProperty(t *testing.T) {
-	f := func(n uint8, mask uint64) bool {
-		count := int(n%32) + 1
-		e := NewEngine(1)
-		ran := make([]bool, count)
-		handles := make([]Handle, count)
-		for i := 0; i < count; i++ {
-			i := i
-			handles[i] = e.ScheduleIn(time.Duration(i+1)*time.Millisecond, PriorityMAC, func() { ran[i] = true })
-		}
-		for i := 0; i < count; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				handles[i].Cancel()
-			}
-		}
-		e.Run()
-		for i := 0; i < count; i++ {
-			cancelled := mask&(1<<uint(i)) != 0
-			if ran[i] == cancelled {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

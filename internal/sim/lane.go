@@ -10,8 +10,9 @@ import (
 // holds, a lane takes one heap entry, keyed by its head item, and items
 // run exactly where the same events scheduled one by one would have:
 // each keeps the unique key it would have had, with a seq the caller
-// drew from Engine.Reserve. Items carry no Handle.
+// drew from Engine.Reserve.
 type Lane struct {
+	eng   *Engine
 	ent   event // the heap entry; keyed by items[head] while queued
 	items []laneItem
 	head  int
@@ -25,15 +26,15 @@ type laneItem struct {
 
 // NewLane returns an empty lane whose items run at priority prio.
 func (e *Engine) NewLane(prio Priority) *Lane {
-	l := &Lane{}
-	l.ent = event{prio: prio, eng: e, lane: l}
+	l := &Lane{eng: e}
+	l.ent = event{prio: prio, lane: l}
 	return l
 }
 
 // Push queues fn to run at instant at under sequence number seq. It
 // panics if at is before Now or the key is not above the last item's.
 func (l *Lane) Push(at Time, seq uint64, fn func()) {
-	e, n := l.ent.eng, len(l.items)
+	e, n := l.eng, len(l.items)
 	if at < e.now || n > l.head && (at < l.items[n-1].at || at == l.items[n-1].at && seq <= l.items[n-1].seq) {
 		panic(fmt.Sprintf("sim: lane item (%v, %d) out of order at %v", at, seq, e.now))
 	}
@@ -60,10 +61,10 @@ func (l *Lane) advance() func() {
 	fn := l.items[l.head].fn
 	if l.head++; l.head < len(l.items) {
 		l.ent.at, l.ent.seq = l.items[l.head].at, l.items[l.head].seq
-		l.ent.eng.siftDown(0)
+		l.eng.siftDown(0)
 	} else {
 		l.items, l.head = l.items[:0], 0
-		l.ent.eng.pop()
+		l.eng.pop()
 	}
 	return fn
 }

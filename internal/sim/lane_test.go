@@ -38,8 +38,8 @@ func TestRunUntilStopsBeforeLaneHead(t *testing.T) {
 	if e.Now() != At(2500*time.Millisecond) {
 		t.Errorf("Now = %v, want the horizon", e.Now())
 	}
-	if e.Pending() != 5 || e.PendingRaw() != 3 {
-		t.Errorf("Pending/PendingRaw = %d/%d at the horizon, want 5/3", e.Pending(), e.PendingRaw())
+	if e.Pending() != 5 || e.LoopStats().PendingRaw != 3 {
+		t.Errorf("Pending/PendingRaw = %d/%d at the horizon, want 5/3", e.Pending(), e.LoopStats().PendingRaw)
 	}
 	e.RunUntil(At(time.Hour))
 	if !slices.Equal(*got, *want) {
@@ -87,8 +87,8 @@ func TestLaneReusesRunPrefix(t *testing.T) {
 
 // FuzzLaneMatchesHeap checks the lane's one promise: items run exactly
 // where the same events, scheduled one by one under the same seqs, run.
-// A scenario mixes plain events (some cancelled, some spawning more
-// work as they run), broadcast-like batches whose lanes are pushed in
+// A scenario mixes plain events (some spawning more work as they run),
+// broadcast-like batches whose lanes are pushed in
 // time order under seqs reserved in generation order, with each item
 // queueing a follow-up on a second lane a fixed delay later, and a
 // slot-grid lane whose items re-queue themselves one period on. The
@@ -142,7 +142,7 @@ func runLaneScenario(seed int64, ops, grid int, lanes bool) []int {
 		for i := 0; i < k; i++ {
 			at, run, follow := e.Now().Add(ms(r.Intn(40))), rec(), rec()
 			if !lanes {
-				e.MustScheduleAt(at, p, func() { run(); e.ScheduleIn(dur, p, follow) })
+				e.ScheduleAt(at, p, func() { run(); e.ScheduleIn(dur, p, follow) })
 				continue
 			}
 			items = append(items, item{at, base + uint64(i), func() {
@@ -161,15 +161,12 @@ func runLaneScenario(seed int64, ops, grid int, lanes bool) []int {
 	plain := func() {
 		at, p, run := e.Now().Add(ms(r.Intn(60))), prio(), rec()
 		spawn := r.Intn(4) == 0
-		h := e.MustScheduleAt(at, p, func() {
+		e.ScheduleAt(at, p, func() {
 			run()
 			if spawn {
 				batch()
 			}
 		})
-		if r.Intn(5) == 0 {
-			h.Cancel()
-		}
 	}
 
 	var gridLane *Lane
@@ -186,14 +183,14 @@ func runLaneScenario(seed int64, ops, grid int, lanes bool) []int {
 				if lanes {
 					gridLane.Push(next, e.Reserve(1), fn)
 				} else {
-					e.MustScheduleAt(next, PriorityMAC, fn)
+					e.ScheduleAt(next, PriorityMAC, fn)
 				}
 			}
 		}
 		if lanes {
 			gridLane.Push(0, e.Reserve(1), fn)
 		} else {
-			e.MustScheduleAt(0, PriorityMAC, fn)
+			e.ScheduleAt(0, PriorityMAC, fn)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,39 @@ func deploy(t *testing.T, cfg DeployConfig) *Network {
 		t.Fatalf("Deploy: %v", err)
 	}
 	return net
+}
+
+// Delay returns the current true propagation delay between two nodes.
+func (n *Network) Delay(a, b packet.NodeID) (time.Duration, error) {
+	na, nb := n.Node(a), n.Node(b)
+	if na == nil || nb == nil {
+		return 0, fmt.Errorf("topology: delay between unknown nodes %v, %v", a, b)
+	}
+	return n.Model.Delay(na.Pos, nb.Pos), nil
+}
+
+// InRange reports whether two nodes can currently hear each other.
+func (n *Network) InRange(a, b packet.NodeID) bool {
+	na, nb := n.Node(a), n.Node(b)
+	if na == nil || nb == nil || a == b {
+		return false
+	}
+	return n.Model.InRange(na.Pos, nb.Pos)
+}
+
+// Neighbors returns the IDs currently within range of a, in ID order.
+func (n *Network) Neighbors(a packet.NodeID) []packet.NodeID {
+	na := n.Node(a)
+	if na == nil {
+		return nil
+	}
+	var out []packet.NodeID
+	for _, other := range n.nodes {
+		if other.ID != a && n.Model.InRange(na.Pos, other.Pos) {
+			out = append(out, other.ID)
+		}
+	}
+	return out
 }
 
 func TestDeployBasics(t *testing.T) {

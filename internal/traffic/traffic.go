@@ -121,7 +121,7 @@ func (g *Generator) scheduleNext(from sim.Time) {
 	if at.After(g.stopAt) {
 		return
 	}
-	g.eng.MustScheduleAt(at, sim.PriorityApp, func() {
+	g.eng.ScheduleAt(at, sim.PriorityApp, func() {
 		g.fire()
 		g.scheduleNext(g.eng.Now())
 	})
@@ -153,9 +153,6 @@ func (g *Generator) fire() {
 		High:        high,
 	})
 }
-
-// Generated reports packets handed to the MAC.
-func (g *Generator) Generated() uint64 { return g.generated }
 
 // Unrouted reports packets dropped for lack of a next hop.
 func (g *Generator) Unrouted() uint64 { return g.unrouted }

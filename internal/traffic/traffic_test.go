@@ -54,8 +54,8 @@ func TestGeneratorPoissonVolume(t *testing.T) {
 	if n < 150 || n > 250 {
 		t.Fatalf("generated %d packets for E=200", n)
 	}
-	if g.Generated() != uint64(n) {
-		t.Errorf("Generated() = %d, want %d", g.Generated(), n)
+	if g.generated != uint64(n) {
+		t.Errorf("Generated() = %d, want %d", g.generated, n)
 	}
 	seen := map[uint32]bool{}
 	for _, p := range c.pkts {
