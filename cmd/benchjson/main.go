@@ -9,7 +9,7 @@
 //	                                               # exit nonzero past -threshold
 //	benchjson -o out.json -compare BENCH_16.json -alloc-threshold 10
 //	                                               # also gate allocs/op, and bytes/op
-//	                                               # on the two scenario rows
+//	                                               # on the scenario and figure rows
 //
 // There is no default output path, so a bare run cannot overwrite a
 // committed baseline; it prints usage and exits 2. The file holds the
@@ -19,9 +19,10 @@
 //
 // The full suite runs the engine schedule/run micro-benchmark, the
 // channel broadcast micro-benchmark at two densities (40 and 200
-// nodes), and a short EW-MAC scenario with observability off and
-// fully on — the pair that bounds the event bus's cost. A scenario row
-// is per 60 s run, averaged over a fixed list of seeds.
+// nodes), a short EW-MAC scenario with observability off and fully on
+// — the pair that bounds the event bus's cost — and one figure of the
+// sweep. A scenario row is per 60 s run, averaged over a fixed list of
+// seeds; the figure row is per figure.
 package main
 
 import (
@@ -117,7 +118,7 @@ func run() int {
 	quick := flag.Bool("quick", false, "run only the engine/channel micro-benchmarks")
 	compare := flag.String("compare", "", "baseline JSON to diff against (per-benchmark % deltas)")
 	threshold := flag.Float64("threshold", 5, "ns/op regression % beyond which -compare exits nonzero")
-	allocThreshold := flag.Float64("alloc-threshold", 0, "allocs/op regression %, and bytes/op on the scenario rows, beyond which -compare exits nonzero (0 disables); any allocation on a zero-alloc baseline row fails")
+	allocThreshold := flag.Float64("alloc-threshold", 0, "allocs/op regression %, and bytes/op on the scenario and figure rows, beyond which -compare exits nonzero (0 disables); any allocation on a zero-alloc baseline row fails")
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -o is required (usage: benchjson -o out.json [-benchtime D] [-quick] [-compare base.json])")
@@ -148,6 +149,7 @@ func run() int {
 				Trace:    io.Discard,
 				Report:   true,
 			}),
+			benchFigure(),
 		)
 	}
 
@@ -213,7 +215,7 @@ func readResults(path string) ([]result, error) {
 // compareResults prints per-benchmark deltas of the current run against
 // the baseline file and reports whether any benchmark's ns/op regressed
 // beyond threshold percent, or (when allocThreshold > 0) its allocs/op
-// — and, on the scenario rows, its bytes/op — regressed beyond
+// — and, on the scenario and figure rows, its bytes/op — regressed beyond
 // allocThreshold percent. A baseline row at zero allocs/op has no
 // percentage to regress by, so under the allocation gate any
 // allocation on it counts as a regression.
@@ -374,11 +376,34 @@ func benchChannel(n int) (result, error) {
 }
 
 // bytesGated reports whether -compare gates a row's bytes/op: the two
-// scenario rows, whose runs allocate the same bytes from one run to the
-// next because every stream consumer buffers on the simulation
-// goroutine. A micro-benchmark's bytes/op carry warm-up costs amortized
-// over however many iterations it ran, so those rows stay ungated.
-func bytesGated(name string) bool { return name == "ewmac/obs-off" || name == "ewmac/obs-on" }
+// scenario rows and the figure row, whose runs allocate the same bytes
+// from one run to the next because every stream consumer buffers on
+// the simulation goroutine. A micro-benchmark's bytes/op carry warm-up
+// costs amortized over however many iterations it ran, so those rows
+// stay ungated.
+func bytesGated(name string) bool {
+	return name == "ewmac/obs-off" || name == "ewmac/obs-on" || name == "figures/fig9b"
+}
+
+// benchFigure measures one figure of the sweep the paper's evaluation
+// is regenerated by: Figure 9b at QuickFigureOptions, one seed, two
+// workers. Every op builds the same points, so its allocs/op and
+// bytes/op repeat, and they trip when the sweep path (runner fan-out,
+// run set-up, two-hop maintenance) starts allocating more.
+func benchFigure() result {
+	o := ewmac.QuickFigureOptions()
+	o.Seeds = []int64{1}
+	o.Workers = 2
+	br := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ewmac.Figure9b(o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	return toResult("figures/fig9b", br)
+}
 
 // scenarioSeeds is the fixed seed list one scenario op runs, one 60 s
 // run per seed. Every op runs the same list, so the per-run figures do

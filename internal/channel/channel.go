@@ -87,9 +87,6 @@ type Channel struct {
 	scratch []rxGeom // the latest geometry build, reused by every Broadcast
 	order   []uint64 // its rays in arrival order (see rayKey)
 	waves   []*wave  // recycled waves
-
-	// Deliveries counts scheduled frame arrivals (per receiver).
-	deliveries uint64
 }
 
 // ErrUnknownSource is returned by Broadcast when the transmitting node
@@ -217,14 +214,13 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 		return nil
 	}
 	now := c.eng.Now()
-	for i := range geoms {
-		g := &geoms[i]
-		if c.rec != nil {
+	if c.rec != nil {
+		for i := range geoms {
+			g := &geoms[i]
 			obs.FrameEmit{
 				Src: src, Dst: g.dst, Frame: f, Delay: g.delay, LevelDB: g.levelDB,
 			}.Emit(c.rec, now)
 		}
-		c.deliveries++
 	}
 	// Seqs follow geometry order, the order scheduling one ray at a time
 	// would draw them in; rays are pushed in arrival order. The wave

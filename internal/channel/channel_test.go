@@ -120,9 +120,13 @@ func TestTraceSeesDeliveries(t *testing.T) {
 	if d := entries[0].delay; d < want-time.Millisecond || d > want+time.Millisecond {
 		t.Errorf("traced delay = %v, want ≈%v", d, want)
 	}
-	if ch.deliveries != 1 {
-		t.Errorf("Deliveries = %d", ch.deliveries)
-	}
+}
+
+// countEmits counts the deliveries the channel schedules from now on.
+func countEmits(ch *Channel) *int {
+	n := new(int)
+	onEmit(ch, func(obs.FrameEmit) { *n++ })
+	return n
 }
 
 func TestOutOfRangeNotDecodedButInterferes(t *testing.T) {
@@ -165,12 +169,13 @@ func TestOutOfRangeNotDecodedButInterferes(t *testing.T) {
 
 func TestBeyondInterferenceRangeSkipped(t *testing.T) {
 	eng, ch, modems, recs := lineNetwork(t, 0, 5000)
+	emits := countEmits(ch)
 	if err := modems[0].Transmit(&packet.Frame{Kind: packet.KindRTS, Src: 1, Dst: 2}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if ch.deliveries != 0 {
-		t.Errorf("Deliveries = %d, want 0 beyond interference range", ch.deliveries)
+	if *emits != 0 {
+		t.Errorf("%d deliveries scheduled, want 0 beyond interference range", *emits)
 	}
 	if len(recs[1].received) != 0 {
 		t.Error("frame decoded at 5 km")
@@ -235,8 +240,9 @@ func TestMutualTransmissionsCollideAtThirdNode(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run := func() (uint64, int) {
+	run := func() (int, int) {
 		eng, ch, modems, recs := lineNetwork(t, 0, 300, 600, 900, 1200)
+		emits := countEmits(ch)
 		for i := range modems {
 			i := i
 			eng.ScheduleIn(time.Duration(i)*137*time.Millisecond, sim.PriorityMAC, func() {
@@ -249,7 +255,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		for _, r := range recs {
 			total += len(r.received)
 		}
-		return ch.deliveries, total
+		return *emits, total
 	}
 	d1, r1 := run()
 	d2, r2 := run()
@@ -379,6 +385,7 @@ func TestSurfaceReflectionCanCorrupt(t *testing.T) {
 // panic in the event loop — and must not schedule any arrival.
 func TestBroadcastUnknownSourceDrops(t *testing.T) {
 	eng, ch, _, recs := lineNetwork(t, 0, 750)
+	emits := countEmits(ch)
 	f := &packet.Frame{Kind: packet.KindRTS, Src: 99, Dst: 1}
 	dur := f.TxDuration(acoustic.DefaultModel().BitRate())
 
@@ -386,8 +393,8 @@ func TestBroadcastUnknownSourceDrops(t *testing.T) {
 	if !errors.Is(err, ErrUnknownSource) {
 		t.Fatalf("Broadcast from unknown node returned %v, want ErrUnknownSource", err)
 	}
-	if got := ch.deliveries; got != 0 {
-		t.Errorf("dropped broadcast scheduled %d deliveries", got)
+	if *emits != 0 {
+		t.Errorf("dropped broadcast scheduled %d deliveries", *emits)
 	}
 	eng.RunUntil(sim.At(10 * time.Second))
 	for i, r := range recs {
@@ -401,7 +408,7 @@ func TestBroadcastUnknownSourceDrops(t *testing.T) {
 	if err := ch.Broadcast(1, ok, dur); err != nil {
 		t.Fatalf("valid broadcast failed after drop: %v", err)
 	}
-	if ch.deliveries == 0 {
+	if *emits == 0 {
 		t.Error("valid broadcast scheduled no deliveries")
 	}
 }

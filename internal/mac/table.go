@@ -135,22 +135,36 @@ func (t *NeighborTable) Clear() {
 	t.n = 0
 }
 
-// Snapshot returns up to max entries as piggybackable NeighborInfo,
-// sorted by ID. CS-MAC and ROPA use this to distribute two-hop state;
-// EW-MAC only ever piggybacks the single pair under negotiation.
-func (t *NeighborTable) Snapshot(max int) []packet.NeighborInfo {
-	n := t.n
-	if max >= 0 && n > max {
-		n = max
+// AppendSnapshot appends up to max entries (every entry when max < 0)
+// to dst as piggybackable NeighborInfo, in ID order starting at the
+// from-th entry (modulo the entry count) and wrapping past the last to
+// the first, and returns the extended slice. CS-MAC and ROPA use this
+// to distribute two-hop state; EW-MAC only ever piggybacks the single
+// pair under negotiation.
+func (t *NeighborTable) AppendSnapshot(dst []packet.NeighborInfo, from, max int) []packet.NeighborInfo {
+	if max < 0 || max > t.n {
+		max = t.n
 	}
-	out := make([]packet.NeighborInfo, 0, n)
-	for i := range t.entries {
-		if len(out) == n {
-			break
-		}
-		if e := &t.entries[i]; e.known {
-			out = append(out, packet.NeighborInfo{ID: packet.NodeID(i), Delay: e.delay})
+	if max == 0 {
+		return dst
+	}
+	dst = slices.Grow(dst, max)
+	end := len(dst) + max
+	// The first pass starts at the from-th entry; a second, when the
+	// window wraps, starts at the first.
+	for from %= t.n; len(dst) < end; from = 0 {
+		rank := 0
+		for i := range t.entries {
+			if len(dst) == end {
+				break
+			}
+			if e := &t.entries[i]; e.known {
+				if rank >= from {
+					dst = append(dst, packet.NeighborInfo{ID: packet.NodeID(i), Delay: e.delay})
+				}
+				rank++
+			}
 		}
 	}
-	return out
+	return dst
 }

@@ -3,6 +3,7 @@ package mac
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -83,17 +84,23 @@ func (t *refTable) Known() []packet.NodeID {
 	return out
 }
 
-func (t *refTable) Snapshot(max int) []packet.NeighborInfo {
+// AppendSnapshot rotates the sorted entry list to start at from and
+// appends its first max entries.
+func (t *refTable) AppendSnapshot(dst []packet.NeighborInfo, from, max int) []packet.NeighborInfo {
 	ids := t.Known()
+	if len(ids) == 0 {
+		return dst
+	}
+	from %= len(ids)
+	ids = append(slices.Clone(ids[from:]), ids[:from]...)
 	if max >= 0 && len(ids) > max {
 		ids = ids[:max]
 	}
-	out := make([]packet.NeighborInfo, 0, len(ids))
 	for _, id := range ids {
 		d, _ := t.Delay(id)
-		out = append(out, packet.NeighborInfo{ID: id, Delay: d})
+		dst = append(dst, packet.NeighborInfo{ID: id, Delay: d})
 	}
-	return out
+	return dst
 }
 
 // TestNeighborTableMatchesReference drives random operation sequences
@@ -160,9 +167,9 @@ func TestNeighborTableMatchesReference(t *testing.T) {
 			if g, w := known(got), want.Known(); !reflect.DeepEqual(g, w) {
 				t.Fatalf("seed %d step %d after %s: Known = %v, want %v", seed, step, op, g, w)
 			}
-			max := rng.Intn(6) - 1
-			if g, w := got.Snapshot(max), want.Snapshot(max); !reflect.DeepEqual(g, w) {
-				t.Fatalf("seed %d step %d after %s: Snapshot(%d) = %v, want %v", seed, step, op, max, g, w)
+			from, max := rng.Intn(12), rng.Intn(6)-1
+			if g, w := got.AppendSnapshot(nil, from, max), want.AppendSnapshot(nil, from, max); !slices.Equal(g, w) {
+				t.Fatalf("seed %d step %d after %s: AppendSnapshot(%d, %d) = %v, want %v", seed, step, op, from, max, g, w)
 			}
 		}
 	}

@@ -59,11 +59,17 @@ func TestKnownSortedAndSnapshot(t *testing.T) {
 	if len(ids) != 3 || ids[0] != 3 || ids[1] != 7 || ids[2] != 9 {
 		t.Fatalf("known = %v", ids)
 	}
-	snap := tab.Snapshot(2)
+	snap := tab.AppendSnapshot(nil, 0, 2)
 	if len(snap) != 2 || snap[0].ID != 3 || snap[1].ID != 7 {
-		t.Fatalf("Snapshot = %v", snap)
+		t.Fatalf("AppendSnapshot = %v", snap)
 	}
-	if full := tab.Snapshot(-1); len(full) != 3 {
-		t.Fatalf("unbounded Snapshot = %v", full)
+	if full := tab.AppendSnapshot(nil, 0, -1); len(full) != 3 {
+		t.Fatalf("unbounded AppendSnapshot = %v", full)
+	}
+	// A window from the third entry wraps to the first, after what dst
+	// already holds.
+	prefix := []packet.NeighborInfo{{ID: 1}}
+	if got := tab.AppendSnapshot(prefix, 2, 2); len(got) != 3 || got[0].ID != 1 || got[1].ID != 9 || got[2].ID != 3 {
+		t.Fatalf("wrapped AppendSnapshot = %v", got)
 	}
 }

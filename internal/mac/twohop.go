@@ -44,7 +44,7 @@ func (t *TwoHop) Piggyback(f *packet.Frame) {
 	if f.Kind == packet.KindNbrUpdate {
 		return
 	}
-	f.Neighbors = append(f.Neighbors, t.table.Snapshot(t.piggy)...)
+	f.Neighbors = t.table.AppendSnapshot(f.Neighbors, 0, t.piggy)
 }
 
 // OnSlotStart implements Hooks: once a period has passed, an idle node
@@ -72,17 +72,11 @@ func (t *TwoHop) OnSlotStart(int64) {
 // rotatingSnapshot returns up to maint table entries, starting at a
 // cursor that advances with each broadcast.
 func (t *TwoHop) rotatingSnapshot() []packet.NeighborInfo {
-	full := t.table.Snapshot(-1)
-	if len(full) == 0 {
-		return nil
+	n := t.table.n
+	if n <= t.maint {
+		return t.table.AppendSnapshot(nil, 0, -1)
 	}
-	if len(full) <= t.maint {
-		return full
-	}
-	out := make([]packet.NeighborInfo, 0, t.maint)
-	for i := 0; i < t.maint; i++ {
-		out = append(out, full[(t.cursor+i)%len(full)])
-	}
-	t.cursor = (t.cursor + t.maint) % len(full)
+	out := t.table.AppendSnapshot(nil, t.cursor, t.maint)
+	t.cursor = (t.cursor + t.maint) % n
 	return out
 }

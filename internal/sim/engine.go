@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -21,21 +22,23 @@ const (
 	PriorityObserver Priority = 4
 )
 
-// event is a heap entry, pooled or a Lane's. Events cannot be
+// entry is a heap entry. It holds no pointer, so sifting the heap
+// runs without GC write barriers and its backing array is never
+// scanned. ref names what runs: a slot in the engine's func table when
+// non-negative, or lane ^ref when negative. Events cannot be
 // cancelled: a timer that may go stale checks, when it runs, that the
 // state it was armed for is still current.
-type event struct {
+type entry struct {
 	at   Time
 	seq  uint64
-	fn   func()
-	lane *Lane // non-nil for a lane's entry, which is never pooled
 	prio Priority
+	ref  int32
 }
 
 // eventLess is the total order events execute in: time, then priority,
 // then scheduling sequence. seq is unique, so the order is strict — the
 // execution sequence cannot depend on heap layout.
-func eventLess(a, b *event) bool {
+func eventLess(a, b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -45,17 +48,25 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventSlab is how many entries alloc carves from one allocation when
-// the free list is empty, so the pool grows to the in-flight high-water
-// mark in a few allocations instead of one per entry.
-const eventSlab = 64
+// yieldEvery is how many events Run executes between yields of its P.
+// A run never blocks, so while runs hold every P a pending GC mark
+// worker waits for the next async preemption (about 10 ms), and every
+// pointer store pays the write barrier until the mark ends;
+// runtime.Gosched lets the worker in at once. Run yields only while
+// another goroutine exists: a lone goroutine leaves any other P idle
+// for the GC's workers, and its yields would only wake an idle thread,
+// which cost a single run about 4% of its CPU in futex calls.
+const yieldEvery = 1024
 
 // Engine is a deterministic discrete-event scheduler.
 type Engine struct {
 	now    Time
-	events []*event // binary min-heap ordered by eventLess
-	free   []*event // recycled entries; schedule pops from here first
-	slab   []event  // fresh entries not yet handed out
+	events []entry // binary min-heap ordered by eventLess
+	// fns holds each queued plain event's func at its entry's ref;
+	// free lists the slots whose event has run, reused first.
+	fns   []func()
+	free  []int32
+	lanes []*Lane // every lane, at the index its entry's ^ref names
 	// live counts queued events not yet executed, lane items included.
 	live     int
 	seq      uint64
@@ -138,93 +149,77 @@ func (e *Engine) Reserve(n int) uint64 {
 	return e.seq - uint64(n)
 }
 
-// alloc takes an entry from the free list, or mints one from the slab.
-func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	if len(e.slab) == 0 {
-		e.slab = make([]event, eventSlab)
-	}
-	ev := &e.slab[0]
-	e.slab = e.slab[1:]
-	return ev
-}
-
-// recycle returns the entry to the free list.
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	e.free = append(e.free, ev)
-}
-
-// push inserts ev into the heap (sift-up).
-func (e *Engine) push(ev *event) {
-	h := append(e.events, ev)
+// push inserts ent into the heap (sift-up). Both sifts move entries
+// into a hole instead of swapping, writing each level once.
+func (e *Engine) push(ent entry) {
+	h := append(e.events, ent)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
+		if !eventLess(&ent, &h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = ent
 	e.events = h
 }
 
-// pop removes and returns the earliest event (sift-down).
-func (e *Engine) pop() *event {
+// pop removes the earliest entry (sift-down).
+func (e *Engine) pop() {
 	h := e.events
 	n := len(h) - 1
-	top := h[0]
 	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	e.events = h
-	e.siftDown(0)
-	return top
+	e.events = h[:n]
+	if n > 0 {
+		e.siftDown(0)
+	}
 }
 
 func (e *Engine) siftDown(i int) {
 	h := e.events
 	n := len(h)
+	x := h[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		small := l
-		if r := l + 1; r < n && eventLess(h[r], h[l]) {
+		if r := l + 1; r < n && eventLess(&h[r], &h[l]) {
 			small = r
 		}
-		if !eventLess(h[small], h[i]) {
-			return
+		if !eventLess(&h[small], &x) {
+			break
 		}
-		h[i], h[small] = h[small], h[i]
+		h[i] = h[small]
 		i = small
 	}
+	h[i] = x
 }
 
 // ScheduleAt queues fn to run at instant at with the given priority.
 // It panics if at is earlier than Now: every caller computes the
 // instant from the present, and one that lands in the past is a bug.
-// Steady state (pool warm, queue capacity reached) it performs no
+// Steady state (func table and queue capacity reached) it performs no
 // allocations.
 func (e *Engine) ScheduleAt(at Time, prio Priority, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: at %v, now %v", at, e.now))
 	}
-	ev := e.alloc()
-	ev.at = at
-	ev.prio = prio
-	ev.seq = e.seq
-	ev.fn = fn
+	var ref int32
+	if n := len(e.free); n > 0 {
+		ref = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.fns[ref] = fn
+	} else {
+		ref = int32(len(e.fns))
+		e.fns = append(e.fns, fn)
+	}
+	e.push(entry{at: at, seq: e.seq, prio: prio, ref: ref})
 	e.seq++
 	e.live++
-	e.push(ev)
 }
 
 // ScheduleIn queues fn to run d after Now. Negative d is clamped to zero
@@ -260,35 +255,41 @@ func (e *Engine) Run() uint64 {
 	for len(e.events) > 0 {
 		// The top entry leaves the heap only once it runs, so a stop at
 		// the horizon or a budget abort leaves the queue as it was.
-		ev := e.events[0]
-		if e.horizon != 0 && ev.at > e.horizon {
+		top := &e.events[0]
+		at := top.at
+		if e.horizon != 0 && at > e.horizon {
 			// Past the horizon: stop so a later Run/RunUntil call can
 			// resume from here.
 			e.now = e.horizon
 			break
 		}
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", ev.at, e.now))
+		if at < e.now {
+			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", at, e.now))
 		}
 		if e.budgetOn {
-			if berr := e.checkBudget(ev.at); berr != nil {
+			if berr := e.checkBudget(at); berr != nil {
 				e.budgetErr = berr
 				break
 			}
 		}
-		e.now = ev.at
-		fn := ev.fn
-		if ev.lane != nil {
-			fn = ev.lane.advance()
+		e.now = at
+		var fn func()
+		if ref := top.ref; ref < 0 {
+			fn = e.lanes[^ref].advance()
 		} else {
-			// Recycle before running: fn may immediately reuse the slot
-			// for a new event.
+			// Free the slot before running: fn may immediately reuse
+			// it for a new event.
+			fn = e.fns[ref]
+			e.fns[ref] = nil
+			e.free = append(e.free, ref)
 			e.pop()
-			e.recycle(ev)
 		}
 		e.live--
 		e.executed++
 		n++
+		if e.executed%yieldEvery == 0 && runtime.NumGoroutine() > 1 {
+			runtime.Gosched()
+		}
 		fn()
 	}
 	return n

@@ -13,7 +13,8 @@ import (
 // drew from Engine.Reserve.
 type Lane struct {
 	eng   *Engine
-	ent   event // the heap entry; keyed by items[head] while queued
+	prio  Priority
+	ref   int32 // ^ its index in Engine.lanes; names its heap entry, keyed by items[head]
 	items []laneItem
 	head  int
 }
@@ -26,8 +27,8 @@ type laneItem struct {
 
 // NewLane returns an empty lane whose items run at priority prio.
 func (e *Engine) NewLane(prio Priority) *Lane {
-	l := &Lane{eng: e}
-	l.ent = event{prio: prio, lane: l}
+	l := &Lane{eng: e, prio: prio, ref: ^int32(len(e.lanes))}
+	e.lanes = append(e.lanes, l)
 	return l
 }
 
@@ -46,8 +47,7 @@ func (l *Lane) Push(at Time, seq uint64, fn func()) {
 	l.items = append(l.items, laneItem{at: at, seq: seq, fn: fn})
 	e.live++
 	if len(l.items)-l.head == 1 {
-		l.ent.at, l.ent.seq = at, seq
-		e.push(&l.ent)
+		e.push(entry{at: at, seq: seq, prio: l.prio, ref: l.ref})
 	}
 }
 
@@ -60,7 +60,8 @@ func (l *Lane) Grow(n int) { l.items = slices.Grow(l.items, n) }
 func (l *Lane) advance() func() {
 	fn := l.items[l.head].fn
 	if l.head++; l.head < len(l.items) {
-		l.ent.at, l.ent.seq = l.items[l.head].at, l.items[l.head].seq
+		top := &l.eng.events[0]
+		top.at, top.seq = l.items[l.head].at, l.items[l.head].seq
 		l.eng.siftDown(0)
 	} else {
 		l.items, l.head = l.items[:0], 0

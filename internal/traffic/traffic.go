@@ -44,7 +44,6 @@ type Generator struct {
 	backpressure func() bool
 	highEvery    int
 
-	generated uint64
 	unrouted  uint64
 	throttled uint64
 }
@@ -143,7 +142,6 @@ func (g *Generator) fire() {
 		g.throttled++
 		return
 	}
-	g.generated++
 	g.sink.Enqueue(mac.AppPacket{
 		Dst:         dst,
 		Bits:        g.bits,
