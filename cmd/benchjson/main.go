@@ -20,9 +20,11 @@
 // The full suite runs the engine schedule/run micro-benchmark, the
 // channel broadcast micro-benchmark at two densities (40 and 200
 // nodes), a short EW-MAC scenario with observability off and fully on
-// — the pair that bounds the event bus's cost — and one figure of the
-// sweep. A scenario row is per 60 s run, averaged over a fixed list of
-// seeds; the figure row is per figure.
+// — the pair that bounds the event bus's cost — the same scenario under
+// the observers the chaos-verify benchmark workload runs (trace,
+// report and the streaming oracle), and one figure of the sweep. A
+// scenario row is per 60 s run, averaged over a fixed list of seeds;
+// the figure row is per figure.
 package main
 
 import (
@@ -149,6 +151,7 @@ func run() int {
 				Trace:    io.Discard,
 				Report:   true,
 			}),
+			benchScenario("ewmac/obs-verify", &ewmac.Observe{Trace: io.Discard, Report: true, Verify: true}),
 			benchFigure(),
 		)
 	}
@@ -375,14 +378,14 @@ func benchChannel(n int) (result, error) {
 	return toResult(fmt.Sprintf("channel/broadcast-%d", n), br), nil
 }
 
-// bytesGated reports whether -compare gates a row's bytes/op: the two
-// scenario rows and the figure row, whose runs allocate the same bytes
-// from one run to the next because every stream consumer buffers on
-// the simulation goroutine. A micro-benchmark's bytes/op carry warm-up
+// bytesGated reports whether -compare gates a row's bytes/op: the
+// three scenario rows and the figure row, whose runs allocate the same
+// bytes from one run to the next because every stream consumer buffers
+// on the simulation goroutine. A micro-benchmark's bytes/op carry warm-up
 // costs amortized over however many iterations it ran, so those rows
 // stay ungated.
 func bytesGated(name string) bool {
-	return name == "ewmac/obs-off" || name == "ewmac/obs-on" || name == "figures/fig9b"
+	return name == "ewmac/obs-off" || name == "ewmac/obs-on" || name == "ewmac/obs-verify" || name == "figures/fig9b"
 }
 
 // benchFigure measures one figure of the sweep the paper's evaluation

@@ -72,29 +72,32 @@ func TestCompareGatesObsOffBytes(t *testing.T) {
 		{Name: "channel/broadcast-40", NsPerOp: 1000, AllocsPerOp: 1, BytesPerOp: 112},
 		{Name: "ewmac/obs-off", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1000},
 		{Name: "ewmac/obs-on", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1000},
+		{Name: "ewmac/obs-verify", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1000},
 		{Name: "figures/fig9b", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 1000},
 	}
 	if err := writeResults(path, base); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name                          string
-		channelBytes, off, obsOn, fig int64
-		allocThreshold                float64
-		want                          bool
+		name                                  string
+		channelBytes, off, obsOn, verify, fig int64
+		allocThreshold                        float64
+		want                                  bool
 	}{
-		{"within threshold", 112, 1100, 1100, 1100, 10, false},
-		{"obs-off bytes grow", 112, 1101, 1000, 1000, 10, true},
-		{"obs-on bytes grow", 112, 1000, 1101, 1000, 10, true},
-		{"figure bytes grow", 112, 1000, 1000, 1101, 10, true},
-		{"other rows' bytes are not gated", 500, 1000, 1000, 1000, 10, false},
-		{"gate disabled", 112, 5000, 5000, 5000, 0, false},
+		{"within threshold", 112, 1100, 1100, 1100, 1100, 10, false},
+		{"obs-off bytes grow", 112, 1101, 1000, 1000, 1000, 10, true},
+		{"obs-on bytes grow", 112, 1000, 1101, 1000, 1000, 10, true},
+		{"obs-verify bytes grow", 112, 1000, 1000, 1101, 1000, 10, true},
+		{"figure bytes grow", 112, 1000, 1000, 1000, 1101, 10, true},
+		{"other rows' bytes are not gated", 500, 1000, 1000, 1000, 1000, 10, false},
+		{"gate disabled", 112, 5000, 5000, 5000, 5000, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cur := []result{
 				{Name: "channel/broadcast-40", NsPerOp: 1000, AllocsPerOp: 1, BytesPerOp: tc.channelBytes},
 				{Name: "ewmac/obs-off", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: tc.off},
 				{Name: "ewmac/obs-on", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: tc.obsOn},
+				{Name: "ewmac/obs-verify", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: tc.verify},
 				{Name: "figures/fig9b", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: tc.fig},
 			}
 			got, err := compareResults(path, cur, 50, tc.allocThreshold)

@@ -84,9 +84,10 @@ type Channel struct {
 	modems []*phy.Modem
 	rec    obs.Recorder
 
-	scratch []rxGeom // the latest geometry build, reused by every Broadcast
-	order   []uint64 // its rays in arrival order (see rayKey)
-	waves   []*wave  // recycled waves
+	scratch []rxGeom      // the latest geometry build, reused by every Broadcast
+	order   []uint64      // its rays in arrival order (see rayKey)
+	waves   []*wave       // recycled waves
+	emit    obs.FrameEmit // the record Broadcast's fan-out reuses
 }
 
 // ErrUnknownSource is returned by Broadcast when the transmitting node
@@ -215,11 +216,11 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 	}
 	now := c.eng.Now()
 	if c.rec != nil {
+		// A recorder owns the record only until Record returns.
 		for i := range geoms {
 			g := &geoms[i]
-			obs.FrameEmit{
-				Src: src, Dst: g.dst, Frame: f, Delay: g.delay, LevelDB: g.levelDB,
-			}.Emit(c.rec, now)
+			c.emit = obs.FrameEmit{Src: src, Dst: g.dst, Frame: f, Delay: g.delay, LevelDB: g.levelDB}
+			c.rec.Record(now, &c.emit)
 		}
 	}
 	// Seqs follow geometry order, the order scheduling one ray at a time

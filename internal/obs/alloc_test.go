@@ -25,8 +25,13 @@ func steadyState() (at sim.Time, f *packet.Frame, emit func(Recorder)) {
 		Origin: 3, DataBits: 2048, XID: 99,
 	}
 	at = sim.At(1500 * time.Millisecond)
+	// FrameEmit has no pooled Emit: its producer, guarded by a nil
+	// check, reuses one record.
+	frameEmit := &FrameEmit{Src: 3, Dst: 7, Frame: f, Delay: 137 * time.Millisecond, LevelDB: 118.25}
 	emit = func(r Recorder) {
-		FrameEmit{Src: 3, Dst: 7, Frame: f, Delay: 137 * time.Millisecond, LevelDB: 118.25}.Emit(r, at)
+		if r != nil {
+			r.Record(at, frameEmit)
+		}
 		TxBegin{Node: 3, Frame: f, Dur: 682 * time.Millisecond}.Emit(r, at)
 		FrameRx{Node: 7, Frame: f}.Emit(r, at)
 		FrameLoss{Node: 7, Frame: f, Reason: "collision"}.Emit(r, at)

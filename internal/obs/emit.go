@@ -6,11 +6,13 @@ import (
 	"ewmac/internal/sim"
 )
 
-// This file is the non-boxing record path. Every event type has an
-// Emit method that stages the value into a pooled record and passes a
-// pointer through the Recorder interface, so the steady-state cost of
-// a fully-instrumented run is a pool round-trip instead of one
-// interface box + one struct allocation per event.
+// This file is the non-boxing record path. Every event type but
+// FrameEmit has an Emit method that stages the value into a pooled
+// record and passes a pointer through the Recorder interface, so the
+// steady-state cost of a fully-instrumented run is a pool round-trip
+// instead of one interface box + one struct allocation per event.
+// FrameEmit's one producer, the channel's broadcast fan-out, skips even
+// the pool: it refills one record of its own for every receiver.
 //
 // Ownership rule: the record handed to Recorder.Record is owned by the
 // emitter and is reclaimed the moment Record returns. Recorders must
@@ -51,7 +53,6 @@ func (p *recPool[T, PT]) emit(r Recorder, at sim.Time, v T) {
 }
 
 var (
-	frameEmitPool    recPool[FrameEmit, *FrameEmit]
 	txBeginPool      recPool[TxBegin, *TxBegin]
 	frameRxPool      recPool[FrameRx, *FrameRx]
 	frameLossPool    recPool[FrameLoss, *FrameLoss]
@@ -72,52 +73,49 @@ var (
 
 // Emit records the event through r at the given instant without
 // heap-boxing it; see the ownership rule at the top of this file.
-func (v FrameEmit) Emit(r Recorder, at sim.Time) { frameEmitPool.emit(r, at, v) }
-
-// Emit records the event through r; see FrameEmit.Emit.
 func (v TxBegin) Emit(r Recorder, at sim.Time) { txBeginPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v FrameRx) Emit(r Recorder, at sim.Time) { frameRxPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v FrameLoss) Emit(r Recorder, at sim.Time) { frameLossPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v MACState) Emit(r Recorder, at sim.Time) { macStatePool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v Contention) Emit(r Recorder, at sim.Time) { contentionPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v SlotPeriod) Emit(r Recorder, at sim.Time) { slotPeriodPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v Delivery) Emit(r Recorder, at sim.Time) { deliveryPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v Extra) Emit(r Recorder, at sim.Time) { extraPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v Recovery) Emit(r Recorder, at sim.Time) { recoveryPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v PacketDrop) Emit(r Recorder, at sim.Time) { packetDropPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v QueueDepth) Emit(r Recorder, at sim.Time) { queueDepthPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v Overload) Emit(r Recorder, at sim.Time) { overloadPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v OracleViolation) Emit(r Recorder, at sim.Time) { oracleViolPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v Fault) Emit(r Recorder, at sim.Time) { faultPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v Invariant) Emit(r Recorder, at sim.Time) { invariantPool.emit(r, at, v) }
 
-// Emit records the event through r; see FrameEmit.Emit.
+// Emit records the event through r; see TxBegin.Emit.
 func (v EngineSample) Emit(r Recorder, at sim.Time) { engineSamplePool.emit(r, at, v) }

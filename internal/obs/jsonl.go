@@ -34,10 +34,16 @@ type JSONL struct {
 
 	// atCache short-circuits formatting the "at" header when several
 	// events share one instant (slot boundaries, one broadcast's
-	// fan-out): float formatting is the encoder's single largest cost.
+	// fan-out): copying the cached digits is cheaper than writing them
+	// again, even from integer nanoseconds.
 	lastAt sim.Time
 	atLen  uint8
 	atBuf  [24]byte
+
+	// frameBuf caches lastFrame's fields the same way: a frame is
+	// immutable once transmitted, so its pointer names its bytes.
+	lastFrame *packet.Frame
+	frameBuf  []byte
 }
 
 // The staging buffer is written out once it crosses jsonlFlushAt; the
@@ -52,7 +58,7 @@ const (
 // stream is done: lines staged since the last write reach w only on
 // Flush or Close.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: w, cur: make([]byte, 0, jsonlBufCap)}
+	return &JSONL{w: w, cur: make([]byte, 0, jsonlBufCap), frameBuf: make([]byte, 0, 128)}
 }
 
 // Err returns the first encode error or, failing that, the first write
@@ -89,7 +95,7 @@ func (j *JSONL) Close() error {
 // scans for escapes on every frame event.
 var kindJSON = func() (t [16][]byte) {
 	for k := packet.Kind(1); k.Valid(); k++ {
-		t[k] = appendJSONString(nil, k.String())
+		t[k] = AppendJSONString(nil, k.String())
 	}
 	return
 }()
@@ -105,7 +111,7 @@ func appendFrame(b []byte, f *packet.Frame) []byte {
 	if k := f.Kind; int(k) < len(kindJSON) && kindJSON[k] != nil {
 		b = append(b, kindJSON[k]...)
 	} else {
-		b = appendJSONString(b, k.String())
+		b = AppendJSONString(b, k.String())
 	}
 	b = append(b, `,"seq":`...)
 	b = appendUint(b, uint64(f.Seq))
@@ -122,11 +128,20 @@ func appendFrame(b []byte, f *packet.Frame) []byte {
 	return b
 }
 
+// frame appends f's flattened fields through the frame cache.
+func (j *JSONL) frame(b []byte, f *packet.Frame) []byte {
+	if f == nil || f != j.lastFrame {
+		j.lastFrame = f
+		j.frameBuf = appendFrame(j.frameBuf[:0], f)
+	}
+	return append(b, j.frameBuf...)
+}
+
 // num appends a float; a non-finite value poisons the stream exactly
 // as encoding/json's UnsupportedValueError used to (sticky error, line
 // dropped).
 func (j *JSONL) num(b []byte, f float64) []byte {
-	b, ok := appendJSONFloat(b, f)
+	b, ok := AppendJSONFloat(b, f)
 	if !ok && j.err == nil {
 		j.err = fmt.Errorf("obs: jsonl: unsupported value: %v", f)
 	}
@@ -141,7 +156,7 @@ func (j *JSONL) appendAt(b []byte, at sim.Time) []byte {
 		return append(b, j.atBuf[:j.atLen]...)
 	}
 	mark := len(b)
-	b = j.num(b, at.Seconds())
+	b = AppendJSONSeconds(b, int64(at), at.Seconds())
 	j.lastAt = at
 	j.atLen = uint8(copy(j.atBuf[:], b[mark:]))
 	return b
@@ -161,34 +176,34 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 	switch ev := e.(type) {
 	case *FrameEmit:
 		b = append(b, `,"event":"chan.emit"`...)
-		b = appendFrame(b, ev.Frame)
+		b = j.frame(b, ev.Frame)
 		b = append(b, `,"delay":`...)
-		b = j.num(b, ev.Delay.Seconds())
+		b = AppendJSONSeconds(b, int64(ev.Delay), ev.Delay.Seconds())
 		b = append(b, `,"level_db":`...)
 		b = j.num(b, ev.LevelDB)
 	case *TxBegin:
 		b = append(b, `,"event":"phy.tx","node":`...)
 		b = appendUint(b, uint64(uint16(ev.Node)))
-		b = appendFrame(b, ev.Frame)
+		b = j.frame(b, ev.Frame)
 		b = append(b, `,"dur":`...)
-		b = j.num(b, ev.Dur.Seconds())
+		b = AppendJSONSeconds(b, int64(ev.Dur), ev.Dur.Seconds())
 	case *FrameRx:
 		b = append(b, `,"event":"phy.rx","node":`...)
 		b = appendUint(b, uint64(uint16(ev.Node)))
-		b = appendFrame(b, ev.Frame)
+		b = j.frame(b, ev.Frame)
 	case *FrameLoss:
 		b = append(b, `,"event":"phy.loss","node":`...)
 		b = appendUint(b, uint64(uint16(ev.Node)))
-		b = appendFrame(b, ev.Frame)
+		b = j.frame(b, ev.Frame)
 		b = append(b, `,"reason":`...)
-		b = appendJSONString(b, ev.Reason)
+		b = AppendJSONString(b, ev.Reason)
 	case *MACState:
 		b = append(b, `,"event":"mac.state","node":`...)
 		b = appendUint(b, uint64(uint16(ev.Node)))
 		b = append(b, `,"from":`...)
-		b = appendJSONString(b, ev.From)
+		b = AppendJSONString(b, ev.From)
 		b = append(b, `,"to":`...)
-		b = appendJSONString(b, ev.To)
+		b = AppendJSONString(b, ev.To)
 		b = append(b, `,"slot":`...)
 		b = appendInt(b, ev.Slot)
 	case *Contention:
@@ -197,7 +212,7 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 		b = append(b, `,"peer":`...)
 		b = appendUint(b, uint64(uint16(ev.Peer)))
 		b = append(b, `,"outcome":`...)
-		b = appendJSONString(b, ev.Outcome)
+		b = AppendJSONString(b, ev.Outcome)
 		b = append(b, `,"slot":`...)
 		b = appendInt(b, ev.Slot)
 		if ev.XID != 0 {
@@ -210,7 +225,7 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 		b = append(b, `,"peer":`...)
 		b = appendUint(b, uint64(uint16(ev.Peer)))
 		b = append(b, `,"period":`...)
-		b = appendJSONString(b, ev.Period)
+		b = AppendJSONString(b, ev.Period)
 		b = append(b, `,"slot":`...)
 		b = appendInt(b, ev.Slot)
 	case *Delivery:
@@ -223,7 +238,7 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 		b = append(b, `,"bits":`...)
 		b = appendInt(b, int64(ev.Bits))
 		b = append(b, `,"latency":`...)
-		b = j.num(b, ev.Latency.Seconds())
+		b = AppendJSONSeconds(b, int64(ev.Latency), ev.Latency.Seconds())
 		if ev.Extra {
 			b = append(b, `,"extra":true`...)
 		}
@@ -237,10 +252,10 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 		b = append(b, `,"peer":`...)
 		b = appendUint(b, uint64(uint16(ev.Peer)))
 		b = append(b, `,"action":`...)
-		b = appendJSONString(b, ev.Action)
+		b = AppendJSONString(b, ev.Action)
 		if ev.Reason != "" {
 			b = append(b, `,"reason":`...)
-			b = appendJSONString(b, ev.Reason)
+			b = AppendJSONString(b, ev.Reason)
 		}
 		if ev.XID != 0 {
 			b = append(b, `,"xid":`...)
@@ -253,23 +268,23 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 	case *OracleViolation:
 		b = append(b, `,"event":"oracle.violation","node":`...)
 		b = appendUint(b, uint64(uint16(ev.Node)))
-		b = appendFrame(b, ev.Frame)
+		b = j.frame(b, ev.Frame)
 		b = append(b, `,"reason":`...)
-		b = appendJSONString(b, ev.Reason)
+		b = AppendJSONString(b, ev.Reason)
 		if ev.Detail != "" {
 			b = append(b, `,"detail":`...)
-			b = appendJSONString(b, ev.Detail)
+			b = AppendJSONString(b, ev.Detail)
 		}
 	case *Fault:
 		b = append(b, `,"event":"fault.event","node":`...)
 		b = appendUint(b, uint64(uint16(ev.Node)))
 		b = append(b, `,"kind":`...)
-		b = appendJSONString(b, ev.Kind)
+		b = AppendJSONString(b, ev.Kind)
 		b = append(b, `,"action":`...)
-		b = appendJSONString(b, ev.Action)
+		b = AppendJSONString(b, ev.Action)
 		if ev.Detail != "" {
 			b = append(b, `,"detail":`...)
-			b = appendJSONString(b, ev.Detail)
+			b = AppendJSONString(b, ev.Detail)
 		}
 	case *Recovery:
 		b = append(b, `,"event":"mac.recovery","node":`...)
@@ -279,10 +294,10 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 			b = appendUint(b, uint64(uint16(ev.Peer)))
 		}
 		b = append(b, `,"action":`...)
-		b = appendJSONString(b, ev.Action)
+		b = AppendJSONString(b, ev.Action)
 		if ev.Detail != "" {
 			b = append(b, `,"detail":`...)
-			b = appendJSONString(b, ev.Detail)
+			b = AppendJSONString(b, ev.Detail)
 		}
 	case *PacketDrop:
 		b = append(b, `,"event":"mac.drop","node":`...)
@@ -290,7 +305,7 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 		b = append(b, `,"peer":`...)
 		b = appendUint(b, uint64(uint16(ev.Peer)))
 		b = append(b, `,"reason":`...)
-		b = appendJSONString(b, ev.Reason)
+		b = AppendJSONString(b, ev.Reason)
 		if uint16(ev.Origin) != 0 {
 			b = append(b, `,"origin":`...)
 			b = appendUint(b, uint64(uint16(ev.Origin)))
@@ -303,26 +318,26 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 		b = append(b, `,"len":`...)
 		b = appendInt(b, int64(ev.Len))
 		b = append(b, `,"op":`...)
-		b = appendJSONString(b, ev.Op)
+		b = AppendJSONString(b, ev.Op)
 		if ev.Sojourn > 0 {
 			b = append(b, `,"sojourn":`...)
-			b = j.num(b, ev.Sojourn.Seconds())
+			b = AppendJSONSeconds(b, int64(ev.Sojourn), ev.Sojourn.Seconds())
 		}
 	case *Overload:
 		b = append(b, `,"event":"mac.overload","node":`...)
 		b = appendUint(b, uint64(uint16(ev.Node)))
 		b = append(b, `,"action":`...)
-		b = appendJSONString(b, ev.Action)
+		b = AppendJSONString(b, ev.Action)
 		b = append(b, `,"len":`...)
 		b = appendInt(b, int64(ev.Len))
 	case *Invariant:
 		b = append(b, `,"event":"mac.invariant","node":`...)
 		b = appendUint(b, uint64(uint16(ev.Node)))
 		b = append(b, `,"check":`...)
-		b = appendJSONString(b, ev.Check)
+		b = AppendJSONString(b, ev.Check)
 		if ev.Detail != "" {
 			b = append(b, `,"detail":`...)
-			b = appendJSONString(b, ev.Detail)
+			b = AppendJSONString(b, ev.Detail)
 		}
 	case *EngineSample:
 		b = append(b, `,"event":"engine.sample","queue_depth":`...)
@@ -337,7 +352,7 @@ func (j *JSONL) Record(at sim.Time, e Event) {
 		// path may allocate; every simulator event takes a fast case
 		// above.
 		b = append(b, `,"event":`...)
-		b = appendJSONString(b, e.Tag())
+		b = AppendJSONString(b, e.Tag())
 		raw, err := json.Marshal(e)
 		if err != nil {
 			if j.err == nil {

@@ -184,7 +184,7 @@ func refEncode(w *bytes.Buffer, at sim.Time, e Event) error {
 	return json.NewEncoder(w).Encode(line)
 }
 
-// nastyStrings exercises every branch of appendJSONString: quotes,
+// nastyStrings exercises every branch of AppendJSONString: quotes,
 // backslashes, the two-byte escapes, generic control bytes, the
 // html-escaped set, DEL (which encoding/json leaves alone), multibyte
 // runes, U+2028/U+2029, and invalid UTF-8.
@@ -201,7 +201,7 @@ var nastyStrings = []string{
 	"edge\x1f\x20ctl",
 }
 
-// nastyFloats exercises appendJSONFloat's format boundaries: the
+// nastyFloats exercises AppendJSONFloat's format boundaries: the
 // 'f'/'e' switchover at 1e-6 and 1e21, exponent leading-zero
 // stripping, negative zero, and shortest-round-trip subtleties.
 var nastyFloats = []float64{

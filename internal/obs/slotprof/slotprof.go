@@ -26,9 +26,10 @@ package slotprof
 
 import (
 	"bufio"
-	"encoding/json"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"ewmac/internal/obs"
@@ -217,21 +218,22 @@ func (p *Profiler) Finish(end sim.Time) (Summary, error) {
 	w0, w1 = firstSlot*slotLen, lastSlot*slotLen
 
 	bw := bufio.NewWriterSize(p.cfg.Writer, 1<<16)
-	enc := json.NewEncoder(bw)
 
 	ids := make([]packet.NodeID, 0, len(p.nodes))
 	for id := range p.nodes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	sum.Nodes = len(ids)
 
 	var werr error
-	write := func(v any) {
+	write := func(line []byte) []byte {
 		if werr == nil {
-			werr = enc.Encode(v)
+			_, werr = bw.Write(line)
 		}
+		return line[:0]
 	}
+	var line []byte
 
 	for _, id := range ids {
 		n := p.nodes[id]
@@ -250,18 +252,17 @@ func (p *Profiler) Finish(end sim.Time) (Summary, error) {
 			if a.tx+a.rx+a.wait+a.reclaimed == 0 {
 				continue
 			}
-			write(SlotRecord{
-				Rec: "slot", Node: uint16(id), Slot: firstSlot + int64(i),
-				Tx: secs(a.tx), Rx: secs(a.rx), Wait: secs(a.wait),
-				Reclaimed: secs(a.reclaimed), Guard: secs(a.guard),
-			})
+			line = append(line, `{"rec":"slot","node":`...)
+			line = strconv.AppendUint(line, uint64(id), 10)
+			line = append(line, `,"slot":`...)
+			line = strconv.AppendInt(line, firstSlot+int64(i), 10)
+			line = write(append(a.appendJSON(line), "}\n"...))
 		}
-		write(NodeRecord{
-			Rec: "node", Node: uint16(id),
-			Tx: secs(nt.tx), Rx: secs(nt.rx), Wait: secs(nt.wait),
-			Reclaimed: secs(nt.reclaimed), Guard: secs(nt.guard),
-			Exploit: ratio(nt.reclaimed, nt.wait),
-		})
+		line = append(line, `{"rec":"node","node":`...)
+		line = strconv.AppendUint(line, uint64(id), 10)
+		line = append(nt.appendJSON(line), `,"exploit":`...)
+		line, _ = obs.AppendJSONFloat(line, ratio(nt.reclaimed, nt.wait))
+		line = write(append(line, "}\n"...))
 		sum.Tx += secs(nt.tx)
 		sum.Rx += secs(nt.rx)
 		sum.Wait += secs(nt.wait)
@@ -271,7 +272,7 @@ func (p *Profiler) Finish(end sim.Time) (Summary, error) {
 	if sum.Reclaimed+sum.Wait > 0 {
 		sum.Exploit = sum.Reclaimed / (sum.Reclaimed + sum.Wait)
 	}
-	write(sum)
+	write(sum.appendJSON(line))
 	if err := bw.Flush(); err != nil && werr == nil {
 		werr = err
 	}
@@ -323,7 +324,7 @@ func (p *Profiler) classify(n *nodeProf, w0, w1, slotLen int64) []acc {
 	for t := w0; t <= w1; t += slotLen {
 		evs = append(evs, sweepEvent{t: t})
 	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
+	slices.SortFunc(evs, func(a, b sweepEvent) int { return cmp.Compare(a.t, b.t) })
 
 	var tx, txEx, rx, rxEx, busy int
 	prev := w0
@@ -354,6 +355,39 @@ func (p *Profiler) classify(n *nodeProf, w0, w1, slotLen int64) []acc {
 }
 
 func secs(ns int64) float64 { return float64(ns) / 1e9 }
+
+// Records are written by hand, as encoding/json renders SlotRecord,
+// NodeRecord and Summary; every float is finite, so ok is always true.
+
+var periodKeys = [...]string{`,"tx":`, `,"rx":`, `,"wait":`, `,"reclaimed":`, `,"guard":`}
+
+// appendJSON appends the five period fields, in seconds.
+func (a acc) appendJSON(b []byte) []byte {
+	for i, ns := range [...]int64{a.tx, a.rx, a.wait, a.reclaimed, a.guard} {
+		b = append(b, periodKeys[i]...)
+		b = obs.AppendJSONSeconds(b, ns, secs(ns))
+	}
+	return b
+}
+
+// appendJSON appends the summary's JSON line.
+func (s *Summary) appendJSON(b []byte) []byte {
+	b = append(b, `{"rec":"summary","protocol":`...)
+	b = obs.AppendJSONString(b, s.Protocol)
+	b = append(b, `,"slot_len":`...)
+	b, _ = obs.AppendJSONFloat(b, s.SlotLenS)
+	b = append(b, `,"slots":`...)
+	b = strconv.AppendInt(b, s.Slots, 10)
+	b = append(b, `,"nodes":`...)
+	b = strconv.AppendInt(b, int64(s.Nodes), 10)
+	for i, v := range [...]float64{s.Tx, s.Rx, s.Wait, s.Reclaimed, s.Guard} {
+		b = append(b, periodKeys[i]...)
+		b, _ = obs.AppendJSONFloat(b, v)
+	}
+	b = append(b, `,"exploit":`...)
+	b, _ = obs.AppendJSONFloat(b, s.Exploit)
+	return append(b, "}\n"...)
+}
 
 func ratio(num, den int64) float64 {
 	if num+den == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -226,5 +227,79 @@ func TestEmptyWindow(t *testing.T) {
 	}
 	if sum.Slots != 0 || buf.Len() != 0 {
 		t.Errorf("empty window wrote output: %+v %q", sum, buf.String())
+	}
+}
+
+// TestLinesMatchEncodingJSON pins the hand-written record lines to
+// encoding/json byte for byte: each line, decoded into its record type
+// and marshalled again, must come back unchanged. The stream mixes
+// nodes, overlapping primary and extra frames, busy periods and a slot
+// length that is no round number of seconds, and the protocol label
+// needs escaping.
+func TestLinesMatchEncodingJSON(t *testing.T) {
+	var buf bytes.Buffer
+	slot := 1234567891 * time.Nanosecond
+	p := New(Config{
+		Protocol: "<EW&MAC> \"x\"", SlotLen: slot, BitRate: 1234.5,
+		Start: at(3 * slot / 2), End: at(40 * slot), Writer: &buf,
+	})
+	r := rand.New(rand.NewSource(7))
+	kinds := []packet.Kind{packet.KindRTS, packet.KindCTS, packet.KindData, packet.KindAck, packet.KindEXData, packet.KindEXAck}
+	var now time.Duration
+	for i := 0; i < 600; i++ {
+		now += time.Duration(r.Int63n(int64(slot / 4)))
+		node := packet.NodeID(1 + r.Intn(7))
+		f := &packet.Frame{Kind: kinds[r.Intn(len(kinds))], DataBits: r.Intn(3000)}
+		switch r.Intn(4) {
+		case 0:
+			p.Record(at(now), &obs.TxBegin{Node: node, Frame: f, Dur: time.Duration(r.Int63n(int64(slot)))})
+		case 1:
+			p.Record(at(now), &obs.FrameRx{Node: node, Frame: f})
+		case 2:
+			p.Record(at(now), &obs.FrameLoss{Node: node, Frame: f})
+		default:
+			to := "idle"
+			if r.Intn(2) == 0 {
+				to = "wait-data"
+			}
+			p.Record(at(now), &obs.MACState{Node: node, From: "x", To: to})
+		}
+	}
+	if _, err := p.Finish(at(now)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	lines = lines[:len(lines)-1]
+	if len(lines) < 50 {
+		t.Fatalf("fixture wrote only %d lines", len(lines))
+	}
+	for _, line := range lines {
+		var disc struct {
+			Rec string `json:"rec"`
+		}
+		if err := json.Unmarshal([]byte(line), &disc); err != nil {
+			t.Fatalf("bad line %q: %v", line, err)
+		}
+		var v any
+		switch disc.Rec {
+		case "slot":
+			v = &SlotRecord{}
+		case "node":
+			v = &NodeRecord{}
+		case "summary":
+			v = &Summary{}
+		default:
+			t.Fatalf("unknown record %q", disc.Rec)
+		}
+		if err := json.Unmarshal([]byte(line), v); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if want.String() != line {
+			t.Errorf("line drifts from encoding/json\n got: %q\nwant: %q", line, want.String())
+		}
 	}
 }

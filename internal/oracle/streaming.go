@@ -55,8 +55,9 @@ type Streaming struct {
 
 	sink obs.Recorder
 
-	arrivals map[packet.NodeID]*arrivalIndex
-	tx       map[packet.NodeID]*txIndex
+	// Indexed by NodeID, grown to the largest ID recorded so far.
+	arrivals []arrivalIndex
+	tx       []txIndex
 	maxDur   time.Duration
 
 	receptions uint64
@@ -97,8 +98,6 @@ func NewStreaming(bitRate, captureDB float64, horizon time.Duration) *Streaming 
 		BitRate:   bitRate,
 		CaptureDB: captureDB,
 		Horizon:   horizon,
-		arrivals:  make(map[packet.NodeID]*arrivalIndex),
-		tx:        make(map[packet.NodeID]*txIndex),
 		byReason:  make(map[string]uint64),
 	}
 }
@@ -145,11 +144,8 @@ func (s *Streaming) RecordEmission(now sim.Time, src, dst packet.NodeID, f *pack
 		levelDB: levelDB,
 		kind:    f.Kind,
 	}
-	idx := s.arrivals[dst]
-	if idx == nil {
-		idx = &arrivalIndex{}
-		s.arrivals[dst] = idx
-	}
+	s.arrivals = growTo(s.arrivals, dst)
+	idx := &s.arrivals[dst]
 	i := sort.Search(len(idx.spans), func(i int) bool { return idx.spans[i].span.start > a.span.start })
 	idx.spans = append(idx.spans, arrival{})
 	copy(idx.spans[i+1:], idx.spans[i:])
@@ -172,11 +168,8 @@ func (s *Streaming) RecordTx(now sim.Time, node packet.NodeID, dur time.Duration
 		s.maxDur = dur
 	}
 	sp := span{now, now.Add(dur)}
-	idx := s.tx[node]
-	if idx == nil {
-		idx = &txIndex{}
-		s.tx[node] = idx
-	}
+	s.tx = growTo(s.tx, node)
+	idx := &s.tx[node]
 	i := sort.Search(len(idx.spans), func(i int) bool { return idx.spans[i].start > sp.start })
 	for j := i - 1; j >= 0 && idx.spans[j].start == sp.start; j-- {
 		if idx.spans[j] == sp {
@@ -206,7 +199,8 @@ func (s *Streaming) RecordReception(now sim.Time, node packet.NodeID, f *packet.
 			fmt.Sprintf("reception of %v with no matching channel emission", keyString(keyOf(f))))
 		return
 	}
-	if idx := s.tx[node]; idx != nil {
+	if int(node) < len(s.tx) {
+		idx := &s.tx[node]
 		hi := sort.Search(len(idx.spans), func(i int) bool { return !idx.spans[i].start.Before(a.span.end) })
 		for i := hi - 1; i >= 0; i-- {
 			if !idx.spans[i].start.Add(s.maxDur).After(a.span.start) {
@@ -265,10 +259,10 @@ func (s *Streaming) RecordLoss(now sim.Time, node packet.NodeID, f *packet.Frame
 // instants need not line up) matched the way the batch reference in the tests
 // matches them.
 func (s *Streaming) findArrival(now sim.Time, node packet.NodeID, f *packet.Frame) (arrival, bool) {
-	idx := s.arrivals[node]
-	if idx == nil {
+	if int(node) >= len(s.arrivals) {
 		return arrival{}, false
 	}
+	idx := &s.arrivals[node]
 	k := keyOf(f)
 	start := now.Add(-f.TxDuration(s.BitRate))
 	i := sort.Search(len(idx.spans), func(i int) bool { return !idx.spans[i].span.start.Before(start) })
@@ -289,10 +283,10 @@ func (s *Streaming) findArrival(now sim.Time, node packet.NodeID, f *packet.Fram
 // found by binary search for the first start past the window and a
 // backward scan bounded by the maximum frame duration.
 func (s *Streaming) eachOverlap(node packet.NodeID, w span, fn func(*arrival)) {
-	idx := s.arrivals[node]
-	if idx == nil {
+	if int(node) >= len(s.arrivals) {
 		return
 	}
+	idx := &s.arrivals[node]
 	hi := sort.Search(len(idx.spans), func(i int) bool { return !idx.spans[i].span.start.Before(w.end) })
 	for i := hi - 1; i >= 0; i-- {
 		a := &idx.spans[i]
@@ -303,6 +297,14 @@ func (s *Streaming) eachOverlap(node packet.NodeID, w span, fn func(*arrival)) {
 			fn(a)
 		}
 	}
+}
+
+// growTo extends a per-node index slice to hold node.
+func growTo[T any](s []T, node packet.NodeID) []T {
+	if n := int(node) + 1; n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 // watermark is the instant behind which no span can influence a future

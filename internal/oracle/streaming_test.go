@@ -348,6 +348,48 @@ func TestStreamingHalfDuplexFromTxTap(t *testing.T) {
 	}
 }
 
+// TestStreamingNodeIDsAboveEverySeen: the per-node indexes grow only
+// to the largest ID recorded, so a query past them must read as an
+// empty index, and a record at a far higher ID (the top of the NodeID
+// range) must be indexed and checked like any other.
+func TestStreamingNodeIDsAboveEverySeen(t *testing.T) {
+	const bitRate = 12000
+	const delay = 100 * time.Millisecond
+	s := NewStreaming(bitRate, 10, 5*time.Second)
+	at := sim.At(time.Second)
+	f := dataFrame(1, 2, 1, at.Duration())
+	dur := f.TxDuration(bitRate)
+	s.Record(at, &obs.FrameEmit{Src: 1, Dst: 2, Frame: f, Delay: delay, LevelDB: 130})
+	s.Record(at, &obs.TxBegin{Node: 1, Frame: f, Dur: dur})
+	decode := at.Add(delay + dur)
+	// Past both indexes: a decode there has no emission, and a
+	// collision loss has no arrival to check.
+	s.Record(decode, &obs.FrameRx{Node: 900, Frame: f})
+	s.Record(decode, &obs.FrameLoss{Node: 901, Frame: dataFrame(1, 901, 2, at.Duration()), ReasonCode: uint8(phy.LossCollision)})
+	s.Record(decode, &obs.FrameRx{Node: 2, Frame: f})
+
+	// The top ID receives two equal-power frames and keys up mid-window.
+	const top = packet.NodeID(65535)
+	at2 := sim.At(3 * time.Second)
+	a := dataFrame(1, top, 3, at2.Duration())
+	b := dataFrame(top-1, top, 4, at2.Duration())
+	s.Record(at2, &obs.FrameEmit{Src: 1, Dst: top, Frame: a, Delay: delay, LevelDB: 130})
+	s.Record(at2, &obs.FrameEmit{Src: top - 1, Dst: top, Frame: b, Delay: delay, LevelDB: 130})
+	s.Record(at2.Add(delay+dur/2), &obs.TxBegin{Node: top, Frame: dataFrame(top, 1, 5, at2.Duration()), Dur: dur})
+	s.Record(at2.Add(delay+dur), &obs.FrameRx{Node: top, Frame: a})
+
+	st := s.Stats()
+	want := map[string]uint64{obs.OracleNoEmission: 1, obs.OracleCapture: 1, obs.OracleHalfDuplex: 1}
+	if st.Violations != 3 || len(st.ByReason) != len(want) {
+		t.Fatalf("want one no-emission, capture and half-duplex violation each, got %+v", st)
+	}
+	for r, n := range want {
+		if st.ByReason[r] != n {
+			t.Errorf("%s: got %d, want %d (%+v)", r, st.ByReason[r], n, st)
+		}
+	}
+}
+
 // TestStreamingBoundedMemory runs a long steady stream — far more
 // frames than the indexes may retain — and checks eviction keeps the
 // peak index sizes bounded while the verdict stays clean.
