@@ -3,22 +3,18 @@
 // table2, fig6, fig7, fig8, fig9a, fig9b, fig10a, fig10b, fig11.
 //
 //	figures -seeds 3 -sim 300s -workers 8 -csv out/ fig6 fig11
-//	figures -resume run.manifest -csv out/      # checkpoint + resume
-//	figures -deadline 10m -max-events 200e6 -retries 2
+//	figures -deadline 10m -max-events 200000000
 //	figures -faults examples/faults/chaos.json  # every figure under faults
 //
-// With -resume, every finished sweep point is journaled to the given
-// manifest; re-running the same command after an interruption (even
-// SIGKILL) skips the completed points and produces bit-identical
-// tables. -deadline/-max-events bound each point's run; points that
-// exceed the budget are retried up to -retries times with a doubled
-// budget, then quarantined as NaN cells instead of aborting the run.
+// -deadline/-max-events bound each point's run, and the livelock
+// watchdog is always armed. A point that panics or exceeds its budget
+// is quarantined as a NaN cell instead of aborting the run, and the
+// process then exits with status 3.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -29,7 +25,6 @@ import (
 	"ewmac/internal/fault"
 	"ewmac/internal/figures"
 	"ewmac/internal/obs"
-	"ewmac/internal/runner"
 	"ewmac/internal/sim"
 )
 
@@ -47,10 +42,8 @@ func run() int {
 		workers = flag.Int("workers", 0, "max figures in flight, and max points in flight per figure (0 = GOMAXPROCS); a point runs its seeds one after another")
 
 		httpAddr  = flag.String("http", "", "serve live sweep introspection (/metrics, /progress, /debug/pprof) on this address")
-		resume    = flag.String("resume", "", "checkpoint manifest path: journal finished points and skip them on re-run")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget per sweep point (0 = unbounded)")
 		maxEvents = flag.Uint64("max-events", 0, "simulation event budget per sweep point (0 = unbounded)")
-		retries   = flag.Int("retries", 1, "retries for budget-exceeded points, each with a doubled budget")
 	)
 	flag.Parse()
 
@@ -58,12 +51,7 @@ func run() int {
 		SimTime: *simTime,
 		Workers: *workers,
 		Budget:  sim.Budget{Deadline: *deadline, MaxEvents: *maxEvents},
-		Retries: *retries,
 	}
-	// The scenario content (not the path) becomes part of the resume
-	// fingerprint below: pointing the same manifest at an edited
-	// scenario file must invalidate it, and renaming the file must not.
-	var faultsFP string
 	if *faults != "" {
 		scenario, err := fault.Load(*faults)
 		if err != nil {
@@ -71,14 +59,6 @@ func run() int {
 			return 1
 		}
 		opts.Faults = scenario
-		raw, err := os.ReadFile(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			return 1
-		}
-		h := fnv.New64a()
-		h.Write(raw)
-		faultsFP = fmt.Sprintf("%016x", h.Sum64())
 	}
 	for s := int64(1); s <= int64(*seeds); s++ {
 		opts.Seeds = append(opts.Seeds, s)
@@ -101,23 +81,6 @@ func run() int {
 			defer progressMu.Unlock()
 			fmt.Fprintln(os.Stderr, "  "+line)
 		}
-	}
-
-	if *resume != "" {
-		// The fingerprint covers exactly the inputs that determine point
-		// results; budget/worker/retry settings are free to change between
-		// the interrupted run and the resume.
-		fp := fmt.Sprintf("figures/v1|seeds=%d|sim=%s|faults=%s", *seeds, simTime.String(), faultsFP)
-		m, err := runner.OpenManifest(*resume, fp)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			return 1
-		}
-		defer m.Close()
-		if n := m.Loaded(); n > 0 && !*quiet {
-			fmt.Fprintf(os.Stderr, "  resuming %s: %d points already done\n", *resume, n)
-		}
-		opts.Manifest = m
 	}
 
 	want := map[string]bool{}
@@ -180,10 +143,6 @@ func run() int {
 		}
 		fmt.Println(r.t.Render())
 		fmt.Fprintf(os.Stderr, "  (%s took %v)\n", fg.id, r.took.Truncate(time.Millisecond))
-		if st := r.t.Stats; st.Resumed > 0 || st.Retries > 0 || st.Quarantined > 0 {
-			fmt.Fprintf(os.Stderr, "  (%s supervision: %d/%d done, %d resumed, %d retries, %d quarantined)\n",
-				fg.id, st.Completed, st.Points, st.Resumed, st.Retries, st.Quarantined)
-		}
 		if r.t.Failed != nil {
 			quarantined += r.t.Stats.Quarantined
 			for _, p := range r.t.Protocols {

@@ -16,16 +16,14 @@
 //	       -retry-burst 8 -v                  # graceful overload management
 //	uansim -proto ewmac -adversary -adv-trials 8 -adv-out repro.json
 //	                                         # adversarial fault-scenario search
-//	uansim -deadline 5m -max-events 100e6    # budget + livelock watchdog
-//	uansim -resume run.manifest -proto all   # skip already-completed runs
+//	uansim -deadline 5m -max-events 100000000 # budget + livelock watchdog
 //
 // Every run executes under supervision: panics are reported with their
-// stack instead of crashing, -deadline/-max-events bound the run (with
-// -retries re-attempts at a doubled budget), and -resume journals
-// completed runs so a re-invocation skips them. Output files (-trace,
-// -spans, -slotprof, -timeseries, -report) are published atomically —
-// an interrupted run leaves the previous complete file, never a torn
-// one, and each retry attempt restages from scratch.
+// stack instead of crashing, and -deadline/-max-events bound the run
+// on top of the always-armed livelock watchdog. Output files (-trace,
+// -spans, -slotprof, -timeseries, -report) are published atomically
+// and only when the run completes — a failed or interrupted run leaves
+// the previous complete file, never a torn one.
 package main
 
 import (
@@ -33,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -91,10 +90,8 @@ func run() int {
 		advOut      = flag.String("adv-out", "adversary.json", "adversarial search: write the minimized scenario JSON here")
 		advCollapse = flag.Float64("adv-collapse", 0.25, "adversarial search: delivery-collapse threshold as a fraction of the fault-free baseline")
 
-		resume    = flag.String("resume", "", "checkpoint manifest path: journal finished runs and skip them on re-run")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget per run (0 = unbounded)")
 		maxEvents = flag.Uint64("max-events", 0, "simulation event budget per run (0 = unbounded)")
-		retries   = flag.Int("retries", 0, "retries for budget-exceeded runs, each with a doubled budget")
 	)
 	flag.Parse()
 
@@ -185,22 +182,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "uansim: introspection on http://%s (/metrics, /progress, /debug/pprof)\n", addr)
 	}
 
-	var manifest *runner.Manifest
-	if *resume != "" {
-		// The fingerprint pins every scenario input that determines the
-		// result; the protocol is part of each point's key, and budget
-		// settings may change freely between interrupted run and resume.
-		fp := fmt.Sprintf("uansim/v1|nodes=%d|sinks=%d|load=%g|bits=%d|side=%g|mobile=%g|sim=%s|seed=%d|faults=%s",
-			*nodes, *sinks, *load, *bits, *side, *mobile, simTime.String(), *seed, *faults)
-		m, err := runner.OpenManifest(*resume, fp)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "uansim: %v\n", err)
-			return 1
-		}
-		defer m.Close()
-		manifest = m
-	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -223,107 +204,68 @@ func run() int {
 	for _, p := range protos {
 		cfg := cfgFor(p)
 
-		// The run executes under the supervisor: panics surface as a
-		// quarantined record with a stack, budget aborts retry with a
-		// doubled budget, and with -resume a journaled completion is
-		// served without re-running. Output files are staged inside the
-		// attempt, so a retried attempt discards its predecessor's
-		// partial writes instead of interleaving with them.
-		var (
-			res       *ewmac.Result
-			commitObs func() error
-			abortObs  func()
-		)
+		// The run executes under the supervisor: a panic surfaces as a
+		// quarantined record with a stack, and a budget abort as a failed
+		// one. Output files are staged for the run and published only
+		// when it completes.
+		obsCfg, commitObs, abortObs, err := observeFor(*trace, *spans, *slotprof, *timeseries, *report, *sample)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "uansim: %v\n", err)
+			return 1
+		}
+		cfg.Observe = obsCfg
+		if *verify {
+			if cfg.Observe == nil {
+				cfg.Observe = &experiment.Observe{}
+			}
+			cfg.Observe.Verify = true
+		}
+		if live != nil {
+			if cfg.Observe == nil {
+				cfg.Observe = &experiment.Observe{}
+			}
+			cfg.Observe.Recorder = obs.Multi(cfg.Observe.Recorder, live)
+			live.SetRun(p.DisplayName(), cfg.Seed, cfg.Nodes)
+		}
+		var res *ewmac.Result
 		pf := func(_ runner.Key, b sim.Budget) (metrics.Summary, error) {
-			if abortObs != nil {
-				abortObs()
-			}
-			obsCfg, commit, abort, err := observeFor(*trace, *spans, *slotprof, *timeseries, *report, *sample)
-			if err != nil {
-				return metrics.Summary{}, err
-			}
-			commitObs, abortObs = commit, abort
-			c := cfg
-			c.Observe = obsCfg
-			if *verify {
-				if c.Observe == nil {
-					c.Observe = &experiment.Observe{}
-				}
-				c.Observe.Verify = true
-			}
-			if live != nil {
-				if c.Observe == nil {
-					c.Observe = &experiment.Observe{}
-				}
-				c.Observe.Recorder = obs.Multi(c.Observe.Recorder, live)
-				live.SetRun(p.DisplayName(), c.Seed, c.Nodes)
-			}
-			c.Budget = b
-			r, err := ewmac.Run(c)
+			cfg.Budget = b
+			r, err := ewmac.Run(cfg)
 			if err != nil {
 				return metrics.Summary{}, err
 			}
 			res = r
 			return r.Summary, nil
 		}
-		rec, supErr := runner.Supervise(
+		rec := runner.Supervise(
 			runner.Key{Sweep: "uansim", Protocol: string(p), X: *load}, pf,
 			runner.Options{
-				Manifest: manifest,
-				Budget:   sim.Budget{Deadline: *deadline, MaxEvents: *maxEvents},
-				Retries:  *retries,
-				OnEvent:  func(line string) { fmt.Fprintln(os.Stderr, "  "+line) },
+				Budget:  sim.Budget{Deadline: *deadline, MaxEvents: *maxEvents},
+				OnEvent: func(line string) { fmt.Fprintln(os.Stderr, "  "+line) },
 			})
-
-		// Publish the observability files only for a freshly-executed
-		// run; a resumed or failed run must leave previous outputs
-		// intact rather than clobber them with empty files. (A resumed
-		// run never entered pf, so the closures may still be nil.)
-		if rec.Resumed || rec.Status != runner.StatusDone {
-			if abortObs != nil {
-				abortObs()
-			}
-		} else if commitObs != nil {
-			if err := commitObs(); err != nil {
-				fmt.Fprintf(os.Stderr, "uansim: %v\n", err)
-				return 1
-			}
-		}
-		if supErr != nil {
-			fmt.Fprintf(os.Stderr, "uansim: %v\n", supErr)
-			return 1
-		}
 		if rec.Status != runner.StatusDone {
+			abortObs()
 			fmt.Fprintf(os.Stderr, "uansim: %s: %s\n", p.DisplayName(), rec.Error)
 			if rec.Stack != "" {
 				fmt.Fprint(os.Stderr, rec.Stack)
 			}
 			return 1
 		}
-
-		if *report != "" && res != nil {
-			if res.Report != nil {
-				res.Report.Supervision = &obs.SupervisionStats{
-					Attempts:     rec.Attempts,
-					Retries:      rec.Retries,
-					BudgetAborts: rec.BudgetAborts,
-					Resumed:      rec.Resumed,
-				}
-			}
+		if err := commitObs(); err != nil {
+			fmt.Fprintf(os.Stderr, "uansim: %v\n", err)
+			return 1
+		}
+		if *report != "" {
 			if err := writeReport(*report, res.Report); err != nil {
 				fmt.Fprintf(os.Stderr, "uansim: report: %v\n", err)
 				return 1
 			}
 		}
-		s := *rec.Summary
-		fmt.Printf("%-8s %10.4f %8.1f %10.2f %9.1f %12d %9d",
+		s := res.Summary
+		fmt.Printf("%-8s %10.4f %8.1f %10.2f %9.1f %12d %9d\n",
 			p.DisplayName(), s.ThroughputKbps, 100*s.DeliveryRatio,
 			s.ExecutionTime.Seconds(), s.MeanPowerMW, s.OverheadBits, s.PHY.Collisions)
-		if rec.Resumed {
-			fmt.Print("  (resumed)")
-		}
-		fmt.Println()
-		if *verify && res != nil && res.Conformance != nil {
+		if *verify && res.Conformance != nil {
 			st := res.Conformance
 			if st.Violations == 0 {
 				fmt.Printf("  conformance: ok (%d receptions, %d losses checked; peak index %d arrivals / %d tx spans)\n",
@@ -350,7 +292,7 @@ func run() int {
 				fmt.Printf("  recovery: suspects=%d deads=%d resurrections=%d watchdog-resets=%d\n",
 					s.MAC.SuspectMarks, s.MAC.DeadMarks, s.MAC.Resurrections, s.MAC.WatchdogResets)
 			}
-			if res != nil && res.Resilience != nil {
+			if res.Resilience != nil {
 				r := res.Resilience
 				if scenario != nil {
 					fmt.Printf("  resilience: episodes=%d recovered=%d meanTTR=%.1fs degraded=%.1fs (delivery ratio %.2f) stranded=%d\n",
@@ -362,15 +304,9 @@ func run() int {
 						r.OverloadEpisodes, r.OverloadS, r.ShedPackets, r.RetryDeferrals)
 				}
 			}
-			if res != nil {
-				fmt.Printf("  topology: mean degree=%.1f max pair delay=%v\n",
-					res.MeanDegree, res.MaxPairDelay.Truncate(time.Millisecond))
-			}
+			fmt.Printf("  topology: mean degree=%.1f max pair delay=%v\n",
+				res.MeanDegree, res.MaxPairDelay.Truncate(time.Millisecond))
 			fmt.Printf("  fairness (Jain): %.3f\n", s.Fairness)
-			if rec.Retries > 0 || rec.BudgetAborts > 0 {
-				fmt.Printf("  supervision: attempts=%d retries=%d budget-aborts=%d\n",
-					rec.Attempts, rec.Retries, rec.BudgetAborts)
-			}
 		}
 	}
 
@@ -463,11 +399,6 @@ func runAdversary(protos []ewmac.Protocol, scenario *fault.Scenario,
 // stream consumer buffers its own output and drains it when the run
 // ends, so the staged files are handed over unbuffered.
 func observeFor(trace, spans, slotprof, timeseries, report string, sample time.Duration) (*experiment.Observe, func() error, func(), error) {
-	nop := func() error { return nil }
-	if trace == "" && spans == "" && slotprof == "" && timeseries == "" && report == "" {
-		return nil, nop, func() {}, nil
-	}
-	o := &experiment.Observe{SampleEvery: sample, Report: report != ""}
 	var staged []*obs.AtomicFile
 	commit := func() error {
 		for _, a := range staged {
@@ -482,44 +413,24 @@ func observeFor(trace, spans, slotprof, timeseries, report string, sample time.D
 			a.Abort()
 		}
 	}
-	open := func(path string) (*obs.AtomicFile, error) {
-		a, err := obs.CreateAtomic(path)
+	if trace == "" && spans == "" && slotprof == "" && timeseries == "" && report == "" {
+		return nil, commit, abort, nil
+	}
+	o := &experiment.Observe{SampleEvery: sample, Report: report != ""}
+	for _, out := range []struct {
+		path string
+		w    *io.Writer
+	}{{trace, &o.Trace}, {spans, &o.Spans}, {slotprof, &o.SlotProfile}, {timeseries, &o.TimeSeries}} {
+		if out.path == "" {
+			continue
+		}
+		a, err := obs.CreateAtomic(out.path)
 		if err != nil {
-			return nil, err
+			abort()
+			return nil, nil, nil, err
 		}
 		staged = append(staged, a)
-		return a, nil
-	}
-	if trace != "" {
-		w, err := open(trace)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		o.Trace = w
-	}
-	if spans != "" {
-		w, err := open(spans)
-		if err != nil {
-			abort()
-			return nil, nil, nil, err
-		}
-		o.Spans = w
-	}
-	if slotprof != "" {
-		w, err := open(slotprof)
-		if err != nil {
-			abort()
-			return nil, nil, nil, err
-		}
-		o.SlotProfile = w
-	}
-	if timeseries != "" {
-		w, err := open(timeseries)
-		if err != nil {
-			abort()
-			return nil, nil, nil, err
-		}
-		o.TimeSeries = w
+		*out.w = a
 	}
 	return o, commit, abort, nil
 }

@@ -28,9 +28,9 @@ type Options struct {
 	SimTime time.Duration
 	// Progress, if non-nil, receives one line per data point. Points run
 	// concurrently, so lines are emitted during final table assembly, in
-	// deterministic x-ascending, protocol-column order. Supervision
-	// events (retries, quarantines, resume hits) are also forwarded as
-	// they happen, so those lines are not order-deterministic.
+	// deterministic x-ascending, protocol-column order. Quarantines are
+	// also forwarded as they happen, so those lines are not
+	// order-deterministic.
 	Progress func(string)
 	// Workers bounds how many (x-value × protocol) points of one sweep
 	// are in flight at once (0 = GOMAXPROCS; 1 = serial). A point runs
@@ -40,15 +40,9 @@ type Options struct {
 	// engine and the table is assembled in a fixed order after all
 	// points finish.
 	Workers int
-	// Manifest, when non-nil, checkpoints every finished point and
-	// serves already-completed points on resume. One manifest may span
-	// several figures: points are keyed by figure ID.
-	Manifest *runner.Manifest
 	// Budget bounds each point's run (zero = unbounded, livelock
-	// watchdog still armed); Retries governs re-execution of
-	// budget-aborted points with an exponentially loosened budget.
-	Budget  sim.Budget
-	Retries int
+	// watchdog still armed). A point that exceeds it is quarantined.
+	Budget sim.Budget
 	// Live, when non-nil, receives every run's event stream plus the
 	// sweep's point-completion progress, feeding the -http
 	// introspection server. Live locks a mutex per event, so attach it
@@ -56,10 +50,7 @@ type Options struct {
 	Live *obs.Live
 	// Faults applies one fault-injection scenario to every sweep point,
 	// regenerating the paper's figures under adverse conditions; nil
-	// keeps the fault-free baseline. The scenario is part of a point's
-	// identity, so manifests built with different scenarios must use
-	// different fingerprints (cmd/figures folds the scenario into its
-	// fingerprint).
+	// keeps the fault-free baseline.
 	Faults *fault.Scenario
 }
 
@@ -162,12 +153,11 @@ func sweep(id, title, xlabel, ylabel string, xs []float64, opts Options,
 
 	// Every (x-value × protocol) point goes through the runner's
 	// supervised pool: a panicking or budget-exhausted point is
-	// quarantined as a NaN cell instead of aborting the figure, finished
-	// points checkpoint to the manifest, and resumed points are served
-	// from it. Each point runs with its own engines, so results are
-	// independent of completion order; determinism comes from assembling
-	// the table (and computing the S-FAMA-relative reductions)
-	// afterwards in fixed x-ascending, protocol-column order.
+	// quarantined as a NaN cell instead of aborting the figure. Each
+	// point runs with its own engines, so results are independent of
+	// completion order; determinism comes from assembling the table (and
+	// computing the S-FAMA-relative reductions) afterwards in fixed
+	// x-ascending, protocol-column order.
 	np := len(t.Protocols)
 	keys := make([]runner.Key, 0, len(t.X)*np)
 	for _, x := range t.X {
@@ -190,19 +180,15 @@ func sweep(id, title, xlabel, ylabel string, xs []float64, opts Options,
 		return experiment.RunMean(cfg, opts.Seeds)
 	}
 	ropts := runner.Options{
-		Workers:  opts.Workers,
-		Manifest: opts.Manifest,
-		Budget:   opts.Budget,
-		Retries:  opts.Retries,
-		OnEvent:  opts.Progress,
+		Workers: opts.Workers,
+		Budget:  opts.Budget,
+		OnEvent: opts.Progress,
 	}
 	if opts.Live != nil {
 		ropts.OnPoint = func(done, total int) { opts.Live.Progress(done, total, id) }
 	}
-	recs, stats, err := runner.Sweep(keys, pf, ropts)
-	if err != nil {
-		return nil, fmt.Errorf("figures %s: %w", id, err)
-	}
+	// Sweep's error is always nil: a failed point is a quarantined record.
+	recs, stats, _ := runner.Sweep(keys, pf, ropts)
 	t.Stats = stats
 
 	spi := 0

@@ -1,12 +1,14 @@
 package figures
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"ewmac/internal/experiment"
 	"ewmac/internal/metrics"
+	"ewmac/internal/sim"
 )
 
 func quickOpts() Options {
@@ -125,6 +127,39 @@ func TestFigure6QuickShape(t *testing.T) {
 	for i, v := range f11.Y[experiment.ProtocolSFAMA] {
 		if v != 1 {
 			t.Errorf("S-FAMA efficiency index at %v = %v, want 1", f11.X[i], v)
+		}
+	}
+}
+
+// TestSweepQuarantineAssembles: under an impossible budget every point
+// is quarantined, yet the figure still assembles — NaN cells, populated
+// Failed map, nil error.
+func TestSweepQuarantineAssembles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep is seconds-long")
+	}
+	opts := Options{
+		Seeds:   []int64{1},
+		SimTime: 30 * time.Second,
+		Workers: 2,
+		Budget:  sim.Budget{MaxEvents: 10},
+	}
+	tab, err := testSweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(tab.X) * len(tab.Protocols)
+	if tab.Stats.Quarantined != want {
+		t.Fatalf("stats = %+v, want all %d points quarantined", tab.Stats, want)
+	}
+	if tab.Failed == nil {
+		t.Fatal("Failed map empty despite quarantines")
+	}
+	for _, p := range tab.Protocols {
+		for i, y := range tab.Y[p] {
+			if !math.IsNaN(y) {
+				t.Errorf("%s Y[%d] = %v, want NaN for quarantined cell", p, i, y)
+			}
 		}
 	}
 }

@@ -1,25 +1,17 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
-// This file holds the crash-safe persistence primitives shared by every
-// result writer in the repo: the trace/time-series exporters, the
-// figure-table CSV writer, the benchmark JSON writer, and the runner's
-// checkpoint manifest. Two shapes cover all of them:
-//
-//   - AtomicFile / WriteFileAtomic: whole-file outputs published with
-//     temp-file + fsync + rename, so a killed process leaves either the
-//     previous complete file or the new complete file, never a torn one.
-//   - AppendJSONL: an append-only journal whose every record is fsync'd,
-//     so a killed process loses at most the record being written (a torn
-//     final line, which readers must tolerate).
+// This file holds the crash-safe write shared by every result writer
+// in the repo: the trace/time-series exporters, the run report, the
+// figure-table CSV writer and the benchmark JSON writer. Each publishes
+// a whole file with temp-file + fsync + rename, so a killed process
+// leaves either the previous complete file or the new complete file,
+// never a torn one.
 
 // AtomicFile is an io.WriteCloser that stages writes in a temp file in
 // the destination directory and publishes them at Close via fsync +
@@ -104,66 +96,4 @@ func syncDir(dir string) error {
 	defer d.Close()
 	d.Sync()
 	return nil
-}
-
-// AppendJSONL is a crash-safe append-only JSONL journal: each Append
-// marshals one record, writes it with a trailing newline, and fsyncs
-// before returning, so an acknowledged record survives SIGKILL. It is
-// safe for concurrent use.
-type AppendJSONL struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-// CreateJSONL truncates (or creates) the journal at path.
-func CreateJSONL(path string) (*AppendJSONL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("obs: journal create %s: %w", path, err)
-	}
-	return &AppendJSONL{f: f}, nil
-}
-
-// OpenJSONLAt reopens an existing journal for appending after byte
-// offset valid — everything past it (a torn final line from a killed
-// writer) is truncated away so the next record starts on a clean line.
-func OpenJSONLAt(path string, valid int64) (*AppendJSONL, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("obs: journal open %s: %w", path, err)
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("obs: journal truncate %s: %w", path, err)
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("obs: journal seek %s: %w", path, err)
-	}
-	return &AppendJSONL{f: f}, nil
-}
-
-// Append journals one record durably.
-func (a *AppendJSONL) Append(v any) error {
-	line, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("obs: journal marshal: %w", err)
-	}
-	line = append(line, '\n')
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, err := a.f.Write(line); err != nil {
-		return fmt.Errorf("obs: journal append: %w", err)
-	}
-	if err := a.f.Sync(); err != nil {
-		return fmt.Errorf("obs: journal sync: %w", err)
-	}
-	return nil
-}
-
-// Close closes the journal file.
-func (a *AppendJSONL) Close() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.f.Close()
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -55,55 +53,5 @@ func TestAtomicFileAbortLeavesDestinationUntouched(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 {
 		t.Errorf("temp file leaked: %d entries", len(ents))
-	}
-}
-
-func TestAppendJSONLAndReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	j, err := CreateJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type rec struct {
-		N int `json:"n"`
-	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append(rec{N: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := os.ReadFile(path)
-	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("journal has %d lines, want 3: %q", len(lines), raw)
-	}
-
-	// Simulate a SIGKILL mid-write: append torn garbage, then reopen at
-	// the last valid offset — the torn tail must be gone and the next
-	// record must land on a clean line.
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	f.WriteString(`{"n":99`)
-	f.Close()
-	valid := int64(len(raw))
-	j2, err := OpenJSONLAt(path, valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Append(rec{N: 3}); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	raw, _ = os.ReadFile(path)
-	lines = strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("after reopen journal has %d lines: %q", len(lines), raw)
-	}
-	var last rec
-	if err := json.Unmarshal([]byte(lines[3]), &last); err != nil || last.N != 3 {
-		t.Errorf("last line = %q (%v), want n=3", lines[3], err)
 	}
 }

@@ -268,10 +268,6 @@ type RunReport struct {
 	EngineEventsPerS float64 `json:"engine_events_per_wall_s"`
 	VirtualWallRatio float64 `json:"virtual_wall_ratio"`
 
-	// Supervision is filled by the runner layer when the run executed
-	// under supervision (budgets, retry, resume); nil otherwise.
-	Supervision *SupervisionStats `json:"supervision,omitempty"`
-
 	// Resilience is filled by the experiment layer on fault-injected
 	// runs from the resilience tracker; nil otherwise.
 	Resilience *ResilienceStats `json:"resilience,omitempty"`
@@ -330,21 +326,6 @@ type ResilienceStats struct {
 	// here so the resilience summary answers "did the protocol stay
 	// safe under faults", not just "did it stay live".
 	OracleViolations uint64 `json:"oracle_violations,omitempty"`
-}
-
-// SupervisionStats records how the runner supervision layer treated a
-// point: how many attempts it took, how many were budget aborts, and
-// whether the result was restored from a checkpoint manifest instead
-// of recomputed.
-type SupervisionStats struct {
-	// Attempts counts executions, including the successful one.
-	Attempts int `json:"attempts"`
-	// Retries counts re-executions after a transient (budget) abort.
-	Retries int `json:"retries"`
-	// BudgetAborts counts attempts ended by sim.ErrBudgetExceeded.
-	BudgetAborts int `json:"budget_aborts,omitempty"`
-	// Resumed reports the result came from the manifest, not a run.
-	Resumed bool `json:"resumed,omitempty"`
 }
 
 // Report reduces the collected counters to a RunReport. durationS is
@@ -515,11 +496,6 @@ func (r *RunReport) WriteProm(w io.Writer) error {
 	scalar("uasn_engine_events", "Discrete events executed.", "counter", float64(r.EngineEvents))
 	scalar("uasn_engine_events_per_wall_second", "Engine speed.", "gauge", r.EngineEventsPerS)
 	scalar("uasn_virtual_wall_ratio", "Simulated seconds per wall second.", "gauge", r.VirtualWallRatio)
-	if s := r.Supervision; s != nil {
-		scalar("uasn_run_attempts", "Supervised executions of this point.", "counter", float64(s.Attempts))
-		scalar("uasn_run_retries", "Re-executions after transient aborts.", "counter", float64(s.Retries))
-		scalar("uasn_run_budget_aborts", "Attempts ended by the run budget.", "counter", float64(s.BudgetAborts))
-	}
 	if rs := r.Resilience; rs != nil {
 		scalar("uasn_fault_episodes", "Paired inject/clear fault windows.", "counter", float64(rs.Episodes))
 		scalar("uasn_fault_episodes_recovered", "Episodes with post-clear progress.", "counter", float64(rs.Recovered))

@@ -56,24 +56,6 @@ func (b Budget) Enabled() bool {
 	return b.Deadline > 0 || b.MaxEvents > 0 || b.LivelockEvents > 0
 }
 
-// Scale returns the budget loosened by factor (deadline and event cap
-// multiplied; the livelock window is a correctness bound, not a size
-// bound, and stays fixed). Retry supervisors use it to give a
-// budget-aborted point more room on the next attempt.
-func (b Budget) Scale(factor uint64) Budget {
-	if factor <= 1 {
-		return b
-	}
-	out := b
-	if b.Deadline > 0 {
-		out.Deadline = b.Deadline * time.Duration(factor)
-	}
-	if b.MaxEvents > 0 {
-		out.MaxEvents = b.MaxEvents * factor
-	}
-	return out
-}
-
 // BudgetError reports which budget a run exhausted and where it stood.
 // It wraps ErrBudgetExceeded.
 type BudgetError struct {

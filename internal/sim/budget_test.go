@@ -105,20 +105,14 @@ func TestBudgetRunUntilDoesNotAdvancePastAbort(t *testing.T) {
 	}
 }
 
-func TestBudgetScale(t *testing.T) {
-	b := Budget{Deadline: time.Second, MaxEvents: 100, LivelockEvents: 10}
-	s := b.Scale(4)
-	if s.Deadline != 4*time.Second || s.MaxEvents != 400 {
-		t.Errorf("Scale(4) = %+v", s)
-	}
-	if s.LivelockEvents != 10 {
-		t.Errorf("LivelockEvents scaled to %d, want fixed 10", s.LivelockEvents)
-	}
+func TestBudgetEnabled(t *testing.T) {
 	if z := (Budget{}); z.Enabled() {
 		t.Error("zero budget reports enabled")
 	}
-	if !b.Enabled() {
-		t.Error("non-zero budget reports disabled")
+	for _, b := range []Budget{{Deadline: time.Second}, {MaxEvents: 100}, {LivelockEvents: 10}} {
+		if !b.Enabled() {
+			t.Errorf("%+v reports disabled", b)
+		}
 	}
 }
 
