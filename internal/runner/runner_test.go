@@ -137,3 +137,61 @@ func TestSupervisePanicInRunMean(t *testing.T) {
 		t.Errorf("quarantine stack does not name experiment.Run:\n%s", rec.Stack)
 	}
 }
+
+// TestSuperviseRetryBudget: a budget abort is not retried. The point
+// runs once under the configured budget, unscaled and with the livelock
+// watchdog armed, and its record is quarantined with the budget error.
+func TestSuperviseRetryBudget(t *testing.T) {
+	var budgets []sim.Budget
+	var abort error
+	run := func(_ Key, b sim.Budget) (metrics.Summary, error) {
+		budgets = append(budgets, b)
+		abort = &sim.BudgetError{Reason: sim.BudgetMaxEvents, Events: b.MaxEvents}
+		return metrics.Summary{}, abort
+	}
+	var events []string
+	rec := Supervise(Key{Sweep: "s", Protocol: "p"}, run, Options{
+		Budget:  sim.Budget{MaxEvents: 100},
+		OnEvent: func(s string) { events = append(events, s) },
+	})
+	if len(budgets) != 1 {
+		t.Fatalf("budget-aborted point was called %d times, want 1 (no retry)", len(budgets))
+	}
+	if b := budgets[0]; b.MaxEvents != 100 || b.LivelockEvents != sim.DefaultLivelockEvents {
+		t.Errorf("budget = %+v, want MaxEvents 100 with the livelock watchdog armed", b)
+	}
+	if !errors.Is(abort, sim.ErrBudgetExceeded) {
+		t.Fatalf("%v does not wrap sim.ErrBudgetExceeded", abort)
+	}
+	if rec.Status != StatusFailed || rec.Panicked || rec.Summary != nil || rec.Error != abort.Error() {
+		t.Errorf("record = %+v, want failed with %q", rec, abort)
+	}
+	if len(events) != 1 || !strings.Contains(events[0], "QUARANTINED") {
+		t.Errorf("events = %q, want one quarantine line", events)
+	}
+}
+
+// TestSuperviseRetriesExhausted: a point that never fits its budget and
+// a point returning a plain error are each quarantined after exactly
+// one call.
+func TestSuperviseRetriesExhausted(t *testing.T) {
+	calls := 0
+	alwaysAbort := func(Key, sim.Budget) (metrics.Summary, error) {
+		calls++
+		return metrics.Summary{}, &sim.BudgetError{Reason: sim.BudgetDeadline}
+	}
+	rec := Supervise(Key{}, alwaysAbort, Options{})
+	if calls != 1 || rec.Status != StatusFailed || rec.Panicked || !strings.Contains(rec.Error, sim.BudgetDeadline) {
+		t.Errorf("always-aborting record = %+v after %d calls, want failed on the one call", rec, calls)
+	}
+
+	calls = 0
+	plainErr := func(Key, sim.Budget) (metrics.Summary, error) {
+		calls++
+		return metrics.Summary{}, errors.New("config rejected")
+	}
+	rec = Supervise(Key{}, plainErr, Options{})
+	if calls != 1 || rec.Status != StatusFailed || rec.Panicked || rec.Error != "config rejected" {
+		t.Errorf("plain-error record = %+v after %d calls, want failed with no retry", rec, calls)
+	}
+}
