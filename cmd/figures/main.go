@@ -1,10 +1,16 @@
 // Command figures regenerates the paper's evaluation tables and
 // figures. With no arguments it runs everything; otherwise pass any of
-// table2, fig6, fig7, fig8, fig9a, fig9b, fig10a, fig10b, fig11.
+// table2, fig6, fig7, fig8, fig9a, fig9b, fig10a, fig10b, fig11,
+// ext-pktsize.
 //
 //	figures -seeds 3 -sim 300s -workers 8 -csv out/ fig6 fig11
 //	figures -deadline 10m -max-events 200000000
 //	figures -faults examples/faults/chaos.json  # every figure under faults
+//
+// The selected figures run as one plan: a point (protocol, sensors,
+// load, payload) that several figures share runs once, and -workers
+// bounds the points in flight. Figure 11 reuses every Figure 6 point,
+// so the nine figures' 220 table cells take 140 runs.
 //
 // -deadline/-max-events bound each point's run, and the livelock
 // watchdog is always armed. A point that panics or exceeds its budget
@@ -17,9 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"ewmac/internal/fault"
@@ -39,7 +43,7 @@ func run() int {
 		faults  = flag.String("faults", "", "fault-injection scenario JSON applied to every sweep point (see examples/faults/)")
 		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files (optional)")
 		quiet   = flag.Bool("q", false, "suppress progress lines")
-		workers = flag.Int("workers", 0, "max figures in flight, and max points in flight per figure (0 = GOMAXPROCS); a point runs its seeds one after another")
+		workers = flag.Int("workers", 0, "max points in flight (0 = GOMAXPROCS); a point runs its seeds one after another, and a point that several selected figures share runs once")
 
 		httpAddr  = flag.String("http", "", "serve live sweep introspection (/metrics, /progress, /debug/pprof) on this address")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget per sweep point (0 = unbounded)")
@@ -74,13 +78,8 @@ func run() int {
 		opts.Live = live
 	}
 
-	var progressMu sync.Mutex
 	if !*quiet {
-		opts.Progress = func(line string) {
-			progressMu.Lock()
-			defer progressMu.Unlock()
-			fmt.Fprintln(os.Stderr, "  "+line)
-		}
+		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
 	}
 
 	want := map[string]bool{}
@@ -93,78 +92,46 @@ func run() int {
 		fmt.Println(figures.Table2())
 	}
 
-	type figJob struct {
-		id  string
-		run func(figures.Options) (*figures.Table, error)
-	}
-	var selected []figJob
+	var ids []string
 	for _, fg := range figures.All() {
 		if all || want[fg.ID] {
-			selected = append(selected, figJob{fg.ID, fg.Run})
+			ids = append(ids, fg.ID)
 		}
 	}
-
-	// Figures run concurrently too; the per-point worker pool inside each
-	// sweep and the process-wide run gate in the runner package keep
-	// total CPU use bounded regardless of how many figures are in flight.
-	// Output stays in selection order: each figure's results print as
-	// soon as it and all its predecessors are done.
-	type figRes struct {
-		t    *figures.Table
-		err  error
-		took time.Duration
-	}
-	figPar := *workers
-	if figPar <= 0 {
-		figPar = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, figPar)
-	results := make([]figRes, len(selected))
-	done := make([]chan struct{}, len(selected))
-	for i := range selected {
-		done[i] = make(chan struct{})
-		go func(i int) {
-			defer close(done[i])
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			t, err := selected[i].run(opts)
-			results[i] = figRes{t: t, err: err, took: time.Since(start)}
-		}(i)
+	if len(ids) == 0 {
+		return 0
 	}
 
-	quarantined := 0
-	for i, fg := range selected {
-		<-done[i]
-		r := results[i]
-		if r.err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", fg.id, r.err)
-			return 1
-		}
-		fmt.Println(r.t.Render())
-		fmt.Fprintf(os.Stderr, "  (%s took %v)\n", fg.id, r.took.Truncate(time.Millisecond))
-		if r.t.Failed != nil {
-			quarantined += r.t.Stats.Quarantined
-			for _, p := range r.t.Protocols {
-				for _, msg := range r.t.Failed[p] {
-					fmt.Fprintf(os.Stderr, "  WARNING %s %s: %s\n", fg.id, p.DisplayName(), msg)
-				}
+	// One plan runs every distinct point of the selected figures once;
+	// the tables come back in selection order.
+	start := time.Now()
+	tabs, stats, err := figures.Plan(ids, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(os.Stderr, "  (%d figure(s), %d distinct point(s) took %v)\n",
+		len(ids), stats.Points, time.Since(start).Truncate(time.Millisecond))
+	for i, t := range tabs {
+		fmt.Println(t.Render())
+		for _, p := range t.Protocols {
+			for _, msg := range t.Failed[p] {
+				fmt.Fprintf(os.Stderr, "  WARNING %s %s: %s\n", ids[i], p.DisplayName(), msg)
 			}
 		}
 		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-				return 1
+			err := os.MkdirAll(*csvDir, 0o755)
+			if err == nil {
+				err = obs.WriteFileAtomic(filepath.Join(*csvDir, ids[i]+".csv"), []byte(t.CSV()))
 			}
-			path := filepath.Join(*csvDir, fg.id+".csv")
-			if err := obs.WriteFileAtomic(path, []byte(r.t.CSV())); err != nil {
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 				return 1
 			}
 		}
 	}
-	if quarantined > 0 {
-		fmt.Fprintf(os.Stderr, "figures: %d point(s) quarantined; their cells are NaN\n", quarantined)
+	if stats.Quarantined > 0 {
+		fmt.Fprintf(os.Stderr, "figures: %d point(s) quarantined; their cells are NaN\n", stats.Quarantined)
 		return 3
 	}
 	return 0

@@ -1,13 +1,15 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation section (§5). Each Figure function runs the corresponding
-// parameter sweep across all four protocols and returns a Table whose
-// rows mirror the published plot's series.
+// evaluation section (§5). Each figure is a spec: a parameter sweep
+// across all four protocols and a reduction to the Table whose rows
+// mirror the published plot's series. Plan runs any selection of
+// figures as one plan, running each distinct point once; each Figure
+// function is a plan of one.
 package figures
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,25 +28,25 @@ type Options struct {
 	// SimTime overrides the per-run simulated duration (default: the
 	// paper's 300 s).
 	SimTime time.Duration
-	// Progress, if non-nil, receives one line per data point. Points run
-	// concurrently, so lines are emitted during final table assembly, in
-	// deterministic x-ascending, protocol-column order. Quarantines are
-	// also forwarded as they happen, so those lines are not
+	// Progress, if non-nil, receives one line per table cell. Points run
+	// concurrently, so lines are emitted after the whole plan finishes,
+	// figure by figure in selection order, each in deterministic
+	// x-ascending, protocol-column order. Quarantines are also forwarded
+	// as they happen, once per distinct point, so those lines are not
 	// order-deterministic.
 	Progress func(string)
-	// Workers bounds how many (x-value × protocol) points of one sweep
-	// are in flight at once (0 = GOMAXPROCS; 1 = serial). A point runs
-	// its seeds one after another, and every point attempt in the
-	// process passes the runner's one GOMAXPROCS-sized run gate.
-	// Results are identical for any value: each run owns an independent
-	// engine and the table is assembled in a fixed order after all
-	// points finish.
+	// Workers bounds how many distinct points of the plan are in flight
+	// at once (0 = GOMAXPROCS; 1 = serial). A point runs its seeds one
+	// after another, and every point attempt in the process passes the
+	// runner's one GOMAXPROCS-sized run gate. Results are identical for
+	// any value: each run owns an independent engine and the tables are
+	// assembled in a fixed order after all points finish.
 	Workers int
 	// Budget bounds each point's run (zero = unbounded, livelock
 	// watchdog still armed). A point that exceeds it is quarantined.
 	Budget sim.Budget
 	// Live, when non-nil, receives every run's event stream plus the
-	// sweep's point-completion progress, feeding the -http
+	// plan's point-completion progress, feeding the -http
 	// introspection server. Live locks a mutex per event, so attach it
 	// only when a server is actually wanted.
 	Live *obs.Live
@@ -79,7 +81,9 @@ type Table struct {
 	// Failed lists quarantined cells per protocol ("x=…: reason"); nil
 	// when every point completed.
 	Failed map[experiment.Protocol][]string
-	// Stats summarize the supervised sweep that produced the table.
+	// Stats count the table's cells and how many completed or were
+	// quarantined. A point shared with another figure of the same plan
+	// counts in each; Plan's own stats count it once.
 	Stats runner.Stats
 }
 
@@ -129,53 +133,159 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// pointFunc configures one run for an x value; reduce maps its summary
-// (plus the same-x S-FAMA baseline summary, for ratio figures) to y.
-type pointFunc func(p experiment.Protocol, x float64) experiment.Config
+// spec is one figure as data: its labels, its x values, how an x value
+// sets up a run, and how a run's summary reduces to the plotted y.
+type spec struct {
+	// name is the short ID that All and cmd/figures select by.
+	name                      string
+	id, title, xlabel, ylabel string
+	xs                        []float64
+	// set applies x to experiment.Default(p).
+	set func(cfg *experiment.Config, x float64)
+	// reduce maps a point's summary (plus the same-x S-FAMA summary,
+	// for ratio figures) to y.
+	reduce func(s, baseline metrics.Summary) float64
+	// needBaseline marks figures whose reduce divides by the same-x
+	// S-FAMA summary: when the baseline point is quarantined, the whole
+	// x-row is.
+	needBaseline bool
+}
 
-type reduceFunc func(s, baseline metrics.Summary) float64
+// loadAt sweeps the offered load over nodes sensors; nodesAt sweeps the
+// sensor count at load kbps.
+func loadAt(nodes int) func(*experiment.Config, float64) {
+	return func(cfg *experiment.Config, x float64) { cfg.Nodes, cfg.OfferedLoadKbps = nodes, x }
+}
 
-// needBaseline marks sweeps whose reduce divides by the same-x S-FAMA
-// summary: when the baseline point is quarantined, the whole x-row is.
-func sweep(id, title, xlabel, ylabel string, xs []float64, opts Options,
-	point pointFunc, reduce reduceFunc, needBaseline bool) (*Table, error) {
-	opts.applyDefaults()
-	t := &Table{
-		ID:        id,
-		Title:     title,
-		XLabel:    xlabel,
-		YLabel:    ylabel,
-		Protocols: append([]experiment.Protocol(nil), experiment.Protocols...),
-		X:         append([]float64(nil), xs...),
-		Y:         make(map[experiment.Protocol][]float64),
+func nodesAt(load float64) func(*experiment.Config, float64) {
+	return func(cfg *experiment.Config, x float64) { cfg.Nodes, cfg.OfferedLoadKbps = int(x), load }
+}
+
+func throughput(s, _ metrics.Summary) float64 { return s.ThroughputKbps }
+func power(s, _ metrics.Summary) float64      { return s.MeanPowerMW }
+
+var (
+	figure6 = &spec{name: "fig6", id: "Figure 6", title: "Throughput at different offered loads",
+		xlabel: "load(kbps)", ylabel: "throughput(kbps)", set: loadAt(60), reduce: throughput,
+		xs: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}}
+	figure7 = &spec{name: "fig7", id: "Figure 7", title: "Throughput at different sensor densities",
+		xlabel: "nodes", ylabel: "throughput(kbps)", set: nodesAt(0.8), reduce: throughput,
+		xs: []float64{60, 80, 100, 120, 140}}
+	figure8 = &spec{name: "fig8", id: "Figure 8", title: "Execution time vs offered load",
+		xlabel: "load(kbps)", ylabel: "execution time(s)", set: loadAt(60),
+		reduce: func(s, _ metrics.Summary) float64 { return s.ExecutionTime.Seconds() },
+		xs:     []float64{0.01, 0.2, 0.4, 0.6, 0.8, 1.0}}
+	figure9a = &spec{name: "fig9a", id: "Figure 9a", title: "Power consumption vs offered load (80 sensors)",
+		xlabel: "load(kbps)", ylabel: "power(mW)", set: loadAt(80), reduce: power,
+		xs: []float64{0.1, 0.2, 0.4, 0.6, 0.8}}
+	figure9b = &spec{name: "fig9b", id: "Figure 9b", title: "Power consumption vs sensor count (0.3 kbps)",
+		xlabel: "nodes", ylabel: "power(mW)", set: nodesAt(0.3), reduce: power,
+		xs: []float64{60, 80, 100, 120}}
+	figure10a = &spec{name: "fig10a", id: "Figure 10a", title: "Overhead ratio vs sensor count (0.5 kbps)",
+		xlabel: "nodes", ylabel: "overhead(×S-FAMA)", set: nodesAt(0.5),
+		reduce: metrics.OverheadRatio, needBaseline: true,
+		xs: []float64{60, 80, 100, 120, 140}}
+	figure10b = &spec{name: "fig10b", id: "Figure 10b", title: "Overhead ratio vs offered load (200 sensors)",
+		xlabel: "load(kbps)", ylabel: "overhead(×S-FAMA)", set: loadAt(200),
+		reduce: metrics.OverheadRatio, needBaseline: true,
+		xs: []float64{0.4, 0.5, 0.6, 0.7, 0.8}}
+	figure11 = &spec{name: "fig11", id: "Figure 11", title: "Efficiency index vs offered load",
+		xlabel: "load(kbps)", ylabel: "efficiency(×S-FAMA)", set: loadAt(60),
+		reduce: metrics.EfficiencyIndex, needBaseline: true,
+		xs: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}}
+	figurePacketSize = &spec{name: "ext-pktsize", id: "Ext PacketSize", title: "Throughput vs data packet size (0.6 kbps)",
+		xlabel: "data(bits)", ylabel: "throughput(kbps)", reduce: throughput,
+		set: func(cfg *experiment.Config, x float64) { cfg.DataBits, cfg.OfferedLoadKbps = int(x), 0.6 },
+		xs:  []float64{1024, 1536, 2048, 3072, 4096}}
+
+	// specs lists every figure in paper order.
+	specs = []*spec{figure6, figure7, figure8, figure9a, figure9b,
+		figure10a, figure10b, figure11, figurePacketSize}
+)
+
+// run plans s alone.
+func (s *spec) run(opts Options) (*Table, error) {
+	tabs, _ := plan([]*spec{s}, opts)
+	return tabs[0], nil
+}
+
+// Plan runs the figures named by ids (All's IDs) as one plan and
+// returns their tables in the same order, plus the stats of the plan's
+// distinct points. A point that several figures share runs once.
+func Plan(ids []string, opts Options) ([]*Table, runner.Stats, error) {
+	sel := make([]*spec, len(ids))
+	for i, id := range ids {
+		j := slices.IndexFunc(specs, func(s *spec) bool { return s.name == id })
+		if j < 0 {
+			return nil, runner.Stats{}, fmt.Errorf("figures: unknown figure %q", id)
+		}
+		sel[i] = specs[j]
 	}
-	sort.Float64s(t.X)
+	tabs, stats := plan(sel, opts)
+	return tabs, stats, nil
+}
 
-	// Every (x-value × protocol) point goes through the runner's
-	// supervised pool: a panicking or budget-exhausted point is
-	// quarantined as a NaN cell instead of aborting the figure. Each
-	// point runs with its own engines, so results are independent of
-	// completion order; determinism comes from assembling the table (and
-	// computing the S-FAMA-relative reductions) afterwards in fixed
-	// x-ascending, protocol-column order.
-	np := len(t.Protocols)
-	keys := make([]runner.Key, 0, len(t.X)*np)
-	for _, x := range t.X {
-		for _, p := range t.Protocols {
-			keys = append(keys, runner.Key{Sweep: id, Protocol: string(p), X: x})
+// plan runs every (figure, x, protocol) cell of the selected figures
+// through one supervised runner.Sweep, one run per distinct point. A
+// cell's point is the config its figure's setter made from
+// experiment.Default; every other field comes from opts, so equal
+// setter configs are the same run by construction. Points go to the
+// runner in first-use order, so a one-figure plan submits its cells in
+// x-ascending, protocol-column order. A panicking or budget-exhausted
+// point is quarantined as NaN in every cell that uses it. Each point
+// runs with its own engines, so results are independent of completion
+// order; determinism comes from assembling each table (and its
+// S-FAMA-relative reductions) afterwards in fixed x-ascending,
+// protocol-column order.
+func plan(sel []*spec, opts Options) ([]*Table, runner.Stats) {
+	opts.applyDefaults()
+	protos := experiment.Protocols
+	np := len(protos)
+	spi := slices.Index(protos, experiment.ProtocolSFAMA)
+
+	var keys []runner.Key
+	cfgs := make(map[runner.Key]experiment.Config)
+	index := make(map[experiment.Config]int)
+	// cells[f][xi*np+pi] is the index into keys of figure f's cell.
+	cells := make([][]int, len(sel))
+	tabs := make([]*Table, len(sel))
+	ids := make([]string, len(sel))
+	for f, s := range sel {
+		t := &Table{
+			ID:        s.id,
+			Title:     s.title,
+			XLabel:    s.xlabel,
+			YLabel:    s.ylabel,
+			Protocols: slices.Clone(protos),
+			X:         slices.Clone(s.xs),
+			Y:         make(map[experiment.Protocol][]float64),
+		}
+		slices.Sort(t.X)
+		tabs[f], ids[f] = t, s.id
+		for _, x := range t.X {
+			for _, p := range protos {
+				cfg := experiment.Default(p)
+				s.set(&cfg, x)
+				i, ok := index[cfg]
+				if !ok {
+					i = len(keys)
+					index[cfg] = i
+					k := runner.Key{Sweep: s.id, Protocol: string(p), X: x}
+					keys = append(keys, k)
+					cfgs[k] = cfg
+				}
+				cells[f] = append(cells[f], i)
+			}
 		}
 	}
-	idx := func(xi, pi int) int { return xi*np + pi }
+
 	pf := func(k runner.Key, b sim.Budget) (metrics.Summary, error) {
-		cfg := point(experiment.Protocol(k.Protocol), k.X)
+		cfg := cfgs[k]
 		cfg.SimTime = opts.SimTime
 		cfg.Budget = b
 		cfg.Faults = opts.Faults
 		if opts.Live != nil {
-			if cfg.Observe == nil {
-				cfg.Observe = &experiment.Observe{}
-			}
-			cfg.Observe.Recorder = obs.Multi(cfg.Observe.Recorder, opts.Live)
+			cfg.Observe = &experiment.Observe{Recorder: opts.Live}
 		}
 		return experiment.RunMean(cfg, opts.Seeds)
 	}
@@ -185,162 +295,80 @@ func sweep(id, title, xlabel, ylabel string, xs []float64, opts Options,
 		OnEvent: opts.Progress,
 	}
 	if opts.Live != nil {
-		ropts.OnPoint = func(done, total int) { opts.Live.Progress(done, total, id) }
+		label := strings.Join(ids, ", ")
+		ropts.OnPoint = func(done, total int) { opts.Live.Progress(done, total, label) }
 	}
 	// Sweep's error is always nil: a failed point is a quarantined record.
 	recs, stats, _ := runner.Sweep(keys, pf, ropts)
-	t.Stats = stats
 
-	spi := 0
-	for pi, p := range t.Protocols {
-		if p == experiment.ProtocolSFAMA {
-			spi = pi
+	for f, s := range sel {
+		t, cell := tabs[f], cells[f]
+		t.Stats.Points = len(cell)
+		for xi, x := range t.X {
+			baseRec := recs[cell[xi*np+spi]]
+			var base metrics.Summary
+			if baseRec.Status == runner.StatusDone {
+				base = *baseRec.Summary
+			}
+			for pi, p := range protos {
+				r := recs[cell[xi*np+pi]]
+				var y float64
+				switch {
+				case r.Status != runner.StatusDone:
+					y = math.NaN()
+					t.fail(p, fmt.Sprintf("x=%g: %s", x, r.Error))
+				case s.needBaseline && baseRec.Status != runner.StatusDone:
+					y = math.NaN()
+					t.fail(p, fmt.Sprintf("x=%g: S-FAMA baseline quarantined: %s", x, baseRec.Error))
+				default:
+					y = s.reduce(*r.Summary, base)
+				}
+				if r.Status == runner.StatusDone {
+					t.Stats.Completed++
+				} else {
+					t.Stats.Quarantined++
+				}
+				t.Y[p] = append(t.Y[p], y)
+				if opts.Progress != nil {
+					opts.Progress(fmt.Sprintf("%s: %s x=%g y=%.4f", s.id, p.DisplayName(), x, y))
+				}
+			}
 		}
 	}
-	for xi, x := range t.X {
-		baseRec := recs[idx(xi, spi)]
-		var base metrics.Summary
-		if baseRec.Status == runner.StatusDone {
-			base = *baseRec.Summary
-		}
-		for pi, p := range t.Protocols {
-			r := recs[idx(xi, pi)]
-			var y float64
-			switch {
-			case r.Status != runner.StatusDone:
-				y = math.NaN()
-				t.fail(p, fmt.Sprintf("x=%g: %s", x, r.Error))
-			case needBaseline && baseRec.Status != runner.StatusDone:
-				y = math.NaN()
-				t.fail(p, fmt.Sprintf("x=%g: S-FAMA baseline quarantined: %s", x, baseRec.Error))
-			default:
-				y = reduce(*r.Summary, base)
-			}
-			t.Y[p] = append(t.Y[p], y)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("%s: %s x=%g y=%.4f", id, p.DisplayName(), x, y))
-			}
-		}
-	}
-	return t, nil
+	return tabs, stats
 }
 
 // Figure6 reproduces "Throughput at different offer loads": offered
 // load 0.1–1.0 kbps, 60 sensors.
-func Figure6(opts Options) (*Table, error) {
-	xs := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	return sweep("Figure 6", "Throughput at different offered loads",
-		"load(kbps)", "throughput(kbps)", xs, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.OfferedLoadKbps = x
-			return cfg
-		},
-		func(s, _ metrics.Summary) float64 { return s.ThroughputKbps }, false)
-}
+func Figure6(opts Options) (*Table, error) { return figure6.run(opts) }
 
 // Figure7 reproduces "Throughput at different network sensor
 // densities": 60–140 sensors at 0.8 kbps offered load.
-func Figure7(opts Options) (*Table, error) {
-	xs := []float64{60, 80, 100, 120, 140}
-	return sweep("Figure 7", "Throughput at different sensor densities",
-		"nodes", "throughput(kbps)", xs, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.Nodes = int(x)
-			cfg.OfferedLoadKbps = 0.8
-			return cfg
-		},
-		func(s, _ metrics.Summary) float64 { return s.ThroughputKbps }, false)
-}
+func Figure7(opts Options) (*Table, error) { return figure7.run(opts) }
 
 // Figure8 reproduces "Relationship between execution time and offer
 // load": mean time from generation to successful delivery.
-func Figure8(opts Options) (*Table, error) {
-	xs := []float64{0.01, 0.2, 0.4, 0.6, 0.8, 1.0}
-	return sweep("Figure 8", "Execution time vs offered load",
-		"load(kbps)", "execution time(s)", xs, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.OfferedLoadKbps = x
-			return cfg
-		},
-		func(s, _ metrics.Summary) float64 { return s.ExecutionTime.Seconds() }, false)
-}
+func Figure8(opts Options) (*Table, error) { return figure8.run(opts) }
 
 // Figure9a reproduces "Power consumption according to offered load"
 // among 80 sensors.
-func Figure9a(opts Options) (*Table, error) {
-	xs := []float64{0.1, 0.2, 0.4, 0.6, 0.8}
-	return sweep("Figure 9a", "Power consumption vs offered load (80 sensors)",
-		"load(kbps)", "power(mW)", xs, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.Nodes = 80
-			cfg.OfferedLoadKbps = x
-			return cfg
-		},
-		func(s, _ metrics.Summary) float64 { return s.MeanPowerMW }, false)
-}
+func Figure9a(opts Options) (*Table, error) { return figure9a.run(opts) }
 
 // Figure9b reproduces "Power consumption according to the number of
 // sensors" at 0.3 kbps offered load.
-func Figure9b(opts Options) (*Table, error) {
-	xs := []float64{60, 80, 100, 120}
-	return sweep("Figure 9b", "Power consumption vs sensor count (0.3 kbps)",
-		"nodes", "power(mW)", xs, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.Nodes = int(x)
-			cfg.OfferedLoadKbps = 0.3
-			return cfg
-		},
-		func(s, _ metrics.Summary) float64 { return s.MeanPowerMW }, false)
-}
+func Figure9b(opts Options) (*Table, error) { return figure9b.run(opts) }
 
 // Figure10a reproduces "Overhead for the number of sensors" at 0.5 kbps
 // (ratio to S-FAMA = 1).
-func Figure10a(opts Options) (*Table, error) {
-	xs := []float64{60, 80, 100, 120, 140}
-	return sweep("Figure 10a", "Overhead ratio vs sensor count (0.5 kbps)",
-		"nodes", "overhead(×S-FAMA)", xs, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.Nodes = int(x)
-			cfg.OfferedLoadKbps = 0.5
-			return cfg
-		},
-		metrics.OverheadRatio, true)
-}
+func Figure10a(opts Options) (*Table, error) { return figure10a.run(opts) }
 
 // Figure10b reproduces "Overhead ratio according to the offered load
 // among 200 sensors".
-func Figure10b(opts Options) (*Table, error) {
-	xs := []float64{0.4, 0.5, 0.6, 0.7, 0.8}
-	return sweep("Figure 10b", "Overhead ratio vs offered load (200 sensors)",
-		"load(kbps)", "overhead(×S-FAMA)", xs, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.Nodes = 200
-			cfg.OfferedLoadKbps = x
-			return cfg
-		},
-		metrics.OverheadRatio, true)
-}
+func Figure10b(opts Options) (*Table, error) { return figure10b.run(opts) }
 
 // Figure11 reproduces "Efficiency indexes for different offered loads"
 // (Equation (4), S-FAMA = 1).
-func Figure11(opts Options) (*Table, error) {
-	xs := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	return sweep("Figure 11", "Efficiency index vs offered load",
-		"load(kbps)", "efficiency(×S-FAMA)", xs, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.OfferedLoadKbps = x
-			return cfg
-		},
-		metrics.EfficiencyIndex, true)
-}
+func Figure11(opts Options) (*Table, error) { return figure11.run(opts) }
 
 // FigurePacketSize is an extension experiment beyond the paper's
 // plotted figures, quantifying its §2/§6 claim that large data packets
@@ -348,18 +376,7 @@ func Figure11(opts Options) (*Table, error) {
 // than that of existing protocols ... when the data packets are
 // large"): throughput across Table 2's 1024–4096-bit payload range at
 // fixed 0.6 kbps offered load.
-func FigurePacketSize(opts Options) (*Table, error) {
-	xs := []float64{1024, 1536, 2048, 3072, 4096}
-	return sweep("Ext PacketSize", "Throughput vs data packet size (0.6 kbps)",
-		"data(bits)", "throughput(kbps)", xs, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.DataBits = int(x)
-			cfg.OfferedLoadKbps = 0.6
-			return cfg
-		},
-		func(s, _ metrics.Summary) float64 { return s.ThroughputKbps }, false)
-}
+func FigurePacketSize(opts Options) (*Table, error) { return figurePacketSize.run(opts) }
 
 // Table2 renders the paper's simulation-parameter table from the
 // default configuration.
@@ -384,22 +401,17 @@ func Table2() string {
 }
 
 // All maps figure IDs to their generators, in paper order.
+// All maps figure IDs to their generators, in paper order.
 func All() []struct {
 	ID  string
 	Run func(Options) (*Table, error)
 } {
-	return []struct {
+	out := make([]struct {
 		ID  string
 		Run func(Options) (*Table, error)
-	}{
-		{"fig6", Figure6},
-		{"fig7", Figure7},
-		{"fig8", Figure8},
-		{"fig9a", Figure9a},
-		{"fig9b", Figure9b},
-		{"fig10a", Figure10a},
-		{"fig10b", Figure10b},
-		{"fig11", Figure11},
-		{"ext-pktsize", FigurePacketSize},
+	}, len(specs))
+	for i, s := range specs {
+		out[i].ID, out[i].Run = s.name, s.run
 	}
+	return out
 }

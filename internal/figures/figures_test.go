@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ewmac/internal/experiment"
-	"ewmac/internal/metrics"
 	"ewmac/internal/sim"
 )
 
@@ -19,14 +18,9 @@ func TestSweepMachinery(t *testing.T) {
 	var progress []string
 	opts := quickOpts()
 	opts.Progress = func(s string) { progress = append(progress, s) }
-	tab, err := sweep("Figure X", "test sweep", "load(kbps)", "kbps",
-		[]float64{0.3, 0.2}, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.OfferedLoadKbps = x
-			return cfg
-		},
-		func(s, _ metrics.Summary) float64 { return s.ThroughputKbps }, false)
+	s := &spec{id: "Figure X", title: "test sweep", xlabel: "load(kbps)", ylabel: "kbps",
+		xs: []float64{0.3, 0.2}, set: loadAt(60), reduce: throughput}
+	tab, err := s.run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,23 @@ import (
 	"ewmac/internal/metrics"
 )
 
-// testSweep is a tiny two-point sweep with a baseline-relative
-// reduction, so the test covers both raw and ratio assembly paths.
-func testSweep(opts Options) (*Table, error) {
-	return sweep("Figure T", "parallel equivalence probe", "load(kbps)", "ratio", []float64{0.3, 0.6}, opts,
-		func(p experiment.Protocol, x float64) experiment.Config {
-			cfg := experiment.Default(p)
-			cfg.Nodes = 16
-			cfg.Sinks = 2
-			cfg.OfferedLoadKbps = x
-			return cfg
-		},
-		metrics.OverheadRatio, true)
+// testSpec is a tiny two-point figure with a baseline-relative
+// reduction, so the tests cover both raw and ratio assembly paths.
+var testSpec = &spec{
+	id: "Figure T", title: "parallel equivalence probe", xlabel: "load(kbps)", ylabel: "ratio",
+	xs:     []float64{0.3, 0.6},
+	set:    setSmallLoad,
+	reduce: metrics.OverheadRatio, needBaseline: true,
 }
+
+// setSmallLoad sets up a 16-sensor, 2-sink network at load x.
+func setSmallLoad(cfg *experiment.Config, x float64) {
+	cfg.Nodes = 16
+	cfg.Sinks = 2
+	cfg.OfferedLoadKbps = x
+}
+
+func testSweep(opts Options) (*Table, error) { return testSpec.run(opts) }
 
 // A sweep must produce the identical table whether its points run one
 // at a time on one CPU or fanned out across many — per-run seeds and

@@ -28,13 +28,20 @@ const (
 // PeerState is the liveness verdict for one neighbor.
 type PeerState uint8
 
-// Liveness states. The zero value is alive, so an empty map means
-// every peer is presumed reachable.
+// Liveness states. The zero value is alive, so a zeroed entry means
+// the peer is presumed reachable.
 const (
 	PeerAlive PeerState = iota
 	PeerSuspect
 	PeerDead
 )
+
+// peerLiveness is one peer's consecutive failed rounds (saturating;
+// every verdict is reached long before the cap) and verdict.
+type peerLiveness struct {
+	fails uint8
+	state PeerState
+}
 
 // String implements fmt.Stringer.
 func (s PeerState) String() string {

@@ -2,6 +2,8 @@ package mac
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"ewmac/internal/obs"
@@ -31,12 +33,13 @@ type Node struct {
 	seen map[uint64]struct{}
 
 	// Liveness: consecutive failed rounds per peer and the resulting
-	// verdicts. failNoun names a failed round in recovery details;
-	// onVerdict, when set, sees every suspect, dead and resurrect
-	// transition (Base flags delay-table entries and forwards to a
-	// PeerWatcher hook).
-	peerFails map[packet.NodeID]int
-	peerState map[packet.NodeID]PeerState
+	// verdict, indexed by NodeID. Only a hardened node allocates it, at
+	// its first failed round, sized to cfg.MaxID; it grows should a
+	// larger ID fail. failNoun names a failed round in recovery
+	// details; onVerdict, when set, sees every suspect, dead and
+	// resurrect transition (Base flags delay-table entries and forwards
+	// to a PeerWatcher hook).
+	peers     []peerLiveness
 	failNoun  string
 	onVerdict func(peer packet.NodeID, st PeerState)
 
@@ -68,16 +71,14 @@ func (n *Node) Init(cfg Config, stream, failNoun string, onSlot func(slot int64)
 	}
 	cfg.applyDefaults()
 	*n = Node{
-		cfg:       cfg,
-		rng:       cfg.Engine.Stream(stream, int(cfg.ID)),
-		gate:      NewAdmissionGate(cfg),
-		bucket:    NewRetryBucket(cfg),
-		seen:      make(map[uint64]struct{}),
-		peerFails: make(map[packet.NodeID]int),
-		peerState: make(map[packet.NodeID]PeerState),
-		failNoun:  failNoun,
-		cw:        cwMin,
-		onSlot:    onSlot,
+		cfg:      cfg,
+		rng:      cfg.Engine.Stream(stream, int(cfg.ID)),
+		gate:     NewAdmissionGate(cfg),
+		bucket:   NewRetryBucket(cfg),
+		seen:     make(map[uint64]struct{}),
+		failNoun: failNoun,
+		cw:       cwMin,
+		onSlot:   onSlot,
 	}
 	n.tickFn = n.tick
 	n.queue = NewQueue(cfg,
@@ -225,8 +226,7 @@ func (n *Node) Restart() {
 	n.cw = cwMin
 	// A cold-started node has forgotten its liveness history too: every
 	// peer is presumed alive until it fails again.
-	n.peerFails = make(map[packet.NodeID]int)
-	n.peerState = make(map[packet.NodeID]PeerState)
+	clear(n.peers)
 }
 
 // ---- Queue and overload ----
@@ -243,7 +243,7 @@ func (n *Node) Enqueue(p AppPacket) {
 	// Every offered packet counts as generated — it is real demand —
 	// whether it queues or is refused with a typed drop below.
 	n.counters.Generated++
-	if n.cfg.Hardened && n.peerState[p.Dst] == PeerDead {
+	if n.peerState(p.Dst) == PeerDead {
 		// Never queue up behind a corpse.
 		n.dropPacket(p, obs.DropDeadPeer)
 		return
@@ -335,7 +335,7 @@ func (n *Node) NextHead() (head AppPacket, ok, fresh bool) {
 	if !ok {
 		return head, false, true
 	}
-	if n.cfg.Hardened && n.peerState[head.Dst] == PeerDead {
+	if n.peerState(head.Dst) == PeerDead {
 		n.queue.Pop()
 		n.dropPacket(head, obs.DropDeadPeer)
 		return head, false, true
@@ -454,7 +454,7 @@ func (n *Node) Stranded() int {
 	}
 	c := 0
 	for _, p := range n.queue.Items() {
-		if n.peerState[p.Dst] == PeerDead {
+		if n.peerState(p.Dst) == PeerDead {
 			c++
 		}
 	}
@@ -469,18 +469,24 @@ func (n *Node) noteFailure(peer packet.NodeID) bool {
 	if !n.cfg.Hardened || peer == packet.Nobody || peer == packet.Broadcast {
 		return false
 	}
-	c := n.peerFails[peer] + 1
-	n.peerFails[peer] = c
-	st := n.peerState[peer]
+	if int(peer) >= len(n.peers) {
+		size := max(int(peer), int(n.cfg.MaxID)) + 1
+		n.peers = slices.Grow(n.peers, size-len(n.peers))[:size]
+	}
+	pl := &n.peers[peer]
+	if pl.fails < math.MaxUint8 {
+		pl.fails++
+	}
+	c, st := int(pl.fails), pl.state
 	if st == PeerAlive && c >= suspectAfter {
 		st = PeerSuspect
-		n.peerState[peer] = st
+		pl.state = st
 		n.counters.SuspectMarks++
 		n.emitVerdict(peer, obs.RecoverySuspect, c)
 		n.verdict(peer, st)
 	}
 	if st != PeerDead && c >= deadAfter {
-		n.peerState[peer] = PeerDead
+		pl.state = PeerDead
 		n.counters.DeadMarks++
 		n.emitVerdict(peer, obs.RecoveryDead, c)
 		for i := 0; i < n.queue.Len(); {
@@ -501,23 +507,24 @@ func (n *Node) noteFailure(peer packet.NodeID) bool {
 // NoteAlive clears the failure history for peer on any decoded frame
 // from it, resurrecting a suspect/dead peer.
 func (n *Node) NoteAlive(peer packet.NodeID) {
-	if !n.cfg.Hardened {
+	if int(peer) >= len(n.peers) {
 		return
 	}
-	st := n.peerState[peer]
-	if st == PeerAlive {
-		if n.peerFails[peer] != 0 {
-			delete(n.peerFails, peer)
-		}
-		return
-	}
-	delete(n.peerFails, peer)
-	delete(n.peerState, peer)
+	st := n.peers[peer].state
+	n.peers[peer] = peerLiveness{}
 	if st == PeerDead {
 		n.counters.Resurrections++
 		n.emitVerdict(peer, obs.RecoveryResurrect, 0)
 		n.verdict(peer, PeerAlive)
 	}
+}
+
+// peerState is peer's liveness verdict; an unheard-of peer is alive.
+func (n *Node) peerState(peer packet.NodeID) PeerState {
+	if int(peer) >= len(n.peers) {
+		return PeerAlive
+	}
+	return n.peers[peer].state
 }
 
 // verdict hands one liveness transition to onVerdict, if set.

@@ -197,10 +197,11 @@ type panicError struct {
 func (e *panicError) Error() string { return "runner: point panicked: " + e.value }
 
 // runGate bounds the points executing at once across the whole
-// process. Concurrent sweeps (cmd/figures runs several figures, each
-// with its own worker pool) all funnel through this one GOMAXPROCS-sized
-// gate, so nested parallel layers fan out freely without
-// oversubscribing the CPUs the way stacked per-call semaphores would.
+// process. cmd/figures runs one sweep, but simbench's sweep workload
+// keeps two figures in flight, each with its own worker pool; every
+// concurrent sweep funnels through this one GOMAXPROCS-sized gate, so
+// nested parallel layers fan out freely without oversubscribing the
+// CPUs the way stacked per-call semaphores would.
 var runGate = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // callPoint runs one point behind a recover boundary, holding a slot
