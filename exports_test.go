@@ -22,6 +22,9 @@ import (
 var testOnlyAllowed = map[string]string{
 	"acoustic.Model.ReceivedLevelDB": "bit-for-bit reference the tests hold LevelAtDB to",
 	"acoustic.Model.SINRDB":          "bit-for-bit reference the tests hold SINRDBFromLin to",
+	"acoustic.Model.Delay":           "bit-for-bit reference the tests hold DelayOver to",
+	"topology.Network.MeanDegree":    "the topology tests check PairStats' degree through it",
+	"topology.Network.MaxPairDelay":  "the topology tests check PairStats' delay through it",
 	"acoustic.UniformLossPER.PER":    "failure tests inject UniformLossPER through experiment.Config.PER",
 	"analysis.ExploitCeilingKbps":    "§5 model the throughput-ceiling test compares against",
 	"analysis.ContentionEfficiency":  "§5 model the throughput-ceiling test compares against",

@@ -82,12 +82,18 @@ func (m *Model) Validate() error {
 // Delay returns the one-way propagation delay between two points, using
 // the mean sound speed over the endpoint depths.
 func (m *Model) Delay(a, b vec.V3) time.Duration {
-	d := a.Dist(b)
-	c := MeanSpeed(m.Profile, a.Depth(), b.Depth())
+	return m.DelayOver(a.Dist(b), a.Depth(), b.Depth())
+}
+
+// DelayOver is Delay for two points distM metres apart at the given
+// depths, bit for bit: callers that already hold a pair's distance
+// pass it rather than compute it again.
+func (m *Model) DelayOver(distM, depthA, depthB float64) time.Duration {
+	c := MeanSpeed(m.Profile, depthA, depthB)
 	if c <= 0 {
 		c = 1500
 	}
-	return time.Duration(d / c * float64(time.Second))
+	return time.Duration(distM / c * float64(time.Second))
 }
 
 // DelayForDistance returns the delay over a straight path of the given

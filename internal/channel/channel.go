@@ -22,6 +22,8 @@ package channel
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -86,6 +88,7 @@ type Channel struct {
 
 	scratch []rxGeom      // the latest geometry build, reused by every Broadcast
 	order   []uint64      // its rays in arrival order (see rayKey)
+	sorter  raySorter     // orders them, with its own reused scratch
 	waves   []*wave       // recycled waves
 	emit    obs.FrameEmit // the record Broadcast's fan-out reuses
 }
@@ -145,6 +148,8 @@ func (c *Channel) buildGeoms(srcNode *topology.Node) {
 	model := c.net.Model
 	maxDist := model.MaxRangeM * InterferenceRangeFactor
 	sourceDB := acoustic.SourceLevelDB(model.TxPowerW)
+	srcDepth := srcNode.Pos.Depth()
+	lo, hi := uint64(math.MaxUint64), uint64(0) // the key range, for the sorter
 	for _, dstNode := range c.net.Nodes() {
 		id := dstNode.ID
 		if id == srcNode.ID {
@@ -161,14 +166,16 @@ func (c *Channel) buildGeoms(srcNode *topology.Node) {
 		g := rxGeom{
 			rx:      rx,
 			dst:     id,
-			delay:   model.Delay(srcNode.Pos, dstNode.Pos),
+			delay:   model.DelayOver(dist, srcDepth, dstNode.Pos.Depth()),
 			levelDB: model.LevelAtDB(sourceDB, dist),
 			// Beyond the nominal communication range (Table 2: 1.5 km)
 			// the modem never synchronizes to the signal, but its energy
 			// still interferes at full physical strength.
 			syncable: dist <= model.MaxRangeM,
 		}
-		order = append(order, rayKey(g.delay, 2*len(out)))
+		k := rayKey(g.delay, 2*len(out))
+		order = append(order, k)
+		lo, hi = min(lo, k), max(hi, k)
 		if model.SurfaceReflection {
 			// Two-ray extension: the surface-bounced copy arrives later
 			// and weaker, as pure interference (a real modem stays
@@ -176,13 +183,14 @@ func (c *Channel) buildGeoms(srcNode *topology.Node) {
 			rDelay, rLevel := model.SurfacePath(srcNode.Pos, dstNode.Pos)
 			if rDelay > g.delay {
 				g.surfLevel = rLevel
-				order = append(order, rayKey(rDelay, 2*len(out)+1))
+				k := rayKey(rDelay, 2*len(out)+1)
+				order = append(order, k)
+				hi = max(hi, k)
 			}
 		}
 		out = append(out, g)
 	}
-	slices.Sort(order)
-	c.scratch, c.order = out, order
+	c.scratch, c.order = out, c.sorter.sort(order, lo, hi)
 }
 
 // rayBits is the width of a ray in a sort key: a source has fewer than
@@ -194,6 +202,77 @@ const rayBits = 17
 // its seq's offset in the broadcast's reserved block. So keys sort by
 // delay, then seq; 47 bits hold the delay of any path under 200,000 km.
 func rayKey(d time.Duration, ray int) uint64 { return uint64(d)<<rayBits | uint64(ray) }
+
+// raySorter orders a broadcast's ray keys in linear time on average: a
+// counting pass scatters them by value into between n/2 and n buckets,
+// and one insertion pass then sorts each bucket where it lies. Keys are
+// unique (each holds its ray), so the result is the one slices.Sort
+// gives. Should the insertion pass run past maxInsertion moves per key
+// (a clustered geometry overfilling a bucket), slices.Sort finishes
+// the job, so the worst case stays O(n log n). Its buffers are reused:
+// a broadcast allocates nothing once they have grown to the largest
+// fan-out.
+type raySorter struct {
+	spare  []uint64 // the scatter target; it swaps with the keys' slice
+	counts []int32  // per-bucket counts, then bucket ends
+}
+
+// maxInsertion is the most keys sorted by insertion alone, and the
+// average moves per key the insertion pass may make.
+const maxInsertion = 16
+
+// sort orders keys, whose least and greatest are lo and hi, and returns
+// the sorted slice. That is keys' or the sorter's spare buffer; the
+// other becomes the spare, so the caller must drop keys.
+func (s *raySorter) sort(keys []uint64, lo, hi uint64) []uint64 {
+	n := len(keys)
+	if n <= maxInsertion {
+		insertionSort(keys, n*n)
+		return keys
+	}
+	// A key's bucket is its offset from lo, shifted right until the
+	// widest offset fits in the nb = 2^lb buckets.
+	lb := bits.Len(uint(n)) - 1
+	nb := 1 << lb
+	shift := max(bits.Len64(hi-lo)-lb, 0)
+	counts := slices.Grow(s.counts[:0], nb+1)[:nb+1]
+	clear(counts)
+	for _, k := range keys {
+		counts[(k-lo)>>shift+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		counts[b] += counts[b-1]
+	}
+	// counts[b] is now where bucket b starts; scattering advances it.
+	out := slices.Grow(s.spare[:0], n)[:n]
+	for _, k := range keys {
+		b := (k - lo) >> shift
+		out[counts[b]] = k
+		counts[b]++
+	}
+	s.spare, s.counts = keys[:0], counts
+	if !insertionSort(out, maxInsertion*n) {
+		slices.Sort(out)
+	}
+	return out
+}
+
+// insertionSort sorts keys in place unless that takes more than limit
+// moves, and reports whether it finished. A key moves only past larger
+// keys, so on bucketed keys it moves only within its bucket.
+func insertionSort(keys []uint64, limit int) bool {
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+		if limit -= i - j; limit < 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // Broadcast implements phy.Medium: it fans f out to every other modem
 // within interference range, with per-pair delay and received level

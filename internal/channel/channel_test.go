@@ -28,11 +28,21 @@ func (r *recorder) OnTxDone(*packet.Frame)                    {}
 // all at 100 m depth, inside a large region.
 func lineNetwork(t *testing.T, xs ...float64) (*sim.Engine, *Channel, []*phy.Modem, []*recorder) {
 	t.Helper()
-	eng := sim.NewEngine(1)
-	model := acoustic.DefaultModel()
-	nodes := make([]*topology.Node, len(xs))
+	pos := make([]vec.V3, len(xs))
 	for i, x := range xs {
-		nodes[i] = &topology.Node{ID: packet.NodeID(i + 1), Pos: vec.V3{X: x, Z: 100}}
+		pos[i] = vec.V3{X: x, Z: 100}
+	}
+	return channelAt(t, acoustic.DefaultModel(), pos)
+}
+
+// channelAt registers a modem, with a recorder as its listener, at each
+// position, inside a large region.
+func channelAt(t *testing.T, model *acoustic.Model, pos []vec.V3) (*sim.Engine, *Channel, []*phy.Modem, []*recorder) {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	nodes := make([]*topology.Node, len(pos))
+	for i, p := range pos {
+		nodes[i] = &topology.Node{ID: packet.NodeID(i + 1), Pos: p}
 	}
 	region := vec.Box{Min: vec.V3{X: -1e5, Y: -1e5, Z: 0}, Max: vec.V3{X: 1e5, Y: 1e5, Z: 1e4}}
 	net, err := topology.NewNetwork(region, model, nodes)
@@ -43,9 +53,9 @@ func lineNetwork(t *testing.T, xs ...float64) (*sim.Engine, *Channel, []*phy.Mod
 	if err != nil {
 		t.Fatal(err)
 	}
-	modems := make([]*phy.Modem, len(xs))
-	recs := make([]*recorder, len(xs))
-	for i := range xs {
+	modems := make([]*phy.Modem, len(pos))
+	recs := make([]*recorder, len(pos))
+	for i := range pos {
 		recs[i] = &recorder{}
 		m, err := phy.NewModem(phy.Config{
 			ID:       packet.NodeID(i + 1),

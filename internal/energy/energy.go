@@ -109,8 +109,9 @@ type Meter struct {
 }
 
 // NewMeter returns a meter starting in StateIdle at the given instant.
-func NewMeter(profile Profile, now sim.Time) *Meter {
-	return &Meter{profile: profile, state: StateIdle, since: now}
+// It is a value, so an owner can hold it inline.
+func NewMeter(profile Profile, now sim.Time) Meter {
+	return Meter{profile: profile, state: StateIdle, since: now}
 }
 
 // SetState accrues energy for the interval spent in the old state and

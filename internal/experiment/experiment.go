@@ -482,11 +482,12 @@ func Run(cfg Config) (*Result, error) {
 			rep.Resilience = resil
 		}
 	}
+	meanDegree, maxPairDelay := net.PairStats()
 	return &Result{
 		Config:       cfg,
 		Summary:      sum,
-		MeanDegree:   net.MeanDegree(),
-		MaxPairDelay: net.MaxPairDelay(),
+		MeanDegree:   meanDegree,
+		MaxPairDelay: maxPairDelay,
 		PerNode:      samples,
 		Report:       rep,
 		SlotProfile:  ro.slotSum,

@@ -121,8 +121,8 @@ func TestNeighborTableZeroAlloc(t *testing.T) {
 			hello.Timestamp = now.Duration()
 			tab.Observe(hello, now.Add(time.Duration(id)*time.Millisecond), 0)
 		}
-		if _, ok := tab.Delay(64); !ok || tab.n != 64 {
-			t.Fatalf("re-learned %d peers, want 64", tab.n)
+		if _, ok := tab.Delay(64); !ok || tab.count() != 64 {
+			t.Fatalf("re-learned %d peers, want 64", tab.count())
 		}
 	})
 }

@@ -189,7 +189,9 @@ type Base struct {
 	Node
 	hooks Hooks
 
-	table  *NeighborTable
+	// table is held inline: every decoded frame refreshes an entry, so
+	// its slice header is one load from the Base, not two.
+	table  NeighborTable
 	ledger *Ledger
 
 	role Role
@@ -230,7 +232,7 @@ type Base struct {
 // (S-FAMA) hooks until SetHooks replaces them.
 func NewBase(cfg Config) (*Base, error) {
 	b := &Base{
-		table:     NewNeighborTable(cfg.MaxID),
+		table:     *NewNeighborTable(cfg.MaxID),
 		ledger:    NewLedger(cfg.Slots),
 		role:      RoleIdle,
 		rtsCands:  make(map[int64][]*packet.Frame),
@@ -280,7 +282,7 @@ func (b *Base) OnExtraFrame(*packet.Frame) {}
 func (b *Base) OnRestart() {}
 
 // Table returns the one-hop delay table.
-func (b *Base) Table() *NeighborTable { return b.table }
+func (b *Base) Table() *NeighborTable { return &b.table }
 
 // Ledger returns the overheard-negotiation ledger.
 func (b *Base) Ledger() *Ledger { return b.ledger }

@@ -22,21 +22,33 @@ import (
 // reallocates, and iteration is already in ID order.
 type NeighborTable struct {
 	entries []tableEntry
-	// n counts known entries.
-	n int
 }
 
+// tableEntry is 16 bytes, so a 200-neighbour table spans 50 cache
+// lines: the Hello phase of a dense run refreshes every entry of every
+// table, and the flags would otherwise take a third word.
 type tableEntry struct {
 	delay time.Duration
-	heard sim.Time
-	// known marks a slot holding an estimate.
-	known bool
-	// suspect marks an entry whose peer produced a physically
+	// stamp is the instant the estimate was heard, in its low 62 bits
+	// (simulated time stays below 2^62 ns, 146 years), with the
+	// knownBit and suspectBit flags above.
+	stamp uint64
+}
+
+const (
+	// knownBit marks a slot holding an estimate.
+	knownBit uint64 = 1 << 63
+	// suspectBit marks an entry whose peer produced a physically
 	// impossible delay measurement since the last good refresh: every
 	// delay learned from that peer's timestamps — including this one —
 	// is then untrustworthy until a plausible measurement clears it.
-	suspect bool
-}
+	suspectBit uint64 = 1 << 62
+	heardMask         = suspectBit - 1
+)
+
+func (e *tableEntry) known() bool     { return e.stamp&knownBit != 0 }
+func (e *tableEntry) suspect() bool   { return e.stamp&suspectBit != 0 }
+func (e *tableEntry) heard() sim.Time { return sim.Time(e.stamp & heardMask) }
 
 // NewNeighborTable returns an empty table sized for IDs up to maxID.
 func NewNeighborTable(maxID packet.NodeID) *NeighborTable {
@@ -57,11 +69,10 @@ func (t *NeighborTable) set(id packet.NodeID, delay time.Duration, heard sim.Tim
 	if int(id) >= len(t.entries) {
 		t.entries = slices.Grow(t.entries, int(id)+1-len(t.entries))[:int(id)+1]
 	}
-	e := &t.entries[id]
-	if !e.known {
-		t.n++
-	}
-	*e = tableEntry{delay: delay, heard: heard, known: true}
+	// A plain store: set never reads the slot. In a dense deployment
+	// each Hello refreshes one slot in every receiver's table, each
+	// likely out of cache, and a read would stall on every one of them.
+	t.entries[id] = tableEntry{delay: delay, stamp: uint64(heard)&heardMask | knownBit}
 }
 
 // Observe updates the sender's delay estimate from a received frame.
@@ -86,7 +97,7 @@ func (t *NeighborTable) ObservePair(id packet.NodeID, delay time.Duration, now s
 	if id == packet.Nobody || id == packet.Broadcast {
 		return
 	}
-	if e := t.entry(id); e != nil && e.known {
+	if e := t.entry(id); e != nil && e.known() {
 		return
 	}
 	t.set(id, delay, now)
@@ -96,7 +107,7 @@ func (t *NeighborTable) ObservePair(id packet.NodeID, delay time.Duration, now s
 // exists.
 func (t *NeighborTable) Delay(id packet.NodeID) (time.Duration, bool) {
 	e := t.entry(id)
-	if e == nil || !e.known {
+	if e == nil || !e.known() {
 		return 0, false
 	}
 	return e.delay, true
@@ -107,32 +118,40 @@ func (t *NeighborTable) Delay(id packet.NodeID) (time.Duration, bool) {
 // it to distrust old entries.
 func (t *NeighborTable) Age(id packet.NodeID, now sim.Time) (time.Duration, bool) {
 	e := t.entry(id)
-	if e == nil || !e.known {
+	if e == nil || !e.known() {
 		return 0, false
 	}
-	return now.Sub(e.heard), true
+	return now.Sub(e.heard()), true
 }
 
 // MarkSuspect flags an existing entry as untrustworthy (its peer just
 // produced an impossible delay measurement). A later plausible
 // Observe clears the flag.
 func (t *NeighborTable) MarkSuspect(id packet.NodeID) {
-	if e := t.entry(id); e != nil && e.known {
-		e.suspect = true
+	if e := t.entry(id); e != nil && e.known() {
+		e.stamp |= suspectBit
 	}
 }
 
 // Suspect reports whether the entry exists and is flagged suspect.
 func (t *NeighborTable) Suspect(id packet.NodeID) bool {
 	e := t.entry(id)
-	return e != nil && e.suspect
+	return e != nil && e.suspect()
 }
 
 // Clear drops every entry, suspect flags included (node cold-start
 // after a crash).
-func (t *NeighborTable) Clear() {
-	clear(t.entries)
-	t.n = 0
+func (t *NeighborTable) Clear() { clear(t.entries) }
+
+// count returns the number of known entries.
+func (t *NeighborTable) count() int {
+	n := 0
+	for i := range t.entries {
+		if t.entries[i].known() {
+			n++
+		}
+	}
+	return n
 }
 
 // AppendSnapshot appends up to max entries (every entry when max < 0)
@@ -142,8 +161,9 @@ func (t *NeighborTable) Clear() {
 // to distribute two-hop state; EW-MAC only ever piggybacks the single
 // pair under negotiation.
 func (t *NeighborTable) AppendSnapshot(dst []packet.NeighborInfo, from, max int) []packet.NeighborInfo {
-	if max < 0 || max > t.n {
-		max = t.n
+	n := t.count()
+	if max < 0 || max > n {
+		max = n
 	}
 	if max == 0 {
 		return dst
@@ -152,13 +172,13 @@ func (t *NeighborTable) AppendSnapshot(dst []packet.NeighborInfo, from, max int)
 	end := len(dst) + max
 	// The first pass starts at the from-th entry; a second, when the
 	// window wraps, starts at the first.
-	for from %= t.n; len(dst) < end; from = 0 {
+	for from %= n; len(dst) < end; from = 0 {
 		rank := 0
 		for i := range t.entries {
 			if len(dst) == end {
 				break
 			}
-			if e := &t.entries[i]; e.known {
+			if e := &t.entries[i]; e.known() {
 				if rank >= from {
 					dst = append(dst, packet.NeighborInfo{ID: packet.NodeID(i), Delay: e.delay})
 				}

@@ -14,9 +14,9 @@ import (
 
 // known returns the IDs t holds estimates for, in ID order.
 func known(t *NeighborTable) []packet.NodeID {
-	out := make([]packet.NodeID, 0, t.n)
+	out := make([]packet.NodeID, 0, t.count())
 	for i := range t.entries {
-		if t.entries[i].known {
+		if t.entries[i].known() {
 			out = append(out, packet.NodeID(i))
 		}
 	}
@@ -24,13 +24,22 @@ func known(t *NeighborTable) []packet.NodeID {
 }
 
 // refTable is the map-based NeighborTable the dense implementation
-// replaced, kept as the reference its behaviour must match.
+// replaced, kept as the reference its behaviour must match. Its
+// entries hold the heard instant and the suspect flag in fields of
+// their own, so the table's folded stamp is checked against plain
+// fields.
 type refTable struct {
-	entries map[packet.NodeID]tableEntry
+	entries map[packet.NodeID]refEntry
+}
+
+type refEntry struct {
+	delay   time.Duration
+	heard   sim.Time
+	suspect bool
 }
 
 func newRefTable() *refTable {
-	return &refTable{entries: make(map[packet.NodeID]tableEntry)}
+	return &refTable{entries: make(map[packet.NodeID]refEntry)}
 }
 
 func (t *refTable) Observe(f *packet.Frame, arrivalEnd sim.Time, txDur time.Duration) {
@@ -38,7 +47,7 @@ func (t *refTable) Observe(f *packet.Frame, arrivalEnd sim.Time, txDur time.Dura
 	if delay < 0 {
 		delay = 0
 	}
-	t.entries[f.Src] = tableEntry{delay: delay, heard: arrivalEnd}
+	t.entries[f.Src] = refEntry{delay: delay, heard: arrivalEnd}
 }
 
 func (t *refTable) ObservePair(id packet.NodeID, delay time.Duration, now sim.Time) {
@@ -48,7 +57,7 @@ func (t *refTable) ObservePair(id packet.NodeID, delay time.Duration, now sim.Ti
 	if _, ok := t.entries[id]; ok {
 		return
 	}
-	t.entries[id] = tableEntry{delay: delay, heard: now}
+	t.entries[id] = refEntry{delay: delay, heard: now}
 }
 
 func (t *refTable) Delay(id packet.NodeID) (time.Duration, bool) {
@@ -73,7 +82,7 @@ func (t *refTable) MarkSuspect(id packet.NodeID) {
 
 func (t *refTable) Suspect(id packet.NodeID) bool { return t.entries[id].suspect }
 
-func (t *refTable) Clear() { t.entries = make(map[packet.NodeID]tableEntry) }
+func (t *refTable) Clear() { t.entries = make(map[packet.NodeID]refEntry) }
 
 func (t *refTable) Known() []packet.NodeID {
 	out := make([]packet.NodeID, 0, len(t.entries))
@@ -151,7 +160,7 @@ func TestNeighborTableMatchesReference(t *testing.T) {
 			default:
 				op = "query"
 			}
-			if g, w := got.n, len(want.entries); g != w {
+			if g, w := got.count(), len(want.entries); g != w {
 				t.Fatalf("seed %d step %d after %s: Len = %d, want %d", seed, step, op, g, w)
 			}
 			for _, id := range ids {

@@ -72,7 +72,7 @@ func (t *TwoHop) OnSlotStart(int64) {
 // rotatingSnapshot returns up to maint table entries, starting at a
 // cursor that advances with each broadcast.
 func (t *TwoHop) rotatingSnapshot() []packet.NeighborInfo {
-	n := t.table.n
+	n := t.table.count()
 	if n <= t.maint {
 		return t.table.AppendSnapshot(nil, 0, -1)
 	}

@@ -136,10 +136,9 @@ type Modem struct {
 	eng      *sim.Engine
 	model    *acoustic.Model
 	per      acoustic.PERModel
-	medium   Medium
 	listener Listener
-	meter    *energy.Meter
-	rng      *sim.RNG
+	// rec is the structured event sink (nil when observability is off).
+	rec obs.Recorder
 
 	// noiseLin / noiseDB cache the model's ambient noise, which is
 	// constant for the run: noiseDB is LinToDB(noiseLin), exactly the
@@ -147,18 +146,32 @@ type Modem struct {
 	noiseLin float64
 	noiseDB  float64
 
+	// The fields above and the arrival state below are what every
+	// arrival reads, so they come first. The first arrivalsInline slots
+	// of arrivals and free, and the first records, live in the modem
+	// itself: a receiver rarely has more signals in the air at once, so
+	// its per-arrival state stays in a few cache lines of its own. Past
+	// them the slices grow onto the heap as usual.
 	transmitting bool
-	txFrame      *packet.Frame
-	finishTxFn   func()
+	down         bool
 	arrivals     []*arrival
 	free         []*arrival
 	slab         []arrival // fresh records not yet handed out
+	arrivalSlots [arrivalsInline]*arrival
+	freeSlots    [arrivalsInline]*arrival
+	meter        energy.Meter
 	stats        Stats
-	down         bool
+	rng          *sim.RNG
 
-	// rec is the structured event sink (nil when observability is off).
-	rec obs.Recorder
+	medium     Medium
+	txFrame    *packet.Frame
+	finishTxFn func()
+	firstRecs  [arrivalsInline]arrival
 }
+
+// arrivalsInline is how many concurrent arrivals a modem holds without
+// touching memory outside itself.
+const arrivalsInline = 4
 
 // Config assembles a modem.
 type Config struct {
@@ -208,6 +221,7 @@ func NewModem(cfg Config) (*Modem, error) {
 		noiseDB:  acoustic.LinToDB(noiseLin),
 	}
 	m.finishTxFn = m.finishTx
+	m.arrivals, m.free, m.slab = m.arrivalSlots[:0], m.freeSlots[:0], m.firstRecs[:]
 	return m, nil
 }
 

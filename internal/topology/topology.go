@@ -115,35 +115,38 @@ func (n *Network) Nodes() []*Node { return n.nodes }
 // used by experiment setup (the density experiments depend on the
 // network actually being connected).
 func (n *Network) MeanDegree() float64 {
-	if len(n.nodes) == 0 {
-		return 0
-	}
-	total := 0
-	for _, a := range n.nodes {
-		for _, b := range n.nodes {
-			if b.ID != a.ID && n.Model.InRange(a.Pos, b.Pos) {
-				total++
-			}
-		}
-	}
-	return float64(total) / float64(len(n.nodes))
+	deg, _ := n.PairStats()
+	return deg
 }
 
 // MaxPairDelay returns the largest current pairwise delay among in-range
 // pairs — the empirical τmax of this topology.
 func (n *Network) MaxPairDelay() time.Duration {
-	var maxD time.Duration
+	_, maxD := n.PairStats()
+	return maxD
+}
+
+// PairStats returns MeanDegree and MaxPairDelay from one pass over the
+// unordered pairs: range and delay are symmetric, bit for bit, so each
+// in-range pair counts once for each end.
+func (n *Network) PairStats() (meanDegree float64, maxPairDelay time.Duration) {
+	if len(n.nodes) == 0 {
+		return 0, 0
+	}
+	m := n.Model
+	ends := 0
 	for i, a := range n.nodes {
 		for _, b := range n.nodes[i+1:] {
-			if !n.Model.InRange(a.Pos, b.Pos) {
+			// InRange and Delay, with the pair's distance computed once.
+			dist := a.Pos.Dist(b.Pos)
+			if dist > m.MaxRangeM {
 				continue
 			}
-			if d := n.Model.Delay(a.Pos, b.Pos); d > maxD {
-				maxD = d
-			}
+			ends += 2
+			maxPairDelay = max(maxPairDelay, m.DelayOver(dist, a.Pos.Depth(), b.Pos.Depth()))
 		}
 	}
-	return maxD
+	return float64(ends) / float64(len(n.nodes)), maxPairDelay
 }
 
 // Step advances mobility by dt. Horizontal nodes drift with their
