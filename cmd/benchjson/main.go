@@ -318,42 +318,17 @@ func benchEngine() result {
 }
 
 // benchChannel mirrors internal/channel's BenchmarkChannelBroadcast:
-// one op broadcasts a control frame to a static n-node deployment and
-// drains the scheduled arrivals — the geometry build + wave/lane hot
-// path. The 40-node shape is the historical baseline; 200 nodes
-// exercises the same path at a receiver fan-out where per-receiver
-// costs dominate setup. Setup failures are reported as errors, not
-// panics: a bench harness must exit with a diagnosable status.
+// one op broadcasts a control frame from node 1 to the n-node
+// deployment of channelBench and drains the scheduled arrivals — the
+// geometry build + wave/lane hot path. Every other node is a receiver,
+// so the 200-node row measures a 199-receiver fan-out, where
+// per-receiver costs dominate setup; the 40-node row is the small
+// shape. Setup failures are reported as errors, not panics: a bench
+// harness must exit with a diagnosable status.
 func benchChannel(n int) (result, error) {
-	eng := sim.NewEngine(1)
-	model := acoustic.DefaultModel()
-	nodes := make([]*topology.Node, n)
-	for i := range nodes {
-		nodes[i] = &topology.Node{
-			ID:  packet.NodeID(i + 1),
-			Pos: vec.V3{X: float64(i%8) * 300, Y: float64(i/8) * 300, Z: 100},
-		}
-	}
-	region := vec.Box{Min: vec.V3{X: -1e4, Y: -1e4, Z: 0}, Max: vec.V3{X: 1e4, Y: 1e4, Z: 1e4}}
-	net, err := topology.NewNetwork(region, model, nodes)
+	eng, ch, err := channelBench(n)
 	if err != nil {
-		return result{}, fmt.Errorf("channel bench topology: %w", err)
-	}
-	ch, err := channel.New(eng, net)
-	if err != nil {
-		return result{}, fmt.Errorf("channel bench: %w", err)
-	}
-	for i := range nodes {
-		m, err := phy.NewModem(phy.Config{
-			ID: packet.NodeID(i + 1), Engine: eng, Model: model,
-			Medium: ch, Energy: energy.DefaultProfile(),
-		})
-		if err != nil {
-			return result{}, fmt.Errorf("channel bench modem %d: %w", i+1, err)
-		}
-		if err := ch.Register(m); err != nil {
-			return result{}, fmt.Errorf("channel bench: %w", err)
-		}
+		return result{}, err
 	}
 	f := &packet.Frame{
 		Kind: packet.KindRTS, Src: 1, Dst: 2,
@@ -376,6 +351,46 @@ func benchChannel(n int) (result, error) {
 		return result{}, fmt.Errorf("channel bench broadcast: %w", benchErr)
 	}
 	return toResult(fmt.Sprintf("channel/broadcast-%d", n), br), nil
+}
+
+// channelBench builds the channel rows' static deployment: n nodes on
+// an 8-wide grid at 100 m pitch and 100 m depth, each with a modem.
+// At 200 nodes the grid's far corner lies 2.5 km from node 1 at the
+// near one, inside the 3 km interference range (twice the model's
+// 1.5 km communication range), so a broadcast from node 1 reaches all
+// n−1 other nodes.
+func channelBench(n int) (*sim.Engine, *channel.Channel, error) {
+	eng := sim.NewEngine(1)
+	model := acoustic.DefaultModel()
+	nodes := make([]*topology.Node, n)
+	for i := range nodes {
+		nodes[i] = &topology.Node{
+			ID:  packet.NodeID(i + 1),
+			Pos: vec.V3{X: float64(i%8) * 100, Y: float64(i/8) * 100, Z: 100},
+		}
+	}
+	region := vec.Box{Min: vec.V3{X: -1e4, Y: -1e4, Z: 0}, Max: vec.V3{X: 1e4, Y: 1e4, Z: 1e4}}
+	net, err := topology.NewNetwork(region, model, nodes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("channel bench topology: %w", err)
+	}
+	ch, err := channel.New(eng, net)
+	if err != nil {
+		return nil, nil, fmt.Errorf("channel bench: %w", err)
+	}
+	for i := range nodes {
+		m, err := phy.NewModem(phy.Config{
+			ID: packet.NodeID(i + 1), Engine: eng, Model: model,
+			Medium: ch, Energy: energy.DefaultProfile(),
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("channel bench modem %d: %w", i+1, err)
+		}
+		if err := ch.Register(m); err != nil {
+			return nil, nil, fmt.Errorf("channel bench: %w", err)
+		}
+	}
+	return eng, ch, nil
 }
 
 // bytesGated reports whether -compare gates a row's bytes/op: the

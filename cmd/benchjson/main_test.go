@@ -7,9 +7,12 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"ewmac"
 	"ewmac/internal/obs"
+	"ewmac/internal/packet"
+	"ewmac/internal/sim"
 )
 
 func TestAllocsRegressed(t *testing.T) {
@@ -201,5 +204,31 @@ func TestScenarioOpRepeats(t *testing.T) {
 	}
 	if first.events == 0 || first.events != second.events {
 		t.Fatalf("ops ran %d and %d events, want equal and nonzero", first.events, second.events)
+	}
+}
+
+// TestChannelBenchReachesEveryNode pins the channel rows' fan-out: a
+// broadcast from node 1 schedules an arrival at every other node of
+// the deployment, so the 200-node row measures 199 receivers.
+func TestChannelBenchReachesEveryNode(t *testing.T) {
+	for _, n := range []int{40, 200} {
+		eng, ch, err := channelBench(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		ch.SetRecorder(obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+			if _, ok := e.(*obs.FrameEmit); ok {
+				got++
+			}
+		}))
+		f := &packet.Frame{Kind: packet.KindRTS, Src: 1, Dst: 2}
+		if err := ch.Broadcast(1, f, 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if got != n-1 {
+			t.Errorf("%d nodes: broadcast from node 1 reached %d receivers, want %d", n, got, n-1)
+		}
 	}
 }

@@ -90,6 +90,39 @@ func TestRecordPathZeroAllocJSONL(t *testing.T) {
 	}
 }
 
+// TestRecordPathZeroAllocJSONLInterleavedFrames names more frames in
+// turn than the frame cache has ways, so every frame line misses and
+// rewrites a way: the rewrite reuses the way's buffer.
+func TestRecordPathZeroAllocJSONLInterleavedFrames(t *testing.T) {
+	skipUnderRace(t)
+	at, _, _ := steadyState()
+	frames := make([]*packet.Frame, frameWays+3)
+	emits := make([]*FrameEmit, len(frames))
+	for i := range frames {
+		frames[i] = &packet.Frame{
+			Kind: packet.KindData, Src: packet.NodeID(i + 1), Dst: 7, Seq: uint32(i),
+			Origin: 3, DataBits: 2048, XID: uint64(1000 + i),
+		}
+		emits[i] = &FrameEmit{Src: frames[i].Src, Dst: 7, Frame: frames[i], Delay: time.Duration(i) * time.Millisecond, LevelDB: -87.43218765432198}
+	}
+	j := NewJSONL(io.Discard)
+	defer j.Close()
+	emit := func() {
+		for i, f := range frames {
+			j.Record(at, emits[i])
+			TxBegin{Node: f.Src, Frame: f, Dur: 682 * time.Millisecond}.Emit(j, at)
+		}
+		for i := len(frames) - 1; i >= 0; i-- {
+			FrameRx{Node: 7, Frame: frames[i]}.Emit(j, at)
+		}
+	}
+	emit() // warm the pools and the staging buffer
+	assertZeroAllocs(t, "jsonl exporter, interleaved frames", emit)
+	if err := j.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecordPathZeroAllocCollector(t *testing.T) {
 	skipUnderRace(t)
 	_, _, emit := steadyState()

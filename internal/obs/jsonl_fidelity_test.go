@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -285,6 +287,89 @@ func TestJSONLByteFidelity(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Errorf("%T at %v: encoder drift\n got: %q\nwant: %q",
 					e, at, got.String(), want.String())
+			}
+		}
+	}
+}
+
+// TestJSONLFrameCacheInterleaved checks the frame cache where it can
+// go wrong: more distinct frames in flight than it has ways, named in
+// orders that defeat least-recently-used eviction. Every line must
+// still match the reference encoder, so a way is never served for a
+// frame it no longer holds.
+func TestJSONLFrameCacheInterleaved(t *testing.T) {
+	frames := make([]*packet.Frame, 3*frameWays+1)
+	for i := range frames {
+		frames[i] = &packet.Frame{
+			Kind: packet.Kind(1 + i%4), Src: packet.NodeID(1 + i%3), Dst: packet.NodeID(2*i + 3),
+			Seq: uint32(i * 7), Origin: packet.NodeID(i % 3), DataBits: 64 * i, XID: uint64(i % 2 * i),
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	orders := map[string][]int{}
+	for _, k := range []int{frameWays + 1, 2 * frameWays, len(frames)} {
+		var rr []int
+		for round := 0; round < 4; round++ {
+			for i := 0; i < k; i++ {
+				rr = append(rr, i)
+			}
+		}
+		orders["round-robin/"+strconv.Itoa(k)] = rr
+	}
+	// Sweep forward then back: each turn reuses the frames just
+	// evicted by the one before it.
+	var zigzag []int
+	for round := 0; round < 4; round++ {
+		for i := range frames {
+			zigzag = append(zigzag, i)
+		}
+		for i := len(frames) - 1; i >= 0; i-- {
+			zigzag = append(zigzag, i)
+		}
+	}
+	orders["zigzag"] = zigzag
+	// One hot frame between every cold one keeps the hot frame cached
+	// while the cold ones cycle through the other ways.
+	var hotCold []int
+	for i := 0; i < 6*len(frames); i++ {
+		hotCold = append(hotCold, 0, 1+i%(len(frames)-1))
+	}
+	orders["hot-cold"] = hotCold
+	random := make([]int, 2000)
+	for i := range random {
+		random[i] = rng.Intn(len(frames))
+	}
+	orders["random"] = random
+
+	for name, order := range orders {
+		var got, want bytes.Buffer
+		j := NewJSONL(&got)
+		for n, i := range order {
+			at := sim.At(time.Duration(n) * time.Millisecond)
+			f := frames[i]
+			evs := []Event{
+				&FrameEmit{Src: f.Src, Dst: f.Dst, Frame: f, Delay: time.Duration(n), LevelDB: -float64(n) / 3},
+				&TxBegin{Node: f.Src, Frame: f, Dur: time.Duration(n) * time.Microsecond},
+				&FrameRx{Node: f.Dst, Frame: f},
+			}
+			e := evs[n%len(evs)]
+			j.Record(at, e)
+			if err := refEncode(&want, at, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		gotLines := strings.SplitAfter(got.String(), "\n")
+		wantLines := strings.SplitAfter(want.String(), "\n")
+		if len(gotLines) != len(wantLines) {
+			t.Fatalf("%s: %d lines, want %d", name, len(gotLines), len(wantLines))
+		}
+		for n := range wantLines {
+			if gotLines[n] != wantLines[n] {
+				t.Fatalf("%s: line %d (frame %d): encoder drift\n got: %q\nwant: %q",
+					name, n, order[n], gotLines[n], wantLines[n])
 			}
 		}
 	}

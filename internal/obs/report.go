@@ -11,11 +11,6 @@ import (
 	"ewmac/internal/sim"
 )
 
-// Collector is a Recorder that aggregates events into counters for the
-// per-run report. It holds no references to frames and allocates
-// nothing on the steady-state path: composite "a/b" keys are interned
-// once per distinct pair, and per-node drop counts are kept in a
-// numeric-keyed table that is formatted only at snapshot time.
 // tagIdx orders the simulator's event types for the Collector's flat
 // per-tag counter table; tagNames maps each slot back to its Tag().
 const (
@@ -59,6 +54,12 @@ var tagNames = [tagCount]string{
 	tagViolation:  OracleViolation{}.Tag(),
 }
 
+// Collector is a Recorder that aggregates events into counters for the
+// per-run report. It holds no references to frames and allocates
+// nothing on the steady-state path: event types count in a flat
+// per-tag table, each string field's small vocabulary counts in a
+// tally, and per-node drop counts in a numeric-keyed table. The
+// report's maps are built only when Report is called.
 type Collector struct {
 	// tags counts the known event types without touching a map on the
 	// hot fold; events catches only unknown (future) types. The two are
@@ -66,16 +67,16 @@ type Collector struct {
 	tags   [tagCount]uint64
 	events map[string]uint64
 
-	losses     map[string]uint64
-	contention map[string]uint64
-	extras     map[string]uint64
-	deny       map[string]uint64
-	faults     map[string]uint64
-	invariants map[string]uint64
-	recovery   map[string]uint64
-	drops      map[string]uint64
-	overload   map[string]uint64
-	violations map[string]uint64
+	losses     tally[string]
+	contention tally[string]
+	extras     tally[string]
+	deny       tally[[2]string] // action, reason
+	faults     tally[[2]string] // kind, action
+	invariants tally[string]
+	recovery   tally[string]
+	drops      tally[string]
+	overload   tally[string]
+	violations tally[string]
 	dropsNode  []uint64 // indexed by node id; see Report
 
 	// Queue occupancy fold: network-wide peak depth and the sojourn
@@ -84,45 +85,67 @@ type Collector struct {
 	sojournSum float64
 	sojournN   uint64
 
-	// pairKeys interns the "a/b" composite keys (deny action/reason,
-	// fault kind/action) so folding a repeated pair never concatenates.
-	pairKeys map[[2]string]string
-
 	delivered      uint64
 	deliveredBits  uint64
 	extraDelivered uint64
 	lastAt         sim.Time
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		events:     make(map[string]uint64),
-		losses:     make(map[string]uint64),
-		contention: make(map[string]uint64),
-		extras:     make(map[string]uint64),
-		deny:       make(map[string]uint64),
-		faults:     make(map[string]uint64),
-		invariants: make(map[string]uint64),
-		recovery:   make(map[string]uint64),
-		drops:      make(map[string]uint64),
-		overload:   make(map[string]uint64),
-		violations: make(map[string]uint64),
-		pairKeys:   make(map[[2]string]string),
-	}
+// tally counts one field's keys. The keys are the few interned
+// constants the emission sites pass, so scanning a short slice in
+// first-seen order is cheaper than hashing each key into a map.
+type tally[K comparable] []tallied[K]
+
+type tallied[K comparable] struct {
+	key K
+	n   uint64
 }
 
-// pairKey returns the interned "a/b" key, concatenating only the first
-// time a pair is seen.
-func (c *Collector) pairKey(a, b string) string {
-	k := [2]string{a, b}
-	if s, ok := c.pairKeys[k]; ok {
-		return s
+// tallyCap covers every vocabulary but the fault kind/action pairs,
+// so most tallies allocate once.
+const tallyCap = 8
+
+func (t *tally[K]) add(k K) {
+	for i := range *t {
+		if (*t)[i].key == k {
+			(*t)[i].n++
+			return
+		}
 	}
-	s := a + "/" + b
-	c.pairKeys[k] = s
-	return s
+	if *t == nil {
+		*t = make(tally[K], 0, tallyCap)
+	}
+	*t = append(*t, tallied[K]{k, 1})
 }
+
+// get returns k's count.
+func (t tally[K]) get(k K) uint64 {
+	for _, e := range t {
+		if e.key == k {
+			return e.n
+		}
+	}
+	return 0
+}
+
+// counts returns the tally as the report's map, each key rendered by
+// name; nil when nothing was counted.
+func (t tally[K]) counts(name func(K) string) map[string]uint64 {
+	if len(t) == 0 {
+		return nil
+	}
+	out := make(map[string]uint64, len(t))
+	for _, e := range t {
+		out[name(e.key)] = e.n
+	}
+	return out
+}
+
+func plainKey(s string) string   { return s }
+func pairKey(p [2]string) string { return p[0] + "/" + p[1] }
+
+// NewCollector returns an empty collector.
+func NewCollector() *Collector { return &Collector{} }
 
 // Record implements Recorder.
 func (c *Collector) Record(at sim.Time, e Event) {
@@ -138,12 +161,12 @@ func (c *Collector) Record(at sim.Time, e Event) {
 		c.tags[tagRx]++
 	case *FrameLoss:
 		c.tags[tagLoss]++
-		c.losses[ev.Reason]++
+		c.losses.add(ev.Reason)
 	case *MACState:
 		c.tags[tagState]++
 	case *Contention:
 		c.tags[tagContention]++
-		c.contention[ev.Outcome]++
+		c.contention.add(ev.Outcome)
 	case *SlotPeriod:
 		c.tags[tagPeriod]++
 	case *Delivery:
@@ -155,16 +178,16 @@ func (c *Collector) Record(at sim.Time, e Event) {
 		}
 	case *Extra:
 		c.tags[tagExtra]++
-		c.extras[ev.Action]++
+		c.extras.add(ev.Action)
 		if ev.Reason != "" {
-			c.deny[c.pairKey(ev.Action, ev.Reason)]++
+			c.deny.add([2]string{ev.Action, ev.Reason})
 		}
 	case *Recovery:
 		c.tags[tagRecovery]++
-		c.recovery[ev.Action]++
+		c.recovery.add(ev.Action)
 	case *PacketDrop:
 		c.tags[tagDrop]++
-		c.drops[ev.Reason]++
+		c.drops.add(ev.Reason)
 		id := int(uint16(ev.Node))
 		if id >= len(c.dropsNode) {
 			grown := make([]uint64, id+1)
@@ -183,19 +206,22 @@ func (c *Collector) Record(at sim.Time, e Event) {
 		}
 	case *Overload:
 		c.tags[tagOverload]++
-		c.overload[ev.Action]++
+		c.overload.add(ev.Action)
 	case *OracleViolation:
 		c.tags[tagViolation]++
-		c.violations[ev.Reason]++
+		c.violations.add(ev.Reason)
 	case *Fault:
 		c.tags[tagFault]++
-		c.faults[c.pairKey(ev.Kind, ev.Action)]++
+		c.faults.add([2]string{ev.Kind, ev.Action})
 	case *Invariant:
 		c.tags[tagInvariant]++
-		c.invariants[ev.Check]++
+		c.invariants.add(ev.Check)
 	case *EngineSample:
 		c.tags[tagSample]++
 	default:
+		if c.events == nil {
+			c.events = make(map[string]uint64)
+		}
 		c.events[e.Tag()]++
 	}
 }
@@ -335,17 +361,17 @@ func (c *Collector) Report(durationS float64) *RunReport {
 	r := &RunReport{
 		DurationS:        durationS,
 		Events:           c.eventTotals(),
-		Losses:           copyMap(c.losses),
-		Contention:       copyMap(c.contention),
-		Extras:           copyMap(c.extras),
-		DenyReasons:      copyMap(c.deny),
-		Faults:           copyMap(c.faults),
-		Invariants:       copyMap(c.invariants),
-		RecoveryEvents:   copyMap(c.recovery),
-		Drops:            copyMap(c.drops),
+		Losses:           c.losses.counts(plainKey),
+		Contention:       c.contention.counts(plainKey),
+		Extras:           c.extras.counts(plainKey),
+		DenyReasons:      c.deny.counts(pairKey),
+		Faults:           c.faults.counts(pairKey),
+		Invariants:       c.invariants.counts(plainKey),
+		RecoveryEvents:   c.recovery.counts(plainKey),
+		Drops:            c.drops.counts(plainKey),
 		DropsByNode:      c.dropsByNode(),
-		Overload:         copyMap(c.overload),
-		OracleViolations: copyMap(c.violations),
+		Overload:         c.overload.counts(plainKey),
+		OracleViolations: c.violations.counts(plainKey),
 		QueuePeakDepth:   c.queuePeak,
 		DeliveredPackets: c.delivered,
 		DeliveredBits:    c.deliveredBits,
@@ -355,11 +381,12 @@ func (c *Collector) Report(durationS float64) *RunReport {
 		r.ThroughputKbps = float64(c.deliveredBits) / durationS / 1000
 		r.DeliveriesPerSec = float64(c.delivered) / durationS
 	}
-	if req := c.extras[ExtraRequest]; req > 0 {
-		r.ExtraSuccessRate = float64(c.extras[ExtraComplete]) / float64(req)
+	if req := c.extras.get(ExtraRequest); req > 0 {
+		r.ExtraSuccessRate = float64(c.extras.get(ExtraComplete)) / float64(req)
 	}
-	if rounds := c.contention[ContentionWon] + c.contention[ContentionTimeout]; rounds > 0 {
-		r.ContentionWinRate = float64(c.contention[ContentionWon]) / float64(rounds)
+	won := c.contention.get(ContentionWon)
+	if rounds := won + c.contention.get(ContentionTimeout); rounds > 0 {
+		r.ContentionWinRate = float64(won) / float64(rounds)
 	}
 	if c.sojournN > 0 {
 		r.QueueMeanSojournS = c.sojournSum / float64(c.sojournN)
@@ -404,17 +431,6 @@ func (c *Collector) dropsByNode() map[string]uint64 {
 			out = make(map[string]uint64)
 		}
 		out[strconv.Itoa(id)] = n
-	}
-	return out
-}
-
-func copyMap(m map[string]uint64) map[string]uint64 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
 	}
 	return out
 }

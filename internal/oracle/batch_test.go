@@ -40,6 +40,13 @@ type loss struct {
 	at     sim.Time
 }
 
+// batchArrival is an arrival in the batch oracle's one flat list, so
+// it names its receiver.
+type batchArrival struct {
+	arrival
+	at packet.NodeID
+}
+
 // Oracle accumulates a run's channel-level ground truth.
 type Oracle struct {
 	// BitRate converts frame sizes to duration.
@@ -48,7 +55,7 @@ type Oracle struct {
 	// survives a weaker overlapping one. Match the model's threshold.
 	CaptureDB float64
 
-	arrivals   []arrival
+	arrivals   []batchArrival
 	txSpans    map[packet.NodeID][]span
 	receptions []reception
 	losses     []loss
@@ -68,13 +75,11 @@ func New(bitRate, captureDB float64) *Oracle {
 // RecordTx.
 func (o *Oracle) RecordEmission(now sim.Time, src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64) {
 	dur := f.TxDuration(o.BitRate)
-	o.arrivals = append(o.arrivals, arrival{
+	o.arrivals = append(o.arrivals, batchArrival{arrival{
 		key:     keyOf(f),
-		at:      dst,
 		span:    span{now.Add(delay), now.Add(delay + dur)},
 		levelDB: levelDB,
-		kind:    f.Kind,
-	})
+	}, dst})
 }
 
 // RecordTx logs one transmission span at node (the phy.tx event), so
@@ -113,7 +118,7 @@ func (o *Oracle) Losses() int { return len(o.losses) }
 func (o *Oracle) findArrival(node packet.NodeID, k frameKey) (arrival, bool) {
 	for _, a := range o.arrivals {
 		if a.at == node && a.key == k {
-			return a, true
+			return a.arrival, true
 		}
 	}
 	return arrival{}, false
@@ -178,7 +183,7 @@ func (o *Oracle) VerifyExtraSafety() []Violation {
 			if other.at != l.node || other.key == victim.key {
 				continue
 			}
-			if !other.span.overlaps(victim.span) || !other.kind.IsExtra() {
+			if !other.span.overlaps(victim.span) || !other.key.kind.IsExtra() {
 				continue
 			}
 			out = append(out, Violation{l.node, keyString(l.key),

@@ -38,10 +38,8 @@ func (s span) overlaps(o span) bool { return s.start < o.end && o.start < s.end 
 // arrival is one signal reaching one receiver.
 type arrival struct {
 	key     frameKey
-	at      packet.NodeID
 	span    span
 	levelDB float64
-	kind    packet.Kind
 }
 
 type keyString frameKey

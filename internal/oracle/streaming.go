@@ -60,6 +60,13 @@ type Streaming struct {
 	tx       []txIndex
 	maxDur   time.Duration
 
+	// emitFrame is the frame of the latest emission and emitKey and
+	// emitDur its key and duration: a broadcast's fan-out records one
+	// emission per receiver, all for the same frame.
+	emitFrame *packet.Frame
+	emitKey   frameKey
+	emitDur   time.Duration
+
 	receptions uint64
 	losses     uint64
 	emissions  uint64
@@ -79,7 +86,8 @@ type Streaming struct {
 const compactEvery = 64
 
 type arrivalIndex struct {
-	// spans is sorted by span.start (ties keep insertion order).
+	// spans is sorted by span.start (ties keep insertion order). The
+	// receiver is the index's node, so an arrival does not record it.
 	spans   []arrival
 	inserts int
 }
@@ -133,23 +141,29 @@ func (s *Streaming) Record(at sim.Time, e obs.Event) {
 // of once per receiver.
 func (s *Streaming) RecordEmission(now sim.Time, src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64) {
 	s.emissions++
-	dur := f.TxDuration(s.BitRate)
-	if dur > s.maxDur {
-		s.maxDur = dur
+	if f != s.emitFrame {
+		s.emitFrame, s.emitKey, s.emitDur = f, keyOf(f), f.TxDuration(s.BitRate)
+		if s.emitDur > s.maxDur {
+			s.maxDur = s.emitDur
+		}
 	}
 	a := arrival{
-		key:     keyOf(f),
-		at:      dst,
-		span:    span{now.Add(delay), now.Add(delay + dur)},
+		key:     s.emitKey,
+		span:    span{now.Add(delay), now.Add(delay + s.emitDur)},
 		levelDB: levelDB,
-		kind:    f.Kind,
 	}
 	s.arrivals = growTo(s.arrivals, dst)
 	idx := &s.arrivals[dst]
-	i := sort.Search(len(idx.spans), func(i int) bool { return idx.spans[i].span.start > a.span.start })
-	idx.spans = append(idx.spans, arrival{})
-	copy(idx.spans[i+1:], idx.spans[i:])
-	idx.spans[i] = a
+	// Emissions mostly arrive in start order, so the new span usually
+	// goes last; ties keep insertion order either way.
+	if n := len(idx.spans); n == 0 || idx.spans[n-1].span.start <= a.span.start {
+		idx.spans = append(idx.spans, a)
+	} else {
+		i := sort.Search(n, func(i int) bool { return idx.spans[i].span.start > a.span.start })
+		idx.spans = append(idx.spans, arrival{})
+		copy(idx.spans[i+1:], idx.spans[i:])
+		idx.spans[i] = a
+	}
 	s.liveArrivals++
 	if s.liveArrivals > s.peakArrivals {
 		s.peakArrivals = s.liveArrivals
@@ -243,7 +257,7 @@ func (s *Streaming) RecordLoss(now sim.Time, node packet.NodeID, f *packet.Frame
 		return
 	}
 	s.eachOverlap(node, victim.span, func(other *arrival) {
-		if other.key == victim.key || !other.kind.IsExtra() {
+		if other.key == victim.key || !other.key.kind.IsExtra() {
 			return
 		}
 		s.violate(now, node, f, obs.OracleExtraGuard,
