@@ -365,3 +365,31 @@ func TestSurfacePathShallowSourceNearlyCoincides(t *testing.T) {
 		t.Errorf("grazing-source reflected path gap = %v, want tiny", gap)
 	}
 }
+
+// TestPathsMatchModel: the hoisted per-pair arithmetic is the Model's
+// DelayOver and LevelAtDB bit for bit, at equal and differing depths,
+// below the 1 m clamp, and for a uniform, a Munk and a custom profile.
+func TestPathsMatchModel(t *testing.T) {
+	for _, prof := range []SpeedProfile{UniformSpeed(1500), UniformSpeed(1487.3), CanonicalMunk(), LinearSpeed{Surface: 1490, Gradient: 0.017}} {
+		m := DefaultModel()
+		m.Profile = prof
+		m.Spreading = 1.7
+		m.FreqKHz = 23.5
+		p := m.Paths()
+		src := SourceLevelDB(m.TxPowerW)
+		check := func(dist, a, b float64) bool {
+			dist, a, b = math.Abs(dist), math.Abs(a), math.Abs(b)
+			return p.Delay(dist, a, b) == m.DelayOver(dist, a, b) &&
+				p.Delay(dist, a, a) == m.DelayOver(dist, a, a) &&
+				math.Float64bits(p.LevelAtDB(src, dist)) == math.Float64bits(m.LevelAtDB(src, dist))
+		}
+		if err := quick.Check(check, nil); err != nil {
+			t.Errorf("%T: %v", prof, err)
+		}
+		for _, dist := range []float64{0, 0.4, 1, 999.99, 1500, 3000.123} {
+			if !check(dist, 10, 250) {
+				t.Errorf("%T: differs at %v m", prof, dist)
+			}
+		}
+	}
+}

@@ -15,10 +15,16 @@ func ThorpAbsorption(freqKHz float64) float64 {
 // 2 spherical, 1.5 "practical") and Thorp absorption. Distances below
 // one meter are clamped: the reference level is defined at 1 m.
 func PathLossDB(distM, freqKHz, spreading float64) float64 {
+	return pathLossDB(distM, spreading*10, ThorpAbsorption(freqKHz))
+}
+
+// pathLossDB is PathLossDB with its per-model factors, spreading*10 and
+// the absorption in dB/km, already worked out.
+func pathLossDB(distM, spread10, absorption float64) float64 {
 	if distM < 1 {
 		distM = 1
 	}
-	return spreading*10*math.Log10(distM) + ThorpAbsorption(freqKHz)*distM/1000
+	return spread10*math.Log10(distM) + absorption*distM/1000
 }
 
 // SourceLevelDB converts electrical transmit power in watts into a

@@ -89,7 +89,12 @@ func (m *Model) Delay(a, b vec.V3) time.Duration {
 // depths, bit for bit: callers that already hold a pair's distance
 // pass it rather than compute it again.
 func (m *Model) DelayOver(distM, depthA, depthB float64) time.Duration {
-	c := MeanSpeed(m.Profile, depthA, depthB)
+	return delayAt(distM, MeanSpeed(m.Profile, depthA, depthB))
+}
+
+// delayAt is the delay over distM metres at mean speed c, falling back
+// to 1500 m/s for a non-physical speed.
+func delayAt(distM, c float64) time.Duration {
 	if c <= 0 {
 		c = 1500
 	}
@@ -130,6 +135,49 @@ func (m *Model) ReceivedLevelDB(a, b vec.V3) float64 {
 // compute the source level once and pass it in.
 func (m *Model) LevelAtDB(sourceDB, distM float64) float64 {
 	return sourceDB - PathLossDB(distM, m.FreqKHz, m.Spreading)
+}
+
+// Paths is a Model's per-pair arithmetic with its per-model constants
+// worked out once, for callers that evaluate many pairs of one model
+// (a broadcast's receivers): Delay and LevelAtDB are the Model's
+// DelayOver and LevelAtDB bit for bit, by the same floating-point
+// operations in the same order. Only a uniform speed profile's mean
+// speed is hoisted; any other profile keeps DelayOver's depth sum.
+type Paths struct {
+	m          *Model
+	spread10   float64 // Spreading*10
+	absorption float64 // ThorpAbsorption(FreqKHz), dB/km
+	uniform    bool
+	// A uniform profile's speed at equal depths (SpeedAt) and its
+	// 16-term MeanSpeed across different ones.
+	sameDepth, acrossDepths float64
+}
+
+// Paths returns m's per-pair arithmetic; m must not change while the
+// result is in use.
+func (m *Model) Paths() Paths {
+	p := Paths{m: m, spread10: m.Spreading * 10, absorption: ThorpAbsorption(m.FreqKHz)}
+	if u, ok := m.Profile.(UniformSpeed); ok {
+		p.uniform = true
+		p.sameDepth, p.acrossDepths = float64(u), uniformMean(float64(u))
+	}
+	return p
+}
+
+// Delay is the Model's DelayOver.
+func (p *Paths) Delay(distM, depthA, depthB float64) time.Duration {
+	if !p.uniform {
+		return p.m.DelayOver(distM, depthA, depthB)
+	}
+	if depthA == depthB {
+		return delayAt(distM, p.sameDepth)
+	}
+	return delayAt(distM, p.acrossDepths)
+}
+
+// LevelAtDB is the Model's LevelAtDB.
+func (p *Paths) LevelAtDB(sourceDB, distM float64) float64 {
+	return sourceDB - pathLossDB(distM, p.spread10, p.absorption)
 }
 
 // NoiseLevelDB returns total in-band ambient noise in dB re µPa.

@@ -66,26 +66,32 @@ func MeanSpeed(p SpeedProfile, depthA, depthB float64) float64 {
 	if depthA == depthB {
 		return p.SpeedAt(depthA)
 	}
-	const steps = 16
 	if u, ok := p.(UniformSpeed); ok {
-		// The same sums in the same order, without the 17 calls.
-		c := float64(u)
-		sum := (c + c) / 2
-		for i := 1; i < steps; i++ {
-			sum += c
-		}
-		return sum / steps
+		return uniformMean(float64(u))
 	}
 	lo, hi := depthA, depthB
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	h := (hi - lo) / steps
+	h := (hi - lo) / meanSteps
 	sum := (p.SpeedAt(lo) + p.SpeedAt(hi)) / 2
-	for i := 1; i < steps; i++ {
+	for i := 1; i < meanSteps; i++ {
 		sum += p.SpeedAt(lo + float64(i)*h)
 	}
-	return sum / steps
+	return sum / meanSteps
+}
+
+// meanSteps is MeanSpeed's trapezoid count.
+const meanSteps = 16
+
+// uniformMean is MeanSpeed's trapezoid over a profile of constant
+// speed c: the same sums in the same order, without the 17 calls.
+func uniformMean(c float64) float64 {
+	sum := (c + c) / 2
+	for i := 1; i < meanSteps; i++ {
+		sum += c
+	}
+	return sum / meanSteps
 }
 
 // validateProfile reports a descriptive error for non-physical speeds.

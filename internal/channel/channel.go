@@ -146,6 +146,7 @@ func (c *Channel) SetRecorder(r obs.Recorder) { c.rec = r }
 func (c *Channel) buildGeoms(srcNode *topology.Node) {
 	out, order := c.scratch[:0], c.order[:0]
 	model := c.net.Model
+	paths := model.Paths() // the per-model constants, once per broadcast
 	maxDist := model.MaxRangeM * InterferenceRangeFactor
 	sourceDB := acoustic.SourceLevelDB(model.TxPowerW)
 	srcDepth := srcNode.Pos.Depth()
@@ -166,8 +167,8 @@ func (c *Channel) buildGeoms(srcNode *topology.Node) {
 		g := rxGeom{
 			rx:      rx,
 			dst:     id,
-			delay:   model.DelayOver(dist, srcDepth, dstNode.Pos.Depth()),
-			levelDB: model.LevelAtDB(sourceDB, dist),
+			delay:   paths.Delay(dist, srcDepth, dstNode.Pos.Depth()),
+			levelDB: paths.LevelAtDB(sourceDB, dist),
 			// Beyond the nominal communication range (Table 2: 1.5 km)
 			// the modem never synchronizes to the signal, but its energy
 			// still interferes at full physical strength.

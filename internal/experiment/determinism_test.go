@@ -211,3 +211,36 @@ func TestGoldenFaultTraceDigest(t *testing.T) {
 		})
 	}
 }
+
+// goldenVerifiedTraceDigest pins the trace of goldenVerifiedConfig,
+// the one golden run with the trace and the streaming oracle both on:
+// it holds where each oracle.violation line lands among the events
+// it follows, which the verifier emits from inside the fan-out. The
+// run has two extra-guard violations today; the §4.2 re-baseline
+// (ROADMAP item 2) will change both and re-pin this digest.
+const goldenVerifiedTraceDigest = 0x5adf01a07fd605fd
+
+func goldenVerifiedConfig() Config {
+	cfg := Default(ProtocolEWMAC)
+	cfg.MobileFraction = 0
+	cfg.OfferedLoadKbps = 1.5
+	cfg.SimTime = 120 * time.Second
+	cfg.Seed = 3
+	return cfg
+}
+
+func TestGoldenVerifiedTraceDigest(t *testing.T) {
+	h := fnv.New64a()
+	cfg := goldenVerifiedConfig()
+	cfg.Observe = &Observe{Trace: h, Verify: true}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Conformance.Violations; got != 2 {
+		t.Errorf("violations = %d, want the pinned 2", got)
+	}
+	if got := h.Sum64(); got != goldenVerifiedTraceDigest {
+		t.Errorf("verified trace digest = %#016x, want pinned %#016x", got, uint64(goldenVerifiedTraceDigest))
+	}
+}

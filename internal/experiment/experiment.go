@@ -290,6 +290,7 @@ func Run(cfg Config) (*Result, error) {
 		trackerRec = tracker
 	}
 	ro := newRunObs(cfg, slots, model, trackerRec)
+	defer ro.stop()
 	if ro.rec != nil {
 		ch.SetRecorder(ro.rec)
 	}

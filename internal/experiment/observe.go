@@ -23,7 +23,14 @@ import (
 type Observe struct {
 	// Recorder receives every structured event, in addition to the
 	// sinks implied by the fields below. Use it for custom analysis or
-	// test assertions over the live event stream.
+	// test assertions over the live event stream. It is called on one
+	// goroutine, in event order, and never concurrently with itself.
+	// When Trace or Verify is on, that goroutine is not the one
+	// simulating the run: the whole recorder fan-out is
+	// replayed on an observer goroutine (obs.Stager), which Run joins
+	// before it returns. A Recorder must then touch nothing the
+	// simulation mutates; the events themselves, and the frames they
+	// name, are safe.
 	Recorder obs.Recorder
 	// Trace, when non-nil, receives the trace-v2 JSONL stream: one
 	// event object per line, each carrying "at" (fractional simulated
@@ -62,7 +69,10 @@ type Observe struct {
 
 // runObs bundles the per-run observability consumers.
 type runObs struct {
+	// rec is what the simulation records into: the fan-out itself, or
+	// the stager that replays it on an observer goroutine.
 	rec       obs.Recorder
+	stager    *obs.Stager
 	jsonl     *obs.JSONL
 	collector *obs.Collector
 	sampler   *obs.Sampler
@@ -79,6 +89,15 @@ type runObs struct {
 // independent, so every consumer of one run sees the same slot grid
 // and PHY thresholds). extra splices additional recorders (the
 // resilience tracker on fault-injected runs) into the fan-out.
+//
+// A run with the trace or the verifier on stages its events and
+// replays the whole fan-out on an observer goroutine, which takes the
+// recorders' cost off the simulating one. Every other run keeps the
+// fan-out inline: the report, the tracker, the span assembler, the
+// slot profiler (whose cost is mostly its Finish, after the run) and a
+// custom recorder each cost the simulating goroutine less per event
+// than staging the event does (DESIGN.md, "Observers off the
+// simulation thread").
 func newRunObs(cfg Config, slots mac.SlotConfig, model *acoustic.Model, extra ...obs.Recorder) *runObs {
 	ro := &runObs{}
 	recs := append([]obs.Recorder(nil), extra...)
@@ -116,30 +135,53 @@ func newRunObs(cfg Config, slots mac.SlotConfig, model *acoustic.Model, extra ..
 		}
 	}
 	if ro.verifier != nil {
-		// The verifier must sit LAST: it re-emits violations into the
-		// same fan-out, and the JSONL exporter (among others) is not
-		// re-entrant mid-Record — by the time the verifier runs, every
-		// other recorder has finished with the triggering event.
+		// The verifier re-emits each violation into the fan-out it sits
+		// in, from inside its own Record. Placed last, it does so once
+		// every other recorder has finished with the triggering event:
+		// none is re-entered mid-Record, and the violation line follows
+		// the event it condemns.
 		recs = append(recs, ro.verifier)
 	}
-	ro.rec = obs.Multi(recs...)
+	fan := obs.Multi(recs...)
+	ro.rec = fan
+	if o := cfg.Observe; o != nil && (o.Trace != nil || o.Verify) {
+		ro.stager = obs.NewStager(fan)
+		ro.rec = ro.stager
+	}
 	if ro.verifier != nil {
-		ro.verifier.SetSink(ro.rec)
+		// The replay-side fan-out, never the stager: violations are
+		// found on the observer goroutine and recorded there.
+		ro.verifier.SetSink(fan)
 	}
 	return ro
 }
 
-// closeStreams drains every buffered stream consumer: the sampler and
-// trace flush, the span assembler closes out still-open spans, and the
-// slot profiler classifies and writes its records. It is called from
-// the normal completion path and from the budget-abort path alike, so
-// a run cut mid-stream still leaves parseable, flushed output files.
-// Safe to call twice; the second call is a no-op.
+// stop ends the observer goroutine, if any, without re-raising a
+// recorder panic: Run defers it for the paths that leave before
+// closeStreams, a panic included.
+func (ro *runObs) stop() {
+	if ro.stager != nil {
+		ro.stager.Stop()
+	}
+}
+
+// closeStreams drains every buffered stream consumer: the stager
+// replays what it holds and joins its observer goroutine (re-raising a
+// recorder's panic here), the sampler and trace flush, the span
+// assembler closes out still-open spans, and the slot profiler
+// classifies and writes its records. Nothing may read a recorder of the
+// fan-out before this returns. It is called from the normal completion
+// path and from the budget-abort path alike, so a run cut mid-stream
+// still leaves parseable, flushed output files. Safe to call twice; the
+// second call is a no-op.
 func (ro *runObs) closeStreams(eng *sim.Engine) error {
 	if ro.closed {
 		return nil
 	}
 	ro.closed = true
+	if ro.stager != nil {
+		ro.stager.Close()
+	}
 	var errs []error
 	if ro.sampler != nil {
 		errs = append(errs, ro.sampler.Flush())

@@ -144,3 +144,18 @@ func TestRecordPathZeroAllocFanOut(t *testing.T) {
 	emit(rec) // warm pools, interners, and staging buffers
 	assertZeroAllocs(t, "full fan-out", func() { emit(rec) })
 }
+
+// TestRecordPathZeroAllocStager: once its batches are warm, staging
+// an event copies it into a batch slice that already has room, and the
+// hand-offs move pooled batches through buffered channels.
+func TestRecordPathZeroAllocStager(t *testing.T) {
+	skipUnderRace(t)
+	_, _, emit := steadyState()
+	st := NewStager(RecorderFunc(func(sim.Time, Event) {}))
+	defer st.Close()
+	// Every batch must see the full mix before the count starts.
+	for range 2 * stagerBatches * batchEvents {
+		emit(st)
+	}
+	assertZeroAllocs(t, "stager", func() { emit(st) })
+}

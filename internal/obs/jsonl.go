@@ -21,10 +21,10 @@ import (
 // The encoders are hand-rolled (encode.go) and byte-identical to the
 // reflection-based encoding/json output the exporter once used, so
 // golden trace hashes and tracetool are unaffected. Lines are
-// staged in one buffer on the recording goroutine and written to the
-// sink each time the buffer passes jsonlFlushAt, on Flush and on Close.
-// Call Flush before reading the output mid-run and Close when the
-// stream is done.
+// collected in one buffer on the recording goroutine and written to
+// the sink each time the buffer passes jsonlFlushAt, and on Close. The
+// sink therefore lags the recorded events by up to one buffer: Close
+// the exporter before reading its output.
 type JSONL struct {
 	w      io.Writer
 	cur    []byte
@@ -103,8 +103,8 @@ const (
 )
 
 // NewJSONL returns a trace-v2 exporter writing to w. Close it when the
-// stream is done: lines staged since the last write reach w only on
-// Flush or Close.
+// stream is done: lines buffered since the last write reach w only on
+// Close.
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: w, cur: make([]byte, 0, jsonlBufCap), frames: newFrameCache()}
 }

@@ -7,9 +7,12 @@
 // Events are plain structs dispatched through the nil-checked Recorder
 // interface. Every emission site guards with a nil test before
 // constructing the event, so with observability disabled the hot path
-// pays exactly one predictable branch and zero allocations. Producers
-// never block on consumers: recorders run synchronously on the
-// simulation goroutine and must not re-enter the engine.
+// pays exactly one predictable branch and zero allocations. Recorders
+// run synchronously, one event at a time and in event order, and must
+// not re-enter the engine. They run on the simulation goroutine, unless
+// a Stager (stage.go) replays them on an observer goroutine of their
+// own; the producer then waits for them only when they fall more than
+// two batches behind.
 //
 // With observability enabled the path is allocation-free too: emission
 // sites call the per-type Emit helpers (emit.go), which lease a record
@@ -36,8 +39,9 @@ type Event interface {
 	Tag() string
 }
 
-// Recorder consumes events. Implementations run on the simulation
-// goroutine; Record must not schedule engine events or transmit.
+// Recorder consumes events, one at a time and in event order, on the
+// simulation goroutine or on a Stager's observer goroutine; Record must
+// not schedule engine events or transmit.
 type Recorder interface {
 	Record(at sim.Time, e Event)
 }

@@ -35,10 +35,13 @@ import (
 // per-run recorder fan-out. Violations are tallied and — when a sink
 // is attached with SetSink — each one is re-emitted as a typed obs.OracleViolation event so it
 // reaches the trace, the report collector, and the resilience tracker
-// like any other observation. The verifier must be the LAST recorder
-// in the fan-out: emitting from inside an earlier position would
-// re-enter consumers (the JSONL exporter in particular) that are not
-// re-entrant mid-Record.
+// like any other observation. The verifier re-emits from inside its own
+// Record, so it goes last in the fan-out it emits into: every other
+// recorder has then finished with the triggering event, none is
+// re-entered mid-Record (the JSONL exporter is not re-entrant), and a
+// violation's trace line follows the event it condemns. The sink must
+// be recorded into on the goroutine that calls Record: with the fan-out
+// behind an obs.Stager, that is the replayed fan-out, not the stager.
 type Streaming struct {
 	// BitRate converts frame sizes to duration; CaptureDB is the SINR
 	// margin above which a stronger frame survives a weaker overlapping

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +130,32 @@ func TestSupervisePanicInRunMean(t *testing.T) {
 	}
 	if rec.Status != StatusFailed || !rec.Panicked {
 		t.Errorf("record = %+v, want failed+panicked", rec)
+	}
+	if !strings.Contains(rec.Error, "recorder corrupted") {
+		t.Errorf("quarantine error %q lacks panic value", rec.Error)
+	}
+	if !strings.Contains(rec.Stack, "experiment.Run(") {
+		t.Errorf("quarantine stack does not name experiment.Run:\n%s", rec.Stack)
+	}
+}
+
+// TestObserverPanicQuarantined: on a traced run the recorders replay
+// on an observer goroutine, where a panic would kill the process
+// unrecovered. It comes back to the simulating goroutine instead, so
+// Supervise quarantines the point as for an inline recorder.
+func TestObserverPanicQuarantined(t *testing.T) {
+	cfg := experiment.Default(experiment.ProtocolEWMAC)
+	cfg.SimTime = 20 * time.Second
+	cfg.Observe = &experiment.Observe{
+		Trace:    io.Discard,
+		Recorder: obs.RecorderFunc(func(sim.Time, obs.Event) { panic("recorder corrupted") }),
+	}
+	run := func(Key, sim.Budget) (metrics.Summary, error) {
+		return experiment.RunMean(cfg, []int64{1})
+	}
+	rec := Supervise(Key{Sweep: "s", Protocol: "p"}, run, Options{})
+	if rec.Status != StatusFailed || !rec.Panicked {
+		t.Fatalf("record = %+v, want failed+panicked", rec)
 	}
 	if !strings.Contains(rec.Error, "recorder corrupted") {
 		t.Errorf("quarantine error %q lacks panic value", rec.Error)
