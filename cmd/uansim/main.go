@@ -14,8 +14,6 @@
 //	uansim -proto ewmac -faults chaos.json   # fault-injection scenario
 //	uansim -proto ewmac -load 4 -policy deadline -ttl 30s -admission 0.9 \
 //	       -retry-burst 8 -v                  # graceful overload management
-//	uansim -proto ewmac -adversary -adv-trials 8 -adv-out repro.json
-//	                                         # adversarial fault-scenario search
 //	uansim -deadline 5m -max-events 100000000 # budget + livelock watchdog
 //
 // Every run executes under supervision: panics are reported with their
@@ -28,7 +26,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -43,7 +40,6 @@ import (
 	"ewmac/internal/fault"
 	"ewmac/internal/metrics"
 	"ewmac/internal/obs"
-	"ewmac/internal/resilience/adversary"
 	"ewmac/internal/runner"
 	"ewmac/internal/sim"
 )
@@ -84,11 +80,6 @@ func run() int {
 		httpAddr   = flag.String("http", "", "serve live run introspection (/metrics, /progress, /debug/pprof) on this address")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
-
-		adversary   = flag.Bool("adversary", false, "run the adversarial fault-scenario search instead of a normal run (single protocol only)")
-		advTrials   = flag.Int("adv-trials", 16, "adversarial search: number of random scenarios to try")
-		advOut      = flag.String("adv-out", "adversary.json", "adversarial search: write the minimized scenario JSON here")
-		advCollapse = flag.Float64("adv-collapse", 0.25, "adversarial search: delivery-collapse threshold as a fraction of the fault-free baseline")
 
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget per run (0 = unbounded)")
 		maxEvents = flag.Uint64("max-events", 0, "simulation event budget per run (0 = unbounded)")
@@ -147,11 +138,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "uansim: %v\n", err)
 			return 2
 		}
-	}
-
-	if *adversary {
-		return runAdversary(protos, scenario, *nodes, *sinks, *load, *bits,
-			*side, *mobile, *simTime, *seed, *advTrials, *advCollapse, *advOut)
 	}
 
 	// Observability outputs are one file per run; with several
@@ -327,68 +313,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "uansim: conformance verification failed: %d violations\n", totalViolations)
 		return 1
 	}
-	return 0
-}
-
-// runAdversary executes the adversarial fault-scenario search on the
-// scenario assembled from the normal flags and, when a violation is
-// found, writes the minimized reproducer as a -faults-compatible JSON
-// file.
-func runAdversary(protos []ewmac.Protocol, scenario *fault.Scenario,
-	nodes, sinks int, load float64, bits int, side, mobile float64,
-	simTime time.Duration, seed int64, trials int, collapse float64, out string) int {
-	if len(protos) != 1 {
-		fmt.Fprintf(os.Stderr, "uansim: -adversary searches one protocol at a time; got %d\n", len(protos))
-		return 2
-	}
-	if scenario != nil {
-		fmt.Fprintln(os.Stderr, "uansim: -adversary generates its own scenarios; drop -faults")
-		return 2
-	}
-	p := protos[0]
-	cfg := ewmac.DefaultConfig(p)
-	cfg.Nodes = nodes
-	cfg.Sinks = sinks
-	cfg.OfferedLoadKbps = load
-	cfg.DataBits = bits
-	cfg.RegionSide = side
-	cfg.MobileFraction = mobile
-	cfg.SimTime = simTime
-	cfg.Seed = seed
-
-	f, err := adversary.Search(adversary.Options{
-		Base:             cfg,
-		Trials:           trials,
-		Seed:             seed,
-		CollapseFraction: collapse,
-		Log:              func(line string) { fmt.Fprintln(os.Stderr, "  "+line) },
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uansim: adversary: %v\n", err)
-		return 1
-	}
-	if f == nil {
-		fmt.Printf("%s: no invariant violation in %d trials\n", p.DisplayName(), trials)
-		return 0
-	}
-	b, err := json.MarshalIndent(f.Scenario, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uansim: adversary: %v\n", err)
-		return 1
-	}
-	if err := obs.WriteFileAtomic(out, append(b, '\n')); err != nil {
-		fmt.Fprintf(os.Stderr, "uansim: adversary: %v\n", err)
-		return 1
-	}
-	fmt.Printf("%s: %s violated (trial %d, %d shrink steps, %d runs)\n",
-		p.DisplayName(), f.Invariant, f.Trial, f.ShrinkSteps, f.Runs)
-	fmt.Printf("  %s\n", f.Detail)
-	fmt.Printf("  baseline delivery %.3f, violating delivery %.3f (delivered %d of %d)\n",
-		f.BaselineRatio, f.Violating.DeliveryRatio,
-		f.Violating.MAC.DeliveredPackets, f.Violating.MAC.Generated)
-	fmt.Printf("  reproducer: %s\n", out)
-	fmt.Printf("  replay: uansim -proto %s -nodes %d -sinks %d -load %g -bits %d -side %g -mobile %g -sim %s -seed %d -faults %s\n",
-		string(p), nodes, sinks, load, bits, side, mobile, simTime, seed, out)
 	return 0
 }
 

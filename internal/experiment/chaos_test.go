@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ewmac/internal/fault"
+	"ewmac/internal/metrics"
 	"ewmac/internal/obs"
 	"ewmac/internal/sim"
 )
@@ -68,40 +69,47 @@ func TestChaosSoak(t *testing.T) {
 				if faults == 0 {
 					t.Error("no fault events recorded under the full cocktail")
 				}
-				s := res.Summary
-				const insane = uint64(1) << 40
-				m := s.MAC
-				for name, v := range map[string]uint64{
-					"Generated": m.Generated, "DeliveredPackets": m.DeliveredPackets,
-					"DeliveredBits": m.DeliveredBits, "AckedPackets": m.AckedPackets,
-					"RTSSent": m.RTSSent, "CTSSent": m.CTSSent,
-					"Retransmissions": m.Retransmissions, "Dropped": m.Dropped,
-					"Probes": m.Probes, "ImpossibleRx": m.ImpossibleRx,
-				} {
-					if v > insane {
-						t.Errorf("%s = %d: counter underflow", name, v)
-					}
-				}
-				if m.DeliveredPackets > m.Generated {
-					t.Errorf("delivered %d > generated %d", m.DeliveredPackets, m.Generated)
-				}
-				if s.DeliveryRatio < 0 || s.DeliveryRatio > 1 || math.IsNaN(s.DeliveryRatio) {
-					t.Errorf("delivery ratio %v outside [0,1]", s.DeliveryRatio)
-				}
+				checkSane(t, res.Summary)
 				// Faults hurt, but a 120s run at Table 2 load must still
 				// deliver something: total collapse means a protocol
 				// wedged, not that the ocean was noisy.
-				if s.DeliveryRatio < 0.05 {
-					t.Errorf("delivery ratio %.3f: protocol effectively dead under faults", s.DeliveryRatio)
-				}
-				if s.MeanPowerMW < 0 || math.IsNaN(s.MeanPowerMW) {
-					t.Errorf("mean power %v", s.MeanPowerMW)
-				}
-				if s.ExecutionTime < 0 {
-					t.Errorf("execution time %v", s.ExecutionTime)
+				if res.Summary.DeliveryRatio < 0.05 {
+					t.Errorf("delivery ratio %.3f: protocol effectively dead under faults", res.Summary.DeliveryRatio)
 				}
 			})
 		}
+	}
+}
+
+// checkSane fails t when a summary's counters are impossible whatever
+// the faults: an underflowed counter, more deliveries than arrivals, a
+// delivery ratio outside [0, 1], negative power or latency.
+func checkSane(t testing.TB, s metrics.Summary) {
+	t.Helper()
+	const insane = uint64(1) << 40
+	m := s.MAC
+	for name, v := range map[string]uint64{
+		"Generated": m.Generated, "DeliveredPackets": m.DeliveredPackets,
+		"DeliveredBits": m.DeliveredBits, "AckedPackets": m.AckedPackets,
+		"RTSSent": m.RTSSent, "CTSSent": m.CTSSent,
+		"Retransmissions": m.Retransmissions, "Dropped": m.Dropped,
+		"Probes": m.Probes, "ImpossibleRx": m.ImpossibleRx,
+	} {
+		if v > insane {
+			t.Errorf("%s = %d: counter underflow", name, v)
+		}
+	}
+	if m.DeliveredPackets > m.Generated {
+		t.Errorf("delivered %d > generated %d", m.DeliveredPackets, m.Generated)
+	}
+	if s.DeliveryRatio < 0 || s.DeliveryRatio > 1 || math.IsNaN(s.DeliveryRatio) {
+		t.Errorf("delivery ratio %v outside [0,1]", s.DeliveryRatio)
+	}
+	if s.MeanPowerMW < 0 || math.IsNaN(s.MeanPowerMW) {
+		t.Errorf("mean power %v", s.MeanPowerMW)
+	}
+	if s.ExecutionTime < 0 {
+		t.Errorf("execution time %v", s.ExecutionTime)
 	}
 }
 

@@ -164,8 +164,8 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	if d := s.Drift; d != nil {
-		if d.SkewPPM < 0 {
-			return fmt.Errorf("fault: negative drift skew bound %v ppm", d.SkewPPM)
+		if d.SkewPPM < 0 || d.SkewPPM >= 1e6 {
+			return fmt.Errorf("fault: drift skew bound %v ppm outside [0, 1e6): a clock cannot stop or run backwards", d.SkewPPM)
 		}
 		if d.MaxOffset < 0 {
 			return fmt.Errorf("fault: negative drift offset bound %v", d.MaxOffset.D())

@@ -73,6 +73,7 @@ func TestScenarioValidate(t *testing.T) {
 	}{
 		{"churn zero mean", Scenario{Churn: &ChurnSpec{MeanDown: Dur(time.Second), Fraction: 0.5}}, "churn means"},
 		{"churn fraction", Scenario{Churn: &ChurnSpec{MeanUp: Dur(time.Second), MeanDown: Dur(time.Second), Fraction: 1.5}}, "fraction"},
+		{"drift clock stops", Scenario{Drift: &DriftSpec{SkewPPM: 1e6, SyncEvery: Dur(time.Second), Fraction: 0.5}}, "skew"},
 		{"drift no sync", Scenario{Drift: &DriftSpec{SkewPPM: 10, Fraction: 0.5}}, "sync_every"},
 		{"drift loss dur", Scenario{Drift: &DriftSpec{SkewPPM: 10, SyncEvery: Dur(time.Second), LossMeanEvery: Dur(time.Second), Fraction: 0.5}}, "loss_mean_dur"},
 		{"shift jump", Scenario{DelayShift: &DelayShiftSpec{MeanEvery: Dur(time.Second), Fraction: 0.5}}, "max_jump_m"},

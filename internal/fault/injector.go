@@ -123,10 +123,15 @@ func (in *Injector) emit(node packet.NodeID, kind, action, detail string) {
 	obs.Fault{Node: node, Kind: kind, Action: action, Detail: detail}.Emit(in.rec, in.eng.Now())
 }
 
+// maxWait caps an exponential draw: a mean of centuries can draw past
+// time.Duration's range. 2^62 ns (146 years) outlasts any run and
+// cannot overflow when added to one of its instants.
+const maxWait = 1 << 62
+
 // expAfter draws an exponential holding time with the given mean.
 func expAfter(rng *sim.RNG, mean Dur) time.Duration {
 	sec := rng.ExpFloat64Rate(1 / mean.D().Seconds())
-	return time.Duration(sec * float64(time.Second))
+	return time.Duration(min(sec*float64(time.Second), maxWait))
 }
 
 // setDown adds reason to the member's down mask, silencing the modem
@@ -206,11 +211,11 @@ func (in *Injector) episodes(from, until sim.Time, rng *sim.RNG, meanUp, meanDow
 func (in *Injector) recur(from, until sim.Time, gap func() time.Duration, fire func()) {
 	var wait func()
 	wait = func() {
-		at := in.eng.Now().Add(gap())
-		if at.After(until) {
+		g := gap() // compared as a duration: now+g may overflow
+		if g > until.Sub(in.eng.Now()) {
 			return
 		}
-		in.eng.ScheduleAt(at, sim.PriorityObserver, func() {
+		in.eng.ScheduleAt(in.eng.Now().Add(g), sim.PriorityObserver, func() {
 			fire()
 			wait()
 		})

@@ -205,9 +205,13 @@ func (n *Node) scheduleSlot() {
 	// The node fires the boundary where its *local* clock claims slot
 	// start is; drift shifts it relative to the true grid. A clock
 	// corrected backwards can map the boundary into the past — the node
-	// is simply late, not entitled to time travel.
+	// is simply late, not entitled to time travel. A clock that ran more
+	// than a slot ahead (a large initial offset, or a correction after a
+	// long sync loss) fires the slot it now shows, once, instead of
+	// replaying every boundary it slept through at this one instant.
 	at = n.cfg.Clock.TrueTime(at.Duration())
-	if now := n.cfg.Engine.Now(); at.Before(now) {
+	if now := n.cfg.Engine.Now(); !at.After(now) {
+		n.nextSlot = max(n.nextSlot, n.cfg.Slots.SlotAt(n.LocalNow()))
 		at = now
 	}
 	n.cfg.Engine.ScheduleAt(at, sim.PriorityMAC, n.tickFn)
